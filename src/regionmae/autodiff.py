@@ -139,9 +139,6 @@ class Tensor:
     def transpose(self, *axes):
         return transpose(self, axes if len(axes) > 1 else axes[0])
 
-    def take_rows(self, indices):
-        return take_rows(self, indices)
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
@@ -292,6 +289,19 @@ def take_rows(x: Tensor, indices) -> Tensor:
     def backward(g):
         gx = np.zeros_like(x.data)
         np.add.at(gx, idx, g)
+        x.accumulate_grad(gx)
+
+    return _record(out, (x,), backward)
+
+
+def take_cols(x: Tensor, start: int, stop: int) -> Tensor:
+    """Slice ``[start, stop)`` of the last axis; backward fills that slice of zeros."""
+    x = as_tensor(x)
+    out = Tensor(x.data[..., start:stop])
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        gx[..., start:stop] = g
         x.accumulate_grad(gx)
 
     return _record(out, (x,), backward)

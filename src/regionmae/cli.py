@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -54,8 +53,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="override run.seed")
     parser.add_argument("--out-dir", default=argparse.SUPPRESS,
                         help="override run.out_dir")
-    parser.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="BLAS thread cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,13 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--shape", type=int,
                            help="cubic side length, overrides synth.shape")
     return parser
-
-
-def _apply_threads(n: int) -> None:
-    if n and n > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = str(n)
 
 
 def _model_config(cfg: dict) -> ModelConfig:
@@ -401,9 +391,7 @@ def main(argv=None) -> int:
         cfg = load_config(config_file,
                           getattr(args, "overrides", None) or [],
                           seed=getattr(args, "seed", None),
-                          out_dir=getattr(args, "out_dir", None),
-                          threads=getattr(args, "threads", None))
-        _apply_threads(int(cfg["run"]["threads"]))
+                          out_dir=getattr(args, "out_dir", None))
         out = Path(cfg["run"]["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
         inputs = COMMANDS[args.command](cfg, args, out)

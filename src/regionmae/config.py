@@ -1,7 +1,7 @@
 """Layered run configuration: defaults, YAML file, dotted-path overrides.
 
 Precedence is defaults < config file < --set overrides < dedicated flags
-(--seed/--out-dir/--threads). Unknown keys are rejected by name at every
+(--seed/--out-dir). Unknown keys are rejected by name at every
 layer, and each command writes the fully resolved tree next to its outputs
 so a run can be reproduced from the snapshot alone.
 """
@@ -24,7 +24,6 @@ DEFAULTS: dict = {
     "run": {
         "seed": 0,
         "out_dir": "runs",
-        "threads": 0,  # 0 = leave BLAS/numpy threading alone
     },
     "data": {
         "root": "",  # empty -> $REGIONMAE_DATA_ROOT or "."
@@ -163,8 +162,7 @@ def apply_override(cfg: dict, parts: list[str], value) -> None:
     node[leaf] = value
 
 
-def load_config(path=None, overrides=(), seed=None, out_dir=None,
-                threads=None) -> dict:
+def load_config(path=None, overrides=(), seed=None, out_dir=None) -> dict:
     cfg = copy.deepcopy(DEFAULTS)
     if path:
         text = Path(path).read_text()
@@ -182,8 +180,6 @@ def load_config(path=None, overrides=(), seed=None, out_dir=None,
         cfg["run"]["seed"] = int(seed)
     if out_dir is not None:
         cfg["run"]["out_dir"] = str(out_dir)
-    if threads is not None:
-        cfg["run"]["threads"] = int(threads)
     if not cfg["data"]["root"]:
         cfg["data"]["root"] = os.environ.get(ENV_DATA_ROOT, ".")
     return cfg

@@ -32,9 +32,6 @@ _REGION_CRITERION = {REGION_ANY: "any", REGION_MAJORITY: "majority",
 TUBE = "TUBE"
 PER_FRAME = "PER_FRAME"
 
-DROP = "DROP"
-REPLACE_LEARNED = "REPLACE_LEARNED"
-
 
 @dataclass(frozen=True)
 class MaskSpec:
@@ -196,46 +193,18 @@ def _flat_mask(mask) -> np.ndarray:
     return np.asarray(mask, dtype=bool).reshape(-1)
 
 
-def apply_mask(tokens, mask, mode: str, mask_token=None):
-    """Apply a mask to a [N, D] token matrix.
+def apply_mask(tokens, mask, mask_token):
+    """Swap the masked rows of a [N, D] token matrix for a shared embedding.
 
-    DROP returns (kept_tokens, kept_indices); the companion
-    :func:`reinsert_tokens` rebuilds the full set. REPLACE_LEARNED swaps
-    masked rows for a shared embedding and returns (tokens, None).
-    ``tokens`` may be a numpy array or an autodiff tensor (anything with
-    numpy-style arithmetic and a ``take_rows`` method).
+    ``tokens`` and ``mask_token`` may be numpy arrays or autodiff tensors
+    (anything with numpy-style arithmetic).
     """
     m = _flat_mask(mask)
     n = tokens.shape[0]
     if m.shape[0] != n:
         raise ValidationError(f"mask covers {m.shape[0]} slots but tokens have {n} rows")
-
-    if mode == DROP:
-        kept = np.flatnonzero(~m)
-        if hasattr(tokens, "take_rows"):
-            return tokens.take_rows(kept), kept
-        return tokens[kept], kept
-
-    if mode == REPLACE_LEARNED:
-        if mask_token is None:
-            raise ValidationError("REPLACE_LEARNED needs a mask_token")
-        w = m.astype(np.float32)[:, None]  # [N, 1]
-        return tokens * (1.0 - w) + mask_token * w, None
-
-    raise ValidationError(f"unknown mask application mode {mode!r}")
-
-
-def reinsert_tokens(kept_tokens, kept_indices: np.ndarray, total: int, fill):
-    """Scatter kept rows back to their original slots; ``fill`` pads the rest.
-
-    numpy-only helper (decoder-side re-insertion of placeholder embeddings is
-    done with tensor ops in the model).
-    """
-    kept_tokens = np.asarray(kept_tokens)
-    out = np.broadcast_to(np.asarray(fill, dtype=kept_tokens.dtype),
-                          (total, kept_tokens.shape[1])).copy()
-    out[kept_indices] = kept_tokens
-    return out
+    w = m.astype(np.float32)[:, None]  # [N, 1]
+    return tokens * (1.0 - w) + mask_token * w
 
 
 # ---------------------------------------------------------------------------

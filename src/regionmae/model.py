@@ -35,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ValidationError
-from .masking import REPLACE_LEARNED, MaskTensor, apply_mask
+from .masking import MaskTensor, apply_mask
 from .nifti import Volume4D
 
 MAMBA = "MAMBA"
@@ -91,12 +91,6 @@ class ModelConfig:
     def config_hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True, default=list)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-# A configuration in the ballpark of the full-size model (~7.7M parameters);
-# provided as a reference point, not exercised by the unit tests.
-FULL_SCALE = ModelConfig(embed_dim=102, stage_depths=(2, 2, 2), heads=6,
-                         window=(4, 4, 4, 2), ssm_state_dim=16)
 
 
 def assign_operators(config: ModelConfig) -> list[str]:
@@ -155,8 +149,6 @@ class HybridModel:
         self.params: dict[str, Tensor] = {}
         self._rng = np.random.default_rng(config.seed)
         self._cache: dict = {}
-        self.capture_attention = False
-        self.captured: list[dict] = []
 
         ops = assign_operators(config)
         depths = config.stage_depths
@@ -268,23 +260,6 @@ class HybridModel:
         wx, wy, wz, wt = self.config.window
         return (wz, wy, wx, wt)
 
-    def _patch_indices(self, shape, n_t: int) -> tuple[np.ndarray, np.ndarray]:
-        """[N, voxels-per-token] flat voxel index per token (+ inverse), cached."""
-        key = ("patch", tuple(shape), n_t)
-        if key not in self._cache:
-            px, py, pz = self.config.patch_size
-            pt = self.config.t_patch
-            x, y, z = shape
-            nz, ny, nx, nt = self.lattice_dims(shape, n_t)
-            idx = np.arange(x * y * z * n_t, dtype=np.int64).reshape(x, y, z, n_t)
-            idx = idx.reshape(nx, px, ny, py, nz, pz, nt, pt)
-            # token axes (z, y, x, t), then within-patch voxel axes (x, y, z, t)
-            idx = idx.transpose(4, 2, 0, 6, 1, 3, 5, 7)
-            flat = np.ascontiguousarray(
-                idx.reshape(nx * ny * nz * nt, px * py * pz * pt))
-            self._cache[key] = (flat, np.argsort(flat.reshape(-1)))
-        return self._cache[key]
-
     def _scan_permutation(self, dims) -> tuple[np.ndarray, np.ndarray] | None:
         """Token order for the SSM scan; None keeps the stored order.
 
@@ -351,11 +326,6 @@ class HybridModel:
         if bias is not None:
             attn = ad.add(attn, Tensor(bias.astype(x.dtype)))
         weights = ad.softmax(attn, axis=-1)
-        if self.capture_attention:
-            self.captured.append({
-                "prefix": prefix, "dims": dims, "window": eff, "shifts": shifts,
-                "weights": weights.data.copy(),
-            })
         out = ad.matmul(weights, vw)  # [nW, heads, wsz, dh]
         out = ad.transpose(out, (0, 2, 1, 3))
         out = ad.reshape(out, (d0 // w0, d1 // w1, d2 // w2, d3 // w3,
@@ -381,19 +351,14 @@ class HybridModel:
 
         xu_z = self._lin(f"{prefix}.in", h)  # [L, 2*inner]
         inner = xu_z.shape[-1] // 2
-        seq = xu_z.shape[0]
-        both = ad.transpose(ad.reshape(xu_z, (seq, 2, inner)), (1, 0, 2))
-        u = ad.reshape(ad.take_rows(both, [0]), (seq, inner))
-        z = ad.reshape(ad.take_rows(both, [1]), (seq, inner))
+        u = ad.take_cols(xu_z, 0, inner)
+        z = ad.take_cols(xu_z, inner, 2 * inner)
 
         proj = ad.matmul(u, self.params[f"{prefix}.xproj.w"])  # [L, rank + 2S]
         dt_rank = proj.shape[-1] - 2 * state
-        pt = ad.transpose(proj, (1, 0))  # [rank + 2S, L]
-        dt_in = ad.transpose(ad.take_rows(pt, np.arange(dt_rank)), (1, 0))
-        b_in = ad.transpose(ad.take_rows(pt, np.arange(dt_rank, dt_rank + state)),
-                            (1, 0))
-        c_in = ad.transpose(ad.take_rows(pt, np.arange(dt_rank + state,
-                                                       dt_rank + 2 * state)), (1, 0))
+        dt_in = ad.take_cols(proj, 0, dt_rank)
+        b_in = ad.take_cols(proj, dt_rank, dt_rank + state)
+        c_in = ad.take_cols(proj, dt_rank + state, dt_rank + 2 * state)
         delta = ad.softplus(ad.add(ad.matmul(dt_in, self.params[f"{prefix}.dt.w"]),
                                    self.params[f"{prefix}.dt.b"]))
         a = ad.mul(ad.exp(self.params[f"{prefix}.a_log"]), -1.0)
@@ -432,28 +397,33 @@ class HybridModel:
 
     # -- embedding and heads ---------------------------------------------------
 
-    def _as_flat_input(self, vol) -> tuple[Tensor, tuple, int]:
-        if isinstance(vol, Volume4D):
-            data = vol.data
-        elif isinstance(vol, Tensor):
-            data = vol.data
-        else:
-            data = np.asarray(vol)
-        if data.ndim != 4:
+    def _as_input(self, vol) -> Tensor:
+        """The [X, Y, Z, T] input as a tensor; a Tensor input keeps its graph."""
+        if not isinstance(vol, Tensor):
+            vol = Tensor(vol.data if isinstance(vol, Volume4D) else np.asarray(vol))
+        if vol.ndim != 4:
             raise ValidationError("model input must be a 4D volume")
-        shape, n_t = data.shape[:3], data.shape[3]
-        if isinstance(vol, Tensor):
-            flat = ad.reshape(vol, (data.size,))
-        else:
-            flat = Tensor(np.ascontiguousarray(data).reshape(-1))
-        return flat, shape, n_t
+        return vol
+
+    def _patch_axes(self, dims) -> tuple[int, ...]:
+        """Token lattice axes (z, y, x, t), then within-patch axes (x, y, z, t)."""
+        return (*dims, *self.config.patch_size, self.config.t_patch)
 
     def patch_embed(self, vol) -> tuple[Tensor, tuple]:
         """Voxel blocks -> D-dim tokens; row p*nt + t covers patch p, slab t."""
-        flat, shape, n_t = self._as_flat_input(vol)
-        idx, _ = self._patch_indices(shape, n_t)
-        blocks = ad.take_rows(flat, idx)  # [N, k]
-        return self._lin("embed", blocks), self.lattice_dims(shape, n_t)
+        x = self._as_input(vol)
+        dims = self.lattice_dims(x.shape[:3], x.shape[3])
+        nz, ny, nx, nt, px, py, pz, pt = self._patch_axes(dims)
+        blocks = ad.reshape(x, (nx, px, ny, py, nz, pz, nt, pt))
+        blocks = ad.transpose(blocks, (4, 2, 0, 6, 1, 3, 5, 7))
+        blocks = ad.reshape(blocks, (nz * ny * nx * nt, px * py * pz * pt))
+        return self._lin("embed", blocks), dims
+
+    def _unpatchify(self, recon: Tensor, dims) -> Tensor:
+        """[N, k] token rows back to the [X, Y, Z, T] volume (inverse of patch_embed)."""
+        nz, ny, nx, nt, px, py, pz, pt = axes = self._patch_axes(dims)
+        vox = ad.transpose(ad.reshape(recon, axes), (2, 4, 1, 5, 0, 6, 3, 7))
+        return ad.reshape(vox, (nx * px, ny * py, nz * pz, nt * pt))
 
     def _mask_flat(self, mask: MaskTensor, dims) -> np.ndarray:
         nz, ny, nx, nt = dims
@@ -487,14 +457,9 @@ class HybridModel:
 
     def forward_pretrain(self, vol, mask: MaskTensor) -> Tensor:
         """Masked volume in, reconstructed volume (same shape) out."""
-        flat, shape, n_t = self._as_flat_input(vol)
-        idx, inv = self._patch_indices(shape, n_t)
-        tokens = self._lin("embed", ad.take_rows(flat, idx))
-        dims = self.lattice_dims(shape, n_t)
-
-        m = self._mask_flat(mask, dims)
-        tokens, _ = apply_mask(tokens, m, REPLACE_LEARNED,
-                               mask_token=self.params["mask_token"])
+        tokens, dims = self.patch_embed(vol)
+        tokens = apply_mask(tokens, self._mask_flat(mask, dims),
+                            self.params["mask_token"])
 
         tokens, dims2 = self.encode(tokens, dims)
         tokens, dims3 = self.decode(tokens, dims2)
@@ -502,10 +467,7 @@ class HybridModel:
             raise ValidationError(f"decoder returned lattice {dims3}, expected {dims}")
 
         tokens = self._norm("head.norm", tokens)
-        recon = self._lin("head", tokens)  # [N, k]
-        n_vox = int(np.prod(shape)) * n_t
-        out = ad.take_rows(ad.reshape(recon, (n_vox,)), inv)
-        return ad.reshape(out, (*shape, n_t))
+        return self._unpatchify(self._lin("head", tokens), dims)
 
     def forward_classify(self, vol) -> Tensor:
         """Encoder + mean pool + linear head -> scalar logit."""

@@ -26,7 +26,6 @@ from .errors import (
 
 HEADER_SIZE = 348
 MAGIC_SINGLE = b"n+1\x00"
-MAGIC_PAIR = b"ni1\x00"
 
 # NIfTI-1 datatype codes we support.
 DT_UINT8 = 2
@@ -178,7 +177,8 @@ def _open_for_read(path: Path):
 
 def _open_for_write(path: Path):
     if path.suffix == ".gz":
-        return gzip.open(path, "wb")
+        # mtime=0 keeps the header, and so the file bytes, independent of the clock
+        return gzip.GzipFile(path, "wb", compresslevel=9, mtime=0)
     return open(path, "wb")
 
 

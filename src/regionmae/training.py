@@ -41,7 +41,6 @@ class RunConfig:
     seed: int = 0
     mask_spec: MaskSpec | None = None
     split: tuple[float, float, float] = (8.0, 1.0, 1.0)
-    n_seeds: int = 1
     clip_norm: float = 1.0
     weight_decay: float = 0.0
     freeze_encoder: bool = False
@@ -49,8 +48,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.phase not in PHASES:
             raise ValidationError(f"unknown phase {self.phase!r}")
-        if self.epochs < 1 or self.batch_size < 1 or self.n_seeds < 1:
-            raise ValidationError("epochs, batch_size and n_seeds must be >= 1")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ValidationError("epochs and batch_size must be >= 1")
         if self.lr < 0:
             raise ValidationError("lr must be non-negative")
         if len(self.split) != 3 or any(r <= 0 for r in self.split):

@@ -214,6 +214,8 @@ def test_gradcheck_structural(rng):
         idx = r.integers(0, 4, size=7)  # duplicates force scatter-accumulate
         w3 = r.normal(size=(7, 6))
         check_op(lambda: scalarize(ad.take_rows(x, idx), w3), {"x": x})
+        w4 = r.normal(size=(4, 3))
+        check_op(lambda: scalarize(ad.take_cols(x, 2, 5), w4), {"x": x})
 
 
 def test_gradcheck_reductions(rng):

@@ -106,10 +106,9 @@ def test_precedence_file_then_set_then_flag(tmp_path):
     assert cfg["run"]["seed"] == 7
 
 
-def test_out_dir_and_threads_flags():
-    cfg = load_config(out_dir="elsewhere", threads=2)
+def test_out_dir_flag():
+    cfg = load_config(out_dir="elsewhere")
     assert cfg["run"]["out_dir"] == "elsewhere"
-    assert cfg["run"]["threads"] == 2
 
 
 def test_env_data_root(monkeypatch, tmp_path):

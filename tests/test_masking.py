@@ -4,14 +4,12 @@ import pytest
 from regionmae.atlas import MACROREGIONS, PatchGrid, RegionMap, classify_patches
 from regionmae.errors import ConfigurationError, ValidationError
 from regionmae.masking import (
-    DROP,
     PER_FRAME,
     RANDOM_RANDOM,
     RANDOM_TUBE,
     REGION_ANY,
     REGION_MAJORITY,
     REGION_PURE,
-    REPLACE_LEARNED,
     TUBE,
     WINDOW_RANDOM,
     MaskSpec,
@@ -19,7 +17,6 @@ from regionmae.masking import (
     apply_mask,
     build_mask,
     load_mask,
-    reinsert_tokens,
     save_mask,
 )
 from regionmae.nifti import LabelVolume
@@ -174,36 +171,19 @@ def test_mask_tensor_lattice_roundtrip():
 def test_apply_mask_empty_noop(rng):
     tokens = rng.normal(size=(12, 4)).astype(np.float32)
     m = np.zeros(12, dtype=bool)
-    out, kept = apply_mask(tokens, m, DROP)
+    out = apply_mask(tokens, m, rng.normal(size=(4,)).astype(np.float32))
     np.testing.assert_array_equal(out, tokens)
-    np.testing.assert_array_equal(kept, np.arange(12))
-    out2, _ = apply_mask(tokens, m, REPLACE_LEARNED, mask_token=np.zeros(4, np.float32))
-    np.testing.assert_array_equal(out2, tokens)
-
-
-def test_apply_mask_drop_and_reinsert(rng):
-    tokens = rng.normal(size=(20, 3)).astype(np.float32)
-    m = np.zeros(20, dtype=bool)
-    m[rng.choice(20, size=6, replace=False)] = True
-    kept_tokens, kept = apply_mask(tokens, m, DROP)
-    assert kept_tokens.shape == (14, 3)
-    assert sorted(set(kept.tolist())) == sorted(np.flatnonzero(~m).tolist())
-    fill = np.full(3, -1.0, dtype=np.float32)
-    back = reinsert_tokens(kept_tokens, kept, 20, fill)
-    np.testing.assert_array_equal(back[~m], tokens[~m])
-    assert np.all(back[m] == -1.0)
 
 
 def test_apply_mask_replace_learned(rng):
     tokens = rng.normal(size=(10, 4)).astype(np.float32)
     token = rng.normal(size=(4,)).astype(np.float32)
     m = np.ones(10, dtype=bool)
-    out, idx = apply_mask(tokens, m, REPLACE_LEARNED, mask_token=token)
-    assert idx is None
+    out = apply_mask(tokens, m, token)
     np.testing.assert_allclose(out, np.tile(token, (10, 1)), rtol=1e-6)
     m2 = np.zeros(10, dtype=bool)
     m2[3] = True
-    out2, _ = apply_mask(tokens, m2, REPLACE_LEARNED, mask_token=token)
+    out2 = apply_mask(tokens, m2, token)
     np.testing.assert_allclose(out2[3], token, rtol=1e-6)
     np.testing.assert_array_equal(out2[~m2], tokens[~m2])
 
@@ -211,7 +191,7 @@ def test_apply_mask_replace_learned(rng):
 def test_apply_mask_shape_mismatch(rng):
     tokens = rng.normal(size=(10, 4)).astype(np.float32)
     with pytest.raises(ValidationError):
-        apply_mask(tokens, np.zeros(9, dtype=bool), DROP)
+        apply_mask(tokens, np.zeros(9, dtype=bool), np.zeros(4, np.float32))
 
 
 # -- serialization ------------------------------------------------------------

@@ -160,21 +160,31 @@ def _region_ids_oracle(dims, eff, shifts):
     return out
 
 
-def test_shifted_window_attention_isolates_regions():
+def _record_attention(monkeypatch) -> list[np.ndarray]:
+    """Collect every attention weight tensor the model computes."""
+    seen = []
+    softmax = ad.softmax
+
+    def recording(x, axis=-1):
+        out = softmax(x, axis=axis)
+        seen.append(out.data.copy())
+        return out
+
+    monkeypatch.setattr(ad, "softmax", recording)
+    return seen
+
+
+def test_shifted_window_attention_isolates_regions(monkeypatch):
     cfg = ModelConfig(embed_dim=8, stage_depths=(2,), heads=2, configuration=AM,
                       window=(4, 4, 4, 2), ssm_state_dim=4)
     m = HybridModel(cfg)
-    m.capture_attention = True
+    seen = _record_attention(monkeypatch)
     rng = np.random.default_rng(11)
     vol = rng.uniform(-1, 1, size=(48, 48, 48, 8)).astype(np.float32)
     m.forward_classify(vol)
 
-    shifted = [c for c in m.captured if any(c["shifts"])]
-    assert len(shifted) == 1  # second block of the stage
-    cap = shifted[0]
-    dims, eff, shifts = cap["dims"], cap["window"], cap["shifts"]
-    assert shifts == (2, 2, 2, 0)
-
+    assert len(seen) == 2  # the second block of the stage is the shifted one
+    dims, eff, shifts = (8, 8, 8, 2), (4, 4, 4, 2), (2, 2, 2, 0)
     rid = _region_ids_oracle(dims, eff, shifts)
     rid = np.roll(rid, tuple(-s for s in shifts), axis=(0, 1, 2, 3))
     d0, d1, d2, d3 = dims
@@ -182,7 +192,8 @@ def test_shifted_window_attention_isolates_regions():
     rid = rid.reshape(d0 // w0, w0, d1 // w1, w1, d2 // w2, w2, d3 // w3, w3)
     rid = rid.transpose(0, 2, 4, 6, 1, 3, 5, 7).reshape(-1, w0 * w1 * w2 * w3)
 
-    weights = cap["weights"]  # [nW, heads, wsz, wsz]
+    weights = seen[1]  # [nW, heads, wsz, wsz]
+    assert weights.shape == (8, 2, 128, 128)
     cross = rid[:, None, :, None] != rid[:, None, None, :]
     cross = np.broadcast_to(cross, weights.shape)
     assert np.count_nonzero(cross) > 0
@@ -191,16 +202,15 @@ def test_shifted_window_attention_isolates_regions():
     np.testing.assert_allclose(weights.sum(-1), 1.0, atol=1e-6)
 
 
-def test_unshifted_window_has_positive_weights_everywhere():
+def test_unshifted_window_has_positive_weights_everywhere(monkeypatch):
     cfg = ModelConfig(embed_dim=8, stage_depths=(1,), heads=2, configuration=AM,
                       window=(4, 4, 4, 2), ssm_state_dim=4)
     m = HybridModel(cfg)
-    m.capture_attention = True
+    seen = _record_attention(monkeypatch)
     vol = np.random.default_rng(0).uniform(-1, 1, size=(24, 24, 24, 8)).astype(np.float32)
     m.forward_classify(vol)
-    assert len(m.captured) == 1
-    assert m.captured[0]["shifts"] == (0, 0, 0, 0)
-    assert np.all(m.captured[0]["weights"] > 0)
+    assert len(seen) == 1
+    assert np.all(seen[0] > 0)
 
 
 def test_window_not_dividing_lattice_raises():
@@ -392,6 +402,42 @@ def test_patch_embed_rows_follow_patch_grid_order():
     for p in (0, 1, 5, 17, 63):
         for t in range(n_t):
             assert tokens.data[p * n_t + t, 0] == k * p
+
+    # a non-cubic volume, every token entry against a flat voxel-index table
+    vol = np.arange(4 * 6 * 10 * 4, dtype=np.float32).reshape(4, 6, 10, 4)
+    m = _identity_embedding()
+    tokens, dims = m.patch_embed(vol)
+    assert dims == (5, 3, 2, 2)
+    np.testing.assert_array_equal(
+        tokens.data, vol.reshape(-1)[_patch_index_oracle(vol.shape, (2, 2, 2), 2)])
+
+
+def _identity_embedding() -> HybridModel:
+    """2x2x2x2 patches whose embedding passes the voxel block through."""
+    m = HybridModel(tiny_config(embed_dim=16, patch_size=(2, 2, 2), t_patch=2))
+    m.params["embed.w"].data[:] = np.eye(16, dtype=np.float32)
+    m.params["embed.b"].data[:] = 0.0
+    return m
+
+
+def _patch_index_oracle(shape, patch_size, t_patch) -> np.ndarray:
+    """[N, k] flat voxel index of every token entry, as an explicit table."""
+    x, y, z, n_t = shape
+    px, py, pz = patch_size
+    nx, ny, nz, nt = x // px, y // py, z // pz, n_t // t_patch
+    idx = np.arange(x * y * z * n_t).reshape(nx, px, ny, py, nz, pz, nt, t_patch)
+    # token axes (z, y, x, t), then within-patch voxel axes (x, y, z, t)
+    idx = idx.transpose(4, 2, 0, 6, 1, 3, 5, 7)
+    return idx.reshape(nx * ny * nz * nt, px * py * pz * t_patch)
+
+
+def test_unpatchify_inverts_patch_embed():
+    m = _identity_embedding()
+    vol = np.random.default_rng(4).normal(size=(4, 6, 10, 4)).astype(np.float32)
+    tokens, dims = m.patch_embed(vol)
+    back = m._unpatchify(tokens, dims)
+    assert back.shape == vol.shape
+    np.testing.assert_array_equal(back.data, vol)
 
 
 def test_masked_tokens_ignore_their_input_voxels():

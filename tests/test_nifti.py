@@ -1,5 +1,6 @@
 import gzip
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -78,6 +79,18 @@ def test_gzip_transparency(tmp_path, rng):
     b = read_nifti(packed)
     np.testing.assert_array_equal(a.data, b.data)
     np.testing.assert_array_equal(a.affine, b.affine)
+
+
+def test_gzip_bytes_independent_of_write_time(tmp_path, rng, monkeypatch):
+    vol = Volume4D(data=rng.normal(size=(4, 4, 4, 2)).astype(np.float32),
+                   affine=np.eye(4))
+    path = tmp_path / "v.nii.gz"
+    written = []
+    for clock in (1.0e9, 2.0e9):
+        monkeypatch.setattr(time, "time", lambda clock=clock: clock)
+        write_nifti(vol, path)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_label_roundtrip_smallest_dtype(tmp_path):
