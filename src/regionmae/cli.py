@@ -11,6 +11,7 @@ configuration or validation, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -72,64 +73,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _model_config(cfg: dict) -> ModelConfig:
-    m = cfg["model"]
-    return ModelConfig(
-        embed_dim=int(m["embed_dim"]),
-        stage_depths=tuple(int(d) for d in m["stage_depths"]),
-        heads=int(m["heads"]),
-        window=tuple(int(w) for w in m["window"]),
-        ssm_state_dim=int(m["ssm_state_dim"]),
-        configuration=str(m["configuration"]),
-        patch_size=tuple(int(p) for p in m["patch_size"]),
-        t_patch=int(m["t_patch"]),
-        mlp_ratio=float(m["mlp_ratio"]),
-        ssm_expand=int(m["ssm_expand"]),
-        scan_order=str(m["scan_order"]),
-        seed=int(m["seed"]),
-    )
-
-
-def _mask_spec(cfg: dict) -> MaskSpec:
-    m = cfg["mask"]
-    return MaskSpec(
-        strategy=str(m["strategy"]),
-        region=str(m["region"]) or None,
-        ratio=float(m["ratio"]),
-        temporal_mode=str(m["temporal_mode"]),
-        seed=int(m["seed"]),
-        window_block=tuple(int(b) for b in m["window_block"]),
-    )
-
-
-def _attr_config(cfg: dict) -> AttributionConfig:
-    a = cfg["attribution"]
-    return AttributionConfig(
-        ig_steps=int(a["ig_steps"]),
-        baseline=str(a["baseline"]),
-        sg_samples=int(a["sg_samples"]),
-        sg_noise_std=float(a["sg_noise_std"]),
-        gauss_sigma=float(a["gauss_sigma"]),
-        top_percentile=float(a["top_percentile"]),
-        min_roi_voxels=int(a["min_roi_voxels"]),
-    )
-
-
-def _run_config(cfg: dict, section: str, phase: str,
-                mask_spec: MaskSpec | None = None) -> RunConfig:
+def _build(cls, cfg: dict, section: str, **extra):
+    """``cls`` from the fields it shares with a type-checked config section;
+    ``extra`` supplies or overrides fields."""
     s = cfg[section]
-    return RunConfig(
-        phase=phase,
-        epochs=int(s["epochs"]),
-        batch_size=int(s["batch_size"]),
-        lr=float(s["lr"]),
-        seed=int(s["seed"]),
-        mask_spec=mask_spec,
-        split=tuple(float(r) for r in s["split"]),
-        clip_norm=float(s["clip_norm"]),
-        weight_decay=float(s["weight_decay"]),
-        freeze_encoder=bool(s.get("freeze_encoder", False)),
-    )
+    kwargs = {f.name: tuple(s[f.name]) if isinstance(s[f.name], list)
+              else s[f.name]
+              for f in dataclasses.fields(cls) if f.name in s}
+    try:
+        return cls(**{**kwargs, **extra})
+    except ValidationError as exc:
+        raise ValidationError(f"{section}: {exc}") from exc
 
 
 def _load_labeled(cfg: dict):
@@ -142,23 +96,11 @@ def _load_labeled(cfg: dict):
 
 def cmd_synth(cfg: dict, args, out: Path) -> list:
     s = cfg["synth"]
-    if getattr(args, "subjects", None):
-        s["n_subjects"] = int(args.subjects)
-    if getattr(args, "shape", None):
-        s["shape"] = [int(args.shape)] * 3
-    synth_cfg = SynthConfig(
-        n_subjects=int(s["n_subjects"]),
-        shape=tuple(int(v) for v in s["shape"]),
-        n_timepoints=int(s["n_timepoints"]),
-        tr_seconds=float(s["tr_seconds"]),
-        seed=int(s["seed"]),
-        signal_region=str(s["signal_region"]),
-        signal_amplitude=float(s["signal_amplitude"]),
-        noise_amplitude=float(s["noise_amplitude"]),
-        smooth_amplitude=float(s["smooth_amplitude"]),
-        temporal_amplitude=float(s["temporal_amplitude"]),
-        voxel_mm=float(s["voxel_mm"]),
-    )
+    if args.subjects is not None:
+        s["n_subjects"] = args.subjects
+    if args.shape is not None:
+        s["shape"] = [args.shape] * 3
+    synth_cfg = _build(SynthConfig, cfg, "synth")
     manifest = write_cohort(synth_cfg, out)
     print(f"wrote {synth_cfg.n_subjects} subjects to {out} "
           f"(manifest {manifest.name})")
@@ -182,13 +124,13 @@ def cmd_preprocess(cfg: dict, args, out: Path) -> list:
         vol = read_nifti(rec.path, kind="volume")
         normalized, _, report = preprocess_volume(
             vol,
-            target_tr=float(p["target_tr"]),
-            fov=tuple(int(v) for v in p["fov"]),
+            target_tr=p["target_tr"],
+            fov=p["fov"],
             template_mask=template_mask,
-            mask_fraction=float(p["mask_fraction"]),
-            clip=tuple(float(c) for c in p["clip"]),
-            dice_thresh=float(p["dice_thresh"]),
-            p99_thresh=float(p["p99_thresh"]),
+            mask_fraction=p["mask_fraction"],
+            clip=p["clip"],
+            dice_thresh=p["dice_thresh"],
+            p99_thresh=p["p99_thresh"],
             subject_id=rec.subject_id,
         )
         reports.append(report)
@@ -215,8 +157,8 @@ def cmd_classify(cfg: dict, args, out: Path) -> list:
     regions = RegionMap.from_csv(map_path)
     sets = classify_patches(
         atlas, regions,
-        purity_threshold=float(cfg["atlas"]["purity_threshold"]),
-        majority_threshold=float(cfg["atlas"]["majority_threshold"]),
+        purity_threshold=cfg["atlas"]["purity_threshold"],
+        majority_threshold=cfg["atlas"]["majority_threshold"],
     )
     sets.save(out / "patch_sets.json")
     rows = patch_set_report(sets)
@@ -230,12 +172,11 @@ def cmd_classify(cfg: dict, args, out: Path) -> list:
 
 
 def cmd_build_mask(cfg: dict, args, out: Path) -> list:
+    spec = _build(MaskSpec, cfg, "mask")
     sets_path = require_data_path(cfg, "patch_sets")
     sets = PatchSets.load(sets_path)
-    spec = _mask_spec(cfg)
-    t_patches = int(cfg["mask"]["t_patches"])
-    t_patch_len = int(cfg["model"]["t_patch"])
-    tensor = build_mask(spec, sets, t_patches, t_patch_len=t_patch_len)
+    tensor = build_mask(spec, sets, cfg["mask"]["t_patches"],
+                        t_patch_len=cfg["model"]["t_patch"])
     save_mask(tensor, spec, out / "mask.bits")
     print(f"mask: {tensor.masked_slots}/{tensor.mask.size} slots "
           f"({tensor.masked_voxels} voxels) -> {out / 'mask.bits'}")
@@ -243,14 +184,16 @@ def cmd_build_mask(cfg: dict, args, out: Path) -> list:
 
 
 def cmd_pretrain(cfg: dict, args, out: Path) -> list:
+    model_cfg = _build(ModelConfig, cfg, "model")
+    run = _build(RunConfig, cfg, "pretrain", phase=PRETRAIN,
+                 mask_spec=_build(MaskSpec, cfg, "mask"))
     sets_path = require_data_path(cfg, "patch_sets")
     sets = PatchSets.load(sets_path)
     records, volumes, inputs = _load_labeled(cfg)
     inputs.append(sets_path)
 
-    model = HybridModel(_model_config(cfg))
-    run = _run_config(cfg, "pretrain", PRETRAIN, mask_spec=_mask_spec(cfg))
-    train, val, _ = split_subjects(records, run.split, seed=int(cfg["run"]["seed"]))
+    model = HybridModel(model_cfg)
+    train, val, _ = split_subjects(records, run.split, seed=cfg["run"]["seed"])
     as_pairs = lambda recs: [(r.subject_id, volumes[r.subject_id].data)
                              for r in recs]
     result = pretrain(model, as_pairs(train), as_pairs(val), run, sets)
@@ -266,11 +209,13 @@ def cmd_pretrain(cfg: dict, args, out: Path) -> list:
 
 
 def cmd_finetune(cfg: dict, args, out: Path) -> list:
+    model_cfg = _build(ModelConfig, cfg, "model")
+    run = _build(RunConfig, cfg, "finetune", phase=FINETUNE)
     records, volumes, inputs = _load_labeled(cfg)
     if any(r.label is None for r in records):
         raise ConfigurationError("finetune needs a label for every subject "
                                  "in data.manifest")
-    model = HybridModel(_model_config(cfg))
+    model = HybridModel(model_cfg)
     init_from = cfg["finetune"]["init_from"]
     if init_from:
         ckpt = Path(init_from)
@@ -280,9 +225,8 @@ def cmd_finetune(cfg: dict, args, out: Path) -> list:
         restore_params(model.params, arrays)
         inputs.append(ckpt)
 
-    run = _run_config(cfg, "finetune", FINETUNE)
     train, val, test = split_subjects(records, run.split,
-                                      seed=int(cfg["run"]["seed"]))
+                                      seed=cfg["run"]["seed"])
     triple = lambda recs: [(r.subject_id, volumes[r.subject_id].data,
                             int(r.label)) for r in recs]
     result = finetune(model, triple(train), triple(val), triple(test), run)
@@ -301,18 +245,19 @@ def cmd_finetune(cfg: dict, args, out: Path) -> list:
 
 
 def cmd_attribute(cfg: dict, args, out: Path) -> list:
+    model_cfg = _build(ModelConfig, cfg, "model")
+    acfg = _build(AttributionConfig, cfg, "attribution")
     ckpt_path = require_data_path(cfg, "checkpoint")
     atlas_path = require_data_path(cfg, "atlas")
     map_path = require_data_path(cfg, "region_map")
     records, volumes, inputs = _load_labeled(cfg)
     inputs += [ckpt_path, atlas_path, map_path]
 
-    model = HybridModel(_model_config(cfg))
+    model = HybridModel(model_cfg)
     arrays, _ = load_checkpoint(ckpt_path, model.config.config_hash())
     restore_params(model.params, arrays)
     atlas = read_nifti(atlas_path, kind="labels")
     regions = RegionMap.from_csv(map_path)
-    acfg = _attr_config(cfg)
 
     maps = []
     for rec in records:
@@ -322,7 +267,7 @@ def cmd_attribute(cfg: dict, args, out: Path) -> list:
             if int(logit > 0) != int(rec.label):
                 continue
         maps.append(ig_sq(model, vol.data, acfg, subject_id=rec.subject_id,
-                          seed=int(cfg["run"]["seed"])))
+                          seed=cfg["run"]["seed"]))
     if not maps:
         raise DegenerateDataError("no subjects left to attribute "
                                   "(all misclassified?)")

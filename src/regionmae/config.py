@@ -2,13 +2,15 @@
 
 Precedence is defaults < config file < --set overrides < dedicated flags
 (--seed/--out-dir). Unknown keys are rejected by name at every
-layer, and each command writes the fully resolved tree next to its outputs
-so a run can be reproduced from the snapshot alone.
+layer, every value is checked against the type of its default once the
+layers are merged, and each command writes the fully resolved tree next to
+its outputs so a run can be reproduced from the snapshot alone.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -16,10 +18,31 @@ from pathlib import Path
 
 import yaml
 
+from .attribution import AttributionConfig
 from .errors import ConfigurationError
+from .masking import REGION_ANY, MaskSpec
+from .model import ModelConfig
+from .synth import SynthConfig
+from .training import RunConfig
 
 ENV_DATA_ROOT = "REGIONMAE_DATA_ROOT"
 
+
+def _fields(cls, skip=(), **extra) -> dict:
+    """A config section holding ``cls``'s field defaults (tuples as lists)
+    plus ``extra``, which adds CLI-only keys and overrides library defaults."""
+    section = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in skip and f.default is not dataclasses.MISSING:
+            v = f.default
+            section[f.name] = list(v) if isinstance(v, tuple) else v
+    section.update(extra)
+    return section
+
+
+# The dataclass sections take their defaults from the library. Where the CLI
+# departs from the library it says so here: mask.strategy (no library
+# default), mask.region (library: None) and pretrain.lr (library: 5e-5).
 DEFAULTS: dict = {
     "run": {
         "seed": 0,
@@ -34,19 +57,7 @@ DEFAULTS: dict = {
         "patch_sets": "",
         "checkpoint": "",
     },
-    "synth": {
-        "n_subjects": 4,
-        "shape": [48, 48, 48],
-        "n_timepoints": 8,
-        "tr_seconds": 0.8,
-        "seed": 0,
-        "signal_region": "frontal",
-        "signal_amplitude": 0.30,
-        "noise_amplitude": 0.40,
-        "smooth_amplitude": 0.04,
-        "temporal_amplitude": 0.02,
-        "voxel_mm": 2.0,
-    },
+    "synth": _fields(SynthConfig),
     "preprocess": {
         "fov": [96, 96, 96],
         "target_tr": 0.8,
@@ -60,63 +71,65 @@ DEFAULTS: dict = {
         "purity_threshold": 0.70,
         "majority_threshold": 0.5,
     },
-    "mask": {
-        "strategy": "REGION_ANY",
-        "region": "frontal",
-        "ratio": 1.0,
-        "temporal_mode": "TUBE",
-        "seed": 0,
-        "window_block": [2, 2, 2],
-        "t_patches": 2,
-    },
-    "model": {
-        "embed_dim": 32,
-        "stage_depths": [2, 2],
-        "heads": 4,
-        "window": [4, 4, 4, 2],
-        "ssm_state_dim": 8,
-        "configuration": "MAMBA",
-        "patch_size": [6, 6, 6],
-        "t_patch": 4,
-        "mlp_ratio": 1.0,
-        "ssm_expand": 2,
-        "scan_order": "time_major",
-        "seed": 0,
-    },
-    "pretrain": {
-        "epochs": 20,
-        "batch_size": 8,
-        "lr": 1e-3,
-        "seed": 0,
-        "weight_decay": 0.0,
-        "clip_norm": 1.0,
-        "split": [8.0, 1.0, 1.0],
-    },
-    "finetune": {
-        "epochs": 20,
-        "batch_size": 8,
-        "lr": 5e-5,
-        "seed": 0,
-        "weight_decay": 0.0,
-        "clip_norm": 1.0,
-        "split": [8.0, 1.0, 1.0],
-        "freeze_encoder": False,
-        "init_from": "",
-    },
-    "attribution": {
-        "ig_steps": 32,
-        "baseline": "ZERO",
-        "sg_samples": 8,
-        "sg_noise_std": 0.1,
-        "gauss_sigma": 1.0,
-        "top_percentile": 99.0,
-        "min_roi_voxels": 10,
-        "only_correct": True,
-    },
+    "mask": _fields(MaskSpec, strategy=REGION_ANY, region="frontal",
+                    t_patches=2),
+    "model": _fields(ModelConfig),
+    "pretrain": _fields(RunConfig, skip=("phase", "mask_spec", "freeze_encoder"),
+                        lr=1e-3),
+    "finetune": _fields(RunConfig, skip=("phase", "mask_spec"), init_from=""),
+    "attribution": _fields(AttributionConfig, only_correct=True),
     "stats": {
         "input": "",
     },
 }
+
+# Lists whose length may differ from the default's.
+_VARIABLE_LENGTH = {"model.stage_depths"}
+
+
+def _typed(key: str, value, default):
+    """``value`` as the type of ``default``, or a ConfigurationError naming
+    ``key``. Floats also take numeric strings: YAML 1.1 reads ``1e-3`` as a
+    string. Null reads as the empty string for string keys."""
+    def bad(what):
+        return ConfigurationError(f"config key {key!r} must be {what}, "
+                                  f"got {value!r}")
+
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise bad("true or false")
+        return value
+    if isinstance(default, int):
+        if isinstance(value, bool) or not (isinstance(value, int) or (
+                isinstance(value, float) and value.is_integer())):
+            raise bad("an integer")
+        return int(value)
+    if isinstance(default, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise bad("a number")
+        try:
+            return float(value)
+        except ValueError:
+            raise bad("a number") from None
+    if isinstance(default, str):
+        if value is None:
+            return ""
+        if not isinstance(value, str):
+            raise bad("a string")
+        return value
+    fixed = key not in _VARIABLE_LENGTH
+    if not isinstance(value, list) or (fixed and len(value) != len(default)):
+        raise bad(f"a list of {len(default)}" if fixed else "a list")
+    return [_typed(f"{key}[{i}]", v, default[0]) for i, v in enumerate(value)]
+
+
+def _check_types(cfg: dict, defaults: dict = DEFAULTS, trail: str = "") -> None:
+    for key, default in defaults.items():
+        path = f"{trail}.{key}" if trail else key
+        if isinstance(default, dict):
+            _check_types(cfg[key], default, path)
+        else:
+            cfg[key] = _typed(path, cfg[key], default)
 
 
 def _merge(base: dict, incoming: dict, trail: str = "") -> None:
@@ -180,6 +193,9 @@ def load_config(path=None, overrides=(), seed=None, out_dir=None) -> dict:
         cfg["run"]["seed"] = int(seed)
     if out_dir is not None:
         cfg["run"]["out_dir"] = str(out_dir)
+    _check_types(cfg)
+    if not cfg["run"]["out_dir"]:
+        raise ConfigurationError("config key 'run.out_dir' must not be empty")
     if not cfg["data"]["root"]:
         cfg["data"]["root"] = os.environ.get(ENV_DATA_ROOT, ".")
     return cfg

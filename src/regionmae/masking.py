@@ -43,6 +43,8 @@ class MaskSpec:
     window_block: tuple[int, int, int] = (2, 2, 2)
 
     def __post_init__(self) -> None:
+        # an empty region means no region, as None does
+        object.__setattr__(self, "region", self.region or None)
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"unknown strategy {self.strategy!r}")
         if not 0.0 < self.ratio <= 1.0:

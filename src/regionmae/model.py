@@ -68,6 +68,8 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.configuration not in CONFIGURATIONS:
             raise ValidationError(f"unknown configuration {self.configuration!r}")
+        if self.embed_dim < 1 or self.heads < 1:
+            raise ValidationError("embed_dim and heads must be >= 1")
         if self.embed_dim % self.heads:
             raise ValidationError("embed_dim must be divisible by heads")
         if self.embed_dim % 2:
@@ -76,6 +78,10 @@ class ModelConfig:
             raise ValidationError("stage_depths must be non-empty positive ints")
         if self.t_patch < 1:
             raise ValidationError("t_patch must be >= 1")
+        if len(self.patch_size) != 3 or any(p < 1 for p in self.patch_size):
+            raise ValidationError("patch_size must be 3 ints >= 1")
+        if len(self.window) != 4 or any(w < 1 for w in self.window):
+            raise ValidationError("window must be 4 ints >= 1")
         if self.scan_order not in SCAN_ORDERS:
             raise ValidationError(f"unknown scan order {self.scan_order!r}")
         if self.ssm_expand < 1 or self.ssm_state_dim < 1:

@@ -3,8 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from regionmae import cli
 from regionmae.cli import main
+from regionmae.config import DEFAULTS
 from regionmae.masking import load_mask
 from regionmae.preprocess import read_manifest
 from regionmae.training import read_metrics_csv
@@ -129,8 +132,90 @@ def test_unreadable_volume_exits_1(tmp_path, capsys):
 
 
 def test_invalid_synth_config_exits_2(tmp_path, capsys):
-    rc = main(["--out-dir", str(tmp_path), "synth", "--shape", "4"])
+    # a 0 must reach SynthConfig, not be skipped as "flag not given"
+    for flags in (["--shape", "4"], ["--shape", "0"], ["--subjects", "0"]):
+        rc = main(["--out-dir", str(tmp_path), "synth", *flags])
+        assert rc == 2
+        assert "synth:" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.csv").exists()
+
+
+def _leaf_keys(tree, trail=""):
+    for key, value in tree.items():
+        path = f"{trail}.{key}" if trail else key
+        if isinstance(value, dict):
+            yield from _leaf_keys(value, path)
+        else:
+            yield path, value
+
+
+def _wrong_value(default):
+    """A --set value of the wrong type for a key with this default."""
+    if isinstance(default, bool):
+        return "maybe"
+    if isinstance(default, int):
+        return "2.9"
+    if isinstance(default, float):
+        return "abc"
+    if isinstance(default, str):
+        return "7"
+    return "3"  # a scalar where a list belongs
+
+
+# One row per leaf key (this covers model.stage_depths=3,
+# attribution.ig_steps=2.9 and finetune.freeze_encoder=maybe), then extras.
+BAD_VALUES = [(key, _wrong_value(default))
+              for key, default in _leaf_keys(DEFAULTS)] + [
+    ("model.embed_dim", "abc"),
+    ("model.window", "[4, 4, 4]"),
+    ("model.patch_size", "[6, 6, x]"),
+    ("pretrain.epochs", "true"),
+    ("pretrain.split", "[8, 1, true]"),
+]
+
+
+@pytest.mark.parametrize("key,value", BAD_VALUES,
+                         ids=[f"{k}={v}" for k, v in BAD_VALUES])
+def test_wrong_typed_value_exits_2_naming_key(tmp_path, capsys, key, value):
+    # --out-dir would win over a bad run.out_dir, so the tree sets it instead
+    rc = main(["--set", f"run.out_dir={tmp_path}", "--set", f"{key}={value}",
+               "stats"])
     assert rc == 2
+    assert key in capsys.readouterr().err
+
+
+def test_float_key_accepts_yaml_string_exponent(tmp_path):
+    # YAML 1.1 reads 1e-3 (no dot) as a string; float keys still take it
+    assert main(["--out-dir", str(tmp_path), "--set", "pretrain.lr=1e-3",
+                 "synth", "--subjects", "1", "--shape", "12"]) == 0
+    snapshot = yaml.safe_load((tmp_path / "resolved_config.yaml").read_text())
+    assert snapshot["pretrain"]["lr"] == 0.001
+
+
+@pytest.mark.parametrize("command,bad", [
+    ("pretrain", "pretrain.epochs=0"),
+    ("pretrain", "mask.ratio=1.5"),
+    ("pretrain", "model.heads=3"),
+    ("finetune", "finetune.split=[1, 0, 1]"),
+    ("finetune", "model.configuration=TRANSFORMER"),
+    ("attribute", "attribution.top_percentile=150"),
+    ("attribute", "model.patch_size=[6, 0, 6]"),
+])
+def test_bad_value_fails_before_reading_volumes(pipeline, tmp_path, capsys,
+                                               monkeypatch, command, bad):
+    reads = []
+    monkeypatch.setattr(cli, "read_nifti", lambda *a, **k: reads.append(a))
+    synth = pipeline / "synth"
+    rc = main(["--out-dir", str(tmp_path),
+               "--set", f"data.manifest={pipeline / 'prep' / 'manifest.csv'}",
+               "--set", f"data.patch_sets={pipeline / 'patches' / 'patch_sets.json'}",
+               "--set", f"data.checkpoint={pipeline / 'finetune' / 'model.ckpt'}",
+               "--set", f"data.atlas={synth / 'atlas.nii.gz'}",
+               "--set", f"data.region_map={synth / 'region_map.csv'}",
+               *SMALL_MODEL, "--set", bad, command])
+    assert rc == 2
+    assert bad.split(".")[0] + ":" in capsys.readouterr().err
+    assert reads == []
 
 
 def test_preprocess_outputs(pipeline):
@@ -202,6 +287,23 @@ def test_attribute_outputs(pipeline):
         "cerebellum" in rois[1]
     for name in ("group_map.nii.gz", "thresholded_map.nii.gz"):
         assert (attr / name).exists()
+
+
+@pytest.mark.parametrize("region", ["", "null"])
+def test_empty_or_null_region_means_no_region(pipeline, tmp_path, capsys,
+                                              region):
+    sets = pipeline / "patches" / "patch_sets.json"
+    out = tmp_path / "random"
+    assert main(["--out-dir", str(out), "--set", f"data.patch_sets={sets}",
+                 "--set", "mask.strategy=RANDOM_TUBE", "--set", "mask.ratio=0.5",
+                 "--set", f"mask.region={region}", "build-mask"]) == 0
+    _, spec = load_mask(out / "mask.bits")
+    assert spec.region is None
+    rc = main(["--out-dir", str(tmp_path / "region"),
+               "--set", f"data.patch_sets={sets}",
+               "--set", f"mask.region={region}", "build-mask"])
+    assert rc == 2
+    assert "requires a region" in capsys.readouterr().err
 
 
 def test_snapshot_reproduces_run(pipeline, tmp_path):

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from dataclasses import asdict
 
 import pytest
 import yaml
@@ -16,6 +18,8 @@ from regionmae.config import (
     write_snapshot,
 )
 from regionmae.errors import ConfigurationError
+from regionmae.model import ModelConfig
+from regionmae.training import RunConfig
 
 
 def test_defaults_load(monkeypatch):
@@ -150,6 +154,47 @@ def test_snapshot_roundtrip(tmp_path):
     path = write_snapshot(cfg, tmp_path)
     assert path.name == "resolved_config.yaml"
     assert yaml.safe_load(path.read_text()) == cfg
+    # the snapshot is a valid config file that reloads to the same tree
+    for c in (load_config(), cfg):
+        assert load_config(write_snapshot(c, tmp_path)) == c
+
+
+def test_values_take_the_type_of_their_default(tmp_path):
+    cfg = load_config(overrides=["preprocess.clip=[-3, 3]", "pretrain.lr=1",
+                                 "model.heads=2.0", "mask.region=null",
+                                 "synth.tr_seconds='0.5'"])
+    assert cfg["preprocess"]["clip"] == [-3.0, 3.0]
+    assert all(type(c) is float for c in cfg["preprocess"]["clip"])
+    assert type(cfg["pretrain"]["lr"]) is float
+    assert type(cfg["model"]["heads"]) is int
+    assert cfg["mask"]["region"] == ""
+    assert cfg["synth"]["tr_seconds"] == 0.5
+    f = tmp_path / "cfg.yaml"
+    f.write_text("attribution:\n  ig_steps: 2.5\n")
+    with pytest.raises(ConfigurationError, match="attribution.ig_steps"):
+        load_config(f)
+
+
+@pytest.mark.parametrize("override,key", [
+    ("model.window=[4, 4, 4]", "model.window"),
+    ("model.stage_depths=[2, true]", "model.stage_depths[1]"),
+    ("preprocess.fov=[96, 96, 96.5]", "preprocess.fov[2]"),
+    ("pretrain.lr=fast", "pretrain.lr"),
+    ("pretrain.lr=false", "pretrain.lr"),
+    ("run.seed=.nan", "run.seed"),
+    ("run.out_dir=", "run.out_dir"),
+])
+def test_bad_value_names_key(override, key):
+    with pytest.raises(ConfigurationError, match=re.escape(repr(key))):
+        load_config(overrides=[override])
+
+
+def test_defaults_come_from_the_library():
+    assert DEFAULTS["model"] == {k: list(v) if isinstance(v, tuple) else v
+                                 for k, v in asdict(ModelConfig()).items()}
+    assert DEFAULTS["finetune"]["lr"] == RunConfig().lr
+    assert DEFAULTS["pretrain"]["lr"] == 1e-3  # the CLI's own default
+    assert "freeze_encoder" not in DEFAULTS["pretrain"]
 
 
 def test_input_hashes(tmp_path):

@@ -60,6 +60,11 @@ def test_config_validation():
         ModelConfig(scan_order="zigzag")
     with pytest.raises(ValidationError):
         ModelConfig(stage_depths=())
+    for bad in ({"heads": 0}, {"embed_dim": -4, "heads": 2},
+                {"patch_size": (6, 6)}, {"patch_size": (6, 0, 6)},
+                {"window": (4, 4, 4)}, {"window": (4, 4, 4, 0)}):
+        with pytest.raises(ValidationError):
+            ModelConfig(**bad)
 
 
 def test_config_hash_distinguishes_configs():
