@@ -4,7 +4,7 @@ cross-run aggregation, and ROI projection.
 
 The gradient path runs through the same autodiff tape as training; the
 volume is wrapped in a differentiable tensor and the scalar logit is
-backpropagated to the voxels.
+backpropagated to the voxels, with the model's parameters held constant.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .autodiff import Tape, Tensor
+from .autodiff import Tape, Tensor, frozen
 from .errors import (
     AttributionError,
     ConfigurationError,
@@ -74,11 +74,14 @@ class AttributionMap:
             raise ValidationError("attribution map must be non-negative")
 
 
-def _as_volume_array(vol) -> np.ndarray:
+def _as_volume_array(vol) -> tuple[np.ndarray, np.dtype]:
+    """The volume in float64, and the dtype its classifier passes run at:
+    float32 for a float32 volume, float64 otherwise."""
     data = vol.data if isinstance(vol, (Volume4D, Tensor)) else np.asarray(vol)
     if data.ndim != 4:
         raise ValidationError("attribution input must be a 4D volume")
-    return np.asarray(data, dtype=np.float64)
+    dtype = np.dtype(np.float32 if data.dtype == np.float32 else np.float64)
+    return np.asarray(data, dtype=np.float64), dtype
 
 
 def _baseline_array(x: np.ndarray, baseline) -> np.ndarray:
@@ -99,30 +102,38 @@ def integrated_gradients(model, vol, baseline=ZERO, steps: int = 32) -> np.ndarr
 
     Returns (x - x0) * mean of input gradients sampled at the midpoints
     x0 + (k + 0.5)/steps * (x - x0), k = 0..steps-1.
+
+    Each pass runs at the input's precision: a float32 volume gives float32
+    path points, anything else float64. The baseline, the path difference,
+    the gradient sum and the result are float64 either way. The model's
+    parameters are held constant during the passes, so only the input
+    gradient is computed and no parameter ``.grad`` is touched.
     """
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
-    x = _as_volume_array(vol)
+    x, dtype = _as_volume_array(vol)
     x0 = _baseline_array(x, baseline)
     delta = x - x0
 
     # pairwise accumulation: for power-of-two step counts every combine is
     # a doubling, so a constant gradient averages back to itself bit-exactly
     partials: list[np.ndarray] = []
-    for k in range(steps):
-        alpha = (k + 0.5) / steps
-        point = Tensor(x0 + alpha * delta, requires_grad=True)
-        with Tape() as tape:
-            logit = model.forward_classify(point)
-            tape.backward(logit)
-        if point.grad is None or not np.all(np.isfinite(point.grad)):
-            raise AttributionError(f"non-finite gradient at step {k}")
-        node = point.grad.astype(np.float64, copy=True)
-        i = k + 1
-        while i % 2 == 0:
-            node = partials.pop() + node
-            i //= 2
-        partials.append(node)
+    with frozen(getattr(model, "params", {}).values()):
+        for k in range(steps):
+            alpha = (k + 0.5) / steps
+            point = Tensor((x0 + alpha * delta).astype(dtype, copy=False),
+                           requires_grad=True)
+            with Tape() as tape:
+                logit = model.forward_classify(point)
+                tape.backward(logit)
+            if point.grad is None or not np.all(np.isfinite(point.grad)):
+                raise AttributionError(f"non-finite gradient at step {k}")
+            node = point.grad.astype(np.float64, copy=True)
+            i = k + 1
+            while i % 2 == 0:
+                node = partials.pop() + node
+                i //= 2
+            partials.append(node)
     grad_sum = partials.pop()
     while partials:
         grad_sum = partials.pop() + grad_sum
@@ -145,16 +156,19 @@ def ig_sq(model, vol, cfg: AttributionConfig, subject_id: str = "",
 
     Noise is drawn per sample at sg_noise_std * std(input); the squared
     attributions are averaged, smoothed per timepoint, then collapsed by a
-    temporal mean into a single non-negative 3D map.
+    temporal mean into a single non-negative 3D map. Each noisy resample is
+    cast back to the input's dtype, so the passes run at the input's
+    precision (float32 for a float32 volume); accumulation is float64.
     """
-    x = _as_volume_array(vol)
+    x, dtype = _as_volume_array(vol)
     rng = np.random.default_rng(seed)
     scale = float(cfg.sg_noise_std) * float(x.std())
 
     acc = np.zeros_like(x)
     for _ in range(cfg.sg_samples):
         noisy = x if scale == 0 else x + rng.normal(0.0, scale, size=x.shape)
-        attr = integrated_gradients(model, noisy, cfg.baseline, cfg.ig_steps)
+        attr = integrated_gradients(model, noisy.astype(dtype, copy=False),
+                                    cfg.baseline, cfg.ig_steps)
         acc += attr ** 2
     acc /= cfg.sg_samples
 

@@ -12,6 +12,8 @@ down to each parent's shape.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 from scipy.special import erf
 
@@ -56,6 +58,24 @@ class Tape:
 
 def active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
+
+
+@contextmanager
+def frozen(tensors):
+    """Treat ``tensors`` as constants inside the block.
+
+    Their ``requires_grad`` is off, so no op records a backward branch for
+    them and no gradient lands in their ``.grad``; the flag of each tensor
+    that had it is restored on exit, also when the block raises.
+    """
+    held = [t for t in tensors if t.requires_grad]
+    for t in held:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t in held:
+            t.requires_grad = True
 
 
 class Tensor:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import yaml
 
+from . import atlas, preprocess
 from .attribution import AttributionConfig
 from .errors import ConfigurationError
 from .masking import REGION_ANY, MaskSpec
@@ -59,17 +60,17 @@ DEFAULTS: dict = {
     },
     "synth": _fields(SynthConfig),
     "preprocess": {
-        "fov": [96, 96, 96],
-        "target_tr": 0.8,
-        "mask_fraction": 0.2,
-        "clip": [-5.0, 5.0],
-        "dice_thresh": 0.85,
-        "p99_thresh": 1.8862,
+        "fov": list(preprocess.DEFAULT_FOV),
+        "target_tr": preprocess.DEFAULT_TR,
+        "mask_fraction": preprocess.DEFAULT_MASK_FRACTION,
+        "clip": list(preprocess.DEFAULT_CLIP),
+        "dice_thresh": preprocess.DEFAULT_DICE_THRESHOLD,
+        "p99_thresh": preprocess.DEFAULT_P99_THRESHOLD,
         "drop_excluded": True,
     },
     "atlas": {
-        "purity_threshold": 0.70,
-        "majority_threshold": 0.5,
+        "purity_threshold": atlas.DEFAULT_PURITY_THRESHOLD,
+        "majority_threshold": atlas.DEFAULT_MAJORITY_THRESHOLD,
     },
     "mask": _fields(MaskSpec, strategy=REGION_ANY, region="frontal",
                     t_patches=2),

@@ -24,6 +24,7 @@ DEFAULT_P99_THRESHOLD = 1.8862
 DEFAULT_CLIP = (-5.0, 5.0)
 DEFAULT_FOV = (96, 96, 96)
 DEFAULT_TR = 0.8
+DEFAULT_MASK_FRACTION = 0.2
 
 
 @dataclass
@@ -240,7 +241,8 @@ def crop_fov(vol, target=DEFAULT_FOV):
 # Intensity standardization and QC
 
 
-def estimate_brain_mask(vol: Volume4D, fraction: float = 0.2) -> np.ndarray:
+def estimate_brain_mask(vol: Volume4D,
+                        fraction: float = DEFAULT_MASK_FRACTION) -> np.ndarray:
     """Threshold the temporal-mean image at ``fraction`` of its robust max.
 
     The robust max is the 98th percentile of the mean image. No
@@ -372,7 +374,7 @@ def preprocess_volume(
     target_tr: float = DEFAULT_TR,
     fov=DEFAULT_FOV,
     template_mask: np.ndarray | None = None,
-    mask_fraction: float = 0.2,
+    mask_fraction: float = DEFAULT_MASK_FRACTION,
     clip=DEFAULT_CLIP,
     dice_thresh: float = DEFAULT_DICE_THRESHOLD,
     p99_thresh: float = DEFAULT_P99_THRESHOLD,

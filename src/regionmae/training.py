@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Tensor
+from .autodiff import Tape, Tensor, frozen
 from .errors import ConfigurationError, TrainingError, ValidationError
 from .masking import MaskSpec, MaskTensor, build_mask
 from .optim import AdamW
@@ -327,6 +327,12 @@ def finetune(model, train, val, test, run: RunConfig) -> FinetuneResult:
         raise ConfigurationError("training split contains a single class")
 
     params = _select_params(model, run.freeze_encoder)
+    # parameters left out of the optimizer get no gradients at all
+    with frozen(v for k, v in model.params.items() if k not in params):
+        return _finetune_loop(model, train, val, test, run, params)
+
+
+def _finetune_loop(model, train, val, test, run: RunConfig, params) -> FinetuneResult:
     opt = AdamW(params, lr=run.lr, weight_decay=run.weight_decay,
                 clip_norm=run.clip_norm)
     rng = np.random.default_rng(run.seed)

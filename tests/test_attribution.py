@@ -137,15 +137,65 @@ def test_completeness_mean_baseline(rng):
     assert abs(attr.sum() - gap) / abs(gap) <= 1e-2
 
 
+def small_model():
+    return HybridModel(ModelConfig(embed_dim=8, stage_depths=(1, 1), heads=2,
+                                   window=(4, 4, 4, 2), ssm_state_dim=4,
+                                   t_patch=4, configuration=MA))
+
+
 def test_completeness_holds_for_the_real_model(rng):
-    model = HybridModel(ModelConfig(embed_dim=8, stage_depths=(1, 1), heads=2,
-                                    window=(4, 4, 4, 2), ssm_state_dim=4,
-                                    t_patch=4, configuration=MA))
-    model.to_dtype(np.float64)
-    x = rng.normal(size=(12, 12, 12, 4))
-    gap = call_f(model, x) - call_f(model, np.zeros_like(x))
-    attr = integrated_gradients(model, x, ZERO, steps=128)
-    assert abs(attr.sum() - gap) / abs(gap) <= 2e-2
+    # float64 weights and volume, then the float32 model on a float32 volume,
+    # whose passes and gap both run in float32
+    for dtype in (np.float64, np.float32):
+        model = small_model()
+        model.to_dtype(dtype)
+        x = rng.normal(size=(12, 12, 12, 4)).astype(dtype)
+        gap = call_f(model, x) - call_f(model, np.zeros_like(x))
+        attr = integrated_gradients(model, x, ZERO, steps=128)
+        assert attr.dtype == np.float64
+        assert abs(attr.sum() - gap) / abs(gap) <= 2e-2, dtype
+
+
+def test_float32_volume_runs_float32_passes(rng, monkeypatch):
+    seen = []
+    real = HybridModel.forward_classify
+
+    def spy(self, vol):
+        seen.append(vol.dtype)
+        return real(self, vol)
+
+    monkeypatch.setattr(HybridModel, "forward_classify", spy)
+    model = small_model()
+    x = rng.normal(size=(12, 12, 12, 4)).astype(np.float32)
+    integrated_gradients(model, x, ZERO, steps=2)
+    ig_sq(model, x, AttributionConfig(ig_steps=2, sg_samples=2))
+    assert seen == [np.float32] * 6
+    integrated_gradients(model, x.astype(np.float64), ZERO, steps=2)
+    assert seen[6:] == [np.float64] * 2
+
+
+def test_float32_volume_matches_float64_volume(rng):
+    model = small_model()  # float32 weights on both paths
+    x = rng.normal(size=(12, 12, 12, 4)).astype(np.float32)
+    ref = integrated_gradients(model, x.astype(np.float64), ZERO, steps=4)
+    got = integrated_gradients(model, x, ZERO, steps=4)
+    assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
+
+
+def test_parameters_get_no_gradients(rng):
+    model = small_model()
+    x = rng.normal(size=(12, 12, 12, 4)).astype(np.float32)
+
+    def untouched():
+        return all(p.grad is None and p.requires_grad
+                   for p in model.params.values())
+
+    integrated_gradients(model, x, ZERO, steps=2)
+    assert untouched()
+    model.params["cls.w"].data[0, 0] = np.nan
+    with pytest.raises(AttributionError):
+        integrated_gradients(model, x, ZERO, steps=2)
+    assert untouched()
 
 
 def test_nonfinite_gradients_raise(rng):

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import re
 from dataclasses import asdict
@@ -6,6 +7,7 @@ from dataclasses import asdict
 import pytest
 import yaml
 
+from regionmae.atlas import classify_patches
 from regionmae.config import (
     DEFAULTS,
     ENV_DATA_ROOT,
@@ -19,6 +21,7 @@ from regionmae.config import (
 )
 from regionmae.errors import ConfigurationError
 from regionmae.model import ModelConfig
+from regionmae.preprocess import estimate_brain_mask, preprocess_volume
 from regionmae.training import RunConfig
 
 
@@ -195,6 +198,21 @@ def test_defaults_come_from_the_library():
     assert DEFAULTS["finetune"]["lr"] == RunConfig().lr
     assert DEFAULTS["pretrain"]["lr"] == 1e-3  # the CLI's own default
     assert "freeze_encoder" not in DEFAULTS["pretrain"]
+
+    def keyword_defaults(fn):
+        return {k: list(p.default) if isinstance(p.default, tuple) else p.default
+                for k, p in inspect.signature(fn).parameters.items()}
+
+    stage = keyword_defaults(preprocess_volume)
+    assert {k: v for k, v in DEFAULTS["preprocess"].items()
+            if k != "drop_excluded"} == {k: stage[k] for k in (
+                "fov", "target_tr", "mask_fraction", "clip", "dice_thresh",
+                "p99_thresh")}
+    assert stage["mask_fraction"] == \
+        keyword_defaults(estimate_brain_mask)["fraction"]
+    stage = keyword_defaults(classify_patches)
+    assert DEFAULTS["atlas"] == {k: stage[k] for k in (
+        "purity_threshold", "majority_threshold")}
 
 
 def test_input_hashes(tmp_path):

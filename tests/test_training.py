@@ -368,3 +368,15 @@ def test_finetune_restores_best_validation_state():
     result = finetune(model, train, val, test, run)
     for name, arr in result.best_state.items():
         np.testing.assert_array_equal(model.params[name].data, arr)
+
+
+def test_frozen_encoder_finetune_leaves_encoder_without_gradients():
+    cohort = labeled_cohort(8)
+    model = tiny_model(configuration=ALTERNATE)
+    run = RunConfig(phase=FINETUNE, epochs=2, batch_size=4, lr=5e-2, seed=0,
+                    freeze_encoder=True)
+    finetune(model, cohort[:6], cohort[6:7], cohort[7:], run)
+    assert all(p.requires_grad for p in model.params.values())
+    assert all(p.grad is None for name, p in model.params.items()
+               if not name.startswith("cls."))
+    assert model.params["cls.w"].grad is not None
