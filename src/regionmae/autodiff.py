@@ -126,9 +126,15 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add ``g`` to ``.grad``; the first write stores a C-contiguous copy
+        in this tensor's dtype (a copy, because one ``g`` may reach several
+        parents; C order, because ``g`` may be a transposed view)."""
+        if g.shape != self.shape:
+            raise ValidationError(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.array(g, dtype=self.dtype, order="C")
+        else:
+            self.grad += g
 
     # -- operators ----------------------------------------------------------
     def __add__(self, other):
@@ -315,14 +321,15 @@ def take_rows(x: Tensor, indices) -> Tensor:
 
 
 def take_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    """Slice ``[start, stop)`` of the last axis; backward fills that slice of zeros."""
+    """Slice ``[start, stop)`` of the last axis; backward adds into that slice
+    of ``x.grad``, which is zeros on the first write."""
     x = as_tensor(x)
     out = Tensor(x.data[..., start:stop])
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        gx[..., start:stop] = g
-        x.accumulate_grad(gx)
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        x.grad[..., start:stop] += g
 
     return _record(out, (x,), backward)
 
@@ -518,8 +525,15 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
         h_t  = abar * h_{t-1} + bbar * u_t
         y_t  = h_t . c_t + d_skip * u_t
 
-    Forward stores the state history; backward runs the adjoint recurrence
-    in reverse. Requires a < 0 everywhere (guaranteed when a = -exp(..)).
+    Forward keeps two [L, D, S] arrays for the backward: ``abar`` and the
+    state history ``h_t``, built in place from ``zoh * b_t * u_t`` with
+    ``zoh = (abar - 1) / a``. Backward writes the adjoint dL/dh_t in place
+    over its direct path g_t c_t, recomputes ``zoh`` and forms two shared
+    terms: ``G = dL/dh * zoh`` gives the u and b gradients, and
+    ``E = abar (a dL/dh h_{t-1} + dL/dh u_t b_t)`` gives the delta gradient
+    (E summed over S) and the a gradient
+    ((sum_t delta_t E_t - sum_t G_t u_t b_t) / a). Requires a < 0
+    everywhere (guaranteed when a = -exp(..)).
     """
     u, delta, a, b, c, d_skip = map(as_tensor, (u, delta, a, b, c, d_skip))
     seq_len, dim = u.shape
@@ -531,57 +545,58 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
             f"selective_scan shape mismatch: u{u.shape} delta{delta.shape} "
             f"a{a.shape} b{b.shape} c{c.shape} d{d_skip.shape}"
         )
+    if not (a.data < 0).all():
+        raise ValidationError(
+            "selective_scan needs a < 0 everywhere; a has zero, positive or NaN entries")
 
     ud, dd, ad, bd, cd = u.data, delta.data, a.data, b.data, c.data
-    abar = np.exp(dd[:, :, None] * ad[None, :, :])  # [L, D, S]
-    bbar_u = ((abar - 1.0) / ad[None]) * bd[:, None, :] * ud[:, :, None]
-    hist = np.empty_like(abar)  # h_t for every t
-    h = np.zeros((dim, state), dtype=ud.dtype)
-    for t in range(seq_len):
-        h = abar[t] * h + bbar_u[t]
-        hist[t] = h
-    y = np.einsum("lds,ls->ld", hist, cd) + d_skip.data[None, :] * ud
+    dtype = np.result_type(ud, dd, ad, bd, cd)
+    abar = np.einsum("ld,ds->lds", dd, ad).astype(dtype, copy=False)
+    np.exp(abar, out=abar)
+    hist = abar - 1.0
+    hist /= ad
+    hist *= np.einsum("ld,ls->lds", ud, bd)
+    for at, hp, ht in zip(abar[1:], hist[:-1], hist[1:]):
+        ht += at * hp
+    y = np.matmul(hist, cd[:, :, None])[..., 0] + d_skip.data * ud
     out = Tensor(y)
 
     def backward(g):
-        # dL/dh_t accumulates the direct path (through y_t) plus the
-        # recurrence path from t+1; run it backwards storing every step.
-        grad_h = np.einsum("ld,ls->lds", g, cd)
-        dh_hist = np.empty_like(grad_h)
-        dh = np.zeros((dim, state), dtype=ud.dtype)
-        for t in range(seq_len - 1, -1, -1):
-            dh = grad_h[t] + dh
-            dh_hist[t] = dh
-            dh = abar[t] * dh
-        h_prev = np.empty_like(hist)
-        h_prev[0] = 0.0
-        h_prev[1:] = hist[:-1]
-
-        ga = dh_hist * h_prev                      # dL/d abar
-        gbu = dh_hist                              # dL/d (bbar * u)
-        zoh = (abar - 1.0) / ad[None]              # (abar-1)/a
-        if u.requires_grad:
-            du = d_skip.data[None, :] * g + np.einsum(
-                "lds,ls->ld", gbu * zoh, bd)
-            u.accumulate_grad(du.astype(ud.dtype))
-        if delta.requires_grad:
-            # d abar/d delta = a * abar; d zoh/d delta = abar (per chain rule)
-            gd = np.einsum("lds,ds->ld", ga * abar, ad) + np.einsum(
-                "lds,lds->ld", gbu * ud[:, :, None] * bd[:, None, :], abar)
-            delta.accumulate_grad(gd.astype(ud.dtype))
-        if a.requires_grad:
-            dzoh_da = (dd[:, :, None] * abar * ad[None] - abar + 1.0) / (ad[None] ** 2)
-            ga_total = (ga * dd[:, :, None] * abar
-                        + gbu * ud[:, :, None] * bd[:, None, :] * dzoh_da)
-            a.accumulate_grad(ga_total.sum(axis=0).astype(ad.dtype))
-        if b.requires_grad:
-            gb = np.einsum("lds,lds->ls", gbu * ud[:, :, None], zoh)
-            b.accumulate_grad(gb.astype(bd.dtype))
+        # dL/dh_t is the direct path through y_t plus the recurrence path
+        # from t+1, accumulated backwards in place
+        dh = np.einsum("ld,ls->lds", g, cd).astype(dtype, copy=False)
+        for an, dn, dc in zip(abar[:0:-1], dh[:0:-1], dh[-2::-1]):
+            dc += an * dn
         if c.requires_grad:
-            gc = np.einsum("ld,lds->ls", g, hist)
-            c.accumulate_grad(gc.astype(cd.dtype))
+            c.accumulate_grad(np.matmul(g[:, None, :], hist)[:, 0, :])
         if d_skip.requires_grad:
-            d_skip.accumulate_grad((g * ud).sum(axis=0).astype(ud.dtype))
+            d_skip.accumulate_grad((g * ud).sum(axis=0))
+        work = None  # a free [L, D, S] buffer once G has been used
+        if u.requires_grad or b.requires_grad or a.requires_grad:
+            work = abar - 1.0
+            work /= ad
+            work *= dh  # G
+            if u.requires_grad:
+                u.accumulate_grad(d_skip.data * g + np.matmul(work, bd[:, :, None])[..., 0])
+            if b.requires_grad:
+                b.accumulate_grad(np.matmul(ud[:, None, :], work)[:, 0, :])
+        if delta.requires_grad or a.requires_grad:
+            e = np.einsum("ld,ls->lds", ud, bd).astype(dtype, copy=False)
+            if a.requires_grad:
+                ga = -np.einsum("lds,lds->ds", work, e)
+            e *= dh
+            if work is None:
+                work = np.empty_like(dh)
+            a_dh_hp = np.multiply(dh[1:], hist[:-1], out=work[1:])
+            a_dh_hp *= ad
+            e[1:] += a_dh_hp
+            e *= abar  # E
+            if delta.requires_grad:
+                delta.accumulate_grad(e @ np.ones(state, dtype=dtype))
+            if a.requires_grad:
+                ga += np.einsum("lds,ld->ds", e, dd)
+                ga /= ad
+                a.accumulate_grad(ga)
 
     return _record(out, (u, delta, a, b, c, d_skip), backward)
 

@@ -91,6 +91,44 @@ def test_shared_node_fan_out(rng):
     np.testing.assert_allclose(x.grad, [7.0])
 
 
+def test_first_grad_write_copies_per_leaf():
+    # add hands the same g to both parents; each leaf must own its .grad
+    a = Tensor(np.zeros(3), requires_grad=True, dtype=np.float64)
+    b = Tensor(np.zeros(3), requires_grad=True, dtype=np.float64)
+    with Tape() as tape:
+        tape.backward(ad.tsum(ad.add(a, b)))
+    assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+    a.grad *= 5.0
+    np.testing.assert_array_equal(b.grad, np.ones(3))
+
+
+def test_first_grad_write_takes_the_leaf_dtype():
+    x = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    x.accumulate_grad(np.ones(3, dtype=np.float64))
+    assert x.grad.dtype == np.float32
+    x.accumulate_grad(np.ones(3, dtype=np.float64))
+    assert x.grad.dtype == np.float32
+    np.testing.assert_array_equal(x.grad, np.full(3, 2.0))
+
+
+def test_first_grad_write_is_c_contiguous(rng):
+    # transpose hands its parent a transposed view of g
+    x = leaf(rng, 3, 4, 5)
+    with Tape() as tape:
+        tape.backward(ad.sum_sq(ad.transpose(x, (2, 0, 1))))
+    assert x.grad.flags["C_CONTIGUOUS"]
+    np.testing.assert_allclose(x.grad, 2 * x.data)
+
+
+def test_grad_of_another_shape_rejected():
+    x = Tensor(np.zeros(3), requires_grad=True, dtype=np.float64)
+    with pytest.raises(ValidationError):
+        x.accumulate_grad(np.ones((1, 3)))
+    x.accumulate_grad(np.ones(3))
+    with pytest.raises(ValidationError):
+        x.accumulate_grad(np.ones(()))
+
+
 def test_no_tape_means_no_recording(rng):
     w = leaf(rng, 4)
     out = ad.mul(w, w)
@@ -216,6 +254,10 @@ def test_gradcheck_structural(rng):
         check_op(lambda: scalarize(ad.take_rows(x, idx), w3), {"x": x})
         w4 = r.normal(size=(4, 3))
         check_op(lambda: scalarize(ad.take_cols(x, 2, 5), w4), {"x": x})
+        # adjacent slices of one leaf write disjoint parts of one .grad
+        w5 = r.normal(size=(4, 2))
+        check_op(lambda: ad.add(scalarize(ad.take_cols(x, 0, 2), w5),
+                                scalarize(ad.take_cols(x, 2, 5), w4)), {"x": x})
 
 
 def test_gradcheck_reductions(rng):
@@ -311,6 +353,62 @@ def test_selective_scan_gradcheck(rng):
         )
 
 
+def test_selective_scan_gradcheck_partial_requires_grad():
+    # integrated gradients holds a and d_skip constant; training may not
+    # need every input either
+    for trial, grads in enumerate(({"u", "delta", "b", "c"}, {"a"})):
+        r = np.random.default_rng(850 + trial)
+        leaves = dict(zip(("u", "delta", "a", "b", "c", "d_skip"), scan_leaves(r)))
+        for name, t in leaves.items():
+            t.requires_grad = name in grads
+        w = r.normal(size=leaves["u"].shape)
+        check_op(lambda: scalarize(ad.selective_scan(*leaves.values()), w),
+                 {name: leaves[name] for name in grads}, tol=2e-6)
+        for name, t in leaves.items():
+            assert (t.grad is not None) == (name in grads), name
+
+
+def test_selective_scan_single_step():
+    r = np.random.default_rng(860)
+    u, delta, a, b, c, d_skip = scan_leaves(r, L=1)
+    out = ad.selective_scan(u, delta, a, b, c, d_skip)
+    want = naive_scan_oracle(u.data, delta.data, a.data, b.data, c.data, d_skip.data)
+    np.testing.assert_allclose(out.data, want, rtol=1e-12)
+    w = r.normal(size=u.shape)
+    check_op(lambda: scalarize(ad.selective_scan(u, delta, a, b, c, d_skip), w),
+             {"u": u, "delta": delta, "a": a, "b": b, "c": c, "d_skip": d_skip},
+             tol=2e-6)
+
+
+def test_selective_scan_float32_matches_float64():
+    L, D, S = 512, 16, 8
+    r = np.random.default_rng(870)
+    values = {
+        "u": r.normal(size=(L, D)),
+        "delta": np.log1p(np.exp(r.normal(-1.0, 1.0, size=(L, D)))),
+        "a": -np.tile(np.arange(1.0, S + 1), (D, 1)) * r.uniform(0.5, 1.5, size=(D, S)),
+        "b": r.normal(size=(L, S)),
+        "c": r.normal(size=(L, S)),
+        "d_skip": r.normal(size=D),
+    }
+    w = r.normal(size=(L, D))
+    results = {}
+    for dtype in (np.float32, np.float64):
+        # the float64 run sees the float32-rounded inputs
+        leaves = {k: Tensor(v.astype(np.float32), requires_grad=True, dtype=dtype)
+                  for k, v in values.items()}
+        with Tape() as tape:
+            out = ad.selective_scan(*leaves.values())
+            tape.backward(ad.tsum(ad.mul(out, Tensor(w.astype(dtype)))))
+        assert out.dtype == dtype
+        results[dtype] = {"y": out.data, **{k: t.grad for k, t in leaves.items()}}
+        assert all(g.dtype == dtype for g in results[dtype].values())
+    for name, want in results[np.float64].items():
+        got = results[np.float32][name]
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= 1e-4, f"{name}: {err:.3g}"
+
+
 def test_selective_scan_cumsum_limit():
     # a -> 0-: abar -> 1 and bbar -> delta * b; with delta = b = c = 1 the
     # scan degenerates to a per-channel cumulative sum of u.
@@ -329,3 +427,15 @@ def test_selective_scan_shape_mismatch(rng):
     u, delta, a, b, c, d_skip = scan_leaves(np.random.default_rng(0))
     with pytest.raises(ValidationError):
         ad.selective_scan(u, delta, a, b, Tensor(np.zeros((9, 2))), d_skip)
+
+
+def test_selective_scan_rejects_a_not_negative():
+    u, delta, a, b, c, d_skip = scan_leaves(np.random.default_rng(0))
+    # a float32 -exp(a_log) that underflows gives -0.0, which divides by zero
+    underflow = -np.exp(np.float32(-200.0))
+    assert underflow == 0.0
+    for bad in (underflow, 0.0, 0.5, np.nan):
+        a_bad = a.data.copy()
+        a_bad[1, 0] = bad
+        with pytest.raises(ValidationError, match="a has zero, positive or NaN"):
+            ad.selective_scan(u, delta, Tensor(a_bad, dtype=np.float64), b, c, d_skip)
