@@ -104,36 +104,45 @@ def integrated_gradients(model, vol, baseline=ZERO, steps: int = 32) -> np.ndarr
     x0 + (k + 0.5)/steps * (x - x0), k = 0..steps-1.
 
     Each pass runs at the input's precision: a float32 volume gives float32
-    path points, anything else float64. The baseline, the path difference,
-    the gradient sum and the result are float64 either way. The model's
-    parameters are held constant during the passes, so only the input
-    gradient is computed and no parameter ``.grad`` is touched.
+    path points, anything else float64; the points are built in that dtype
+    in one reused buffer. The baseline, the path difference, the gradient
+    sum and the result are float64 either way. Float32 gradients are added
+    in place into one float64 sum; float64 ones are summed pairwise, so
+    that for power-of-two step counts a constant gradient averages back to
+    itself bit-exactly. The model's parameters are held constant during
+    the passes, so only the input gradient is computed and no parameter
+    ``.grad`` is touched.
     """
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     x, dtype = _as_volume_array(vol)
     x0 = _baseline_array(x, baseline)
     delta = x - x0
+    start, span = x0.astype(dtype, copy=False), delta.astype(dtype, copy=False)
+    buf = np.empty_like(start)
 
-    # pairwise accumulation: for power-of-two step counts every combine is
-    # a doubling, so a constant gradient averages back to itself bit-exactly
-    partials: list[np.ndarray] = []
+    pairwise = dtype == np.float64
+    partials: list[np.ndarray] = [] if pairwise else [np.zeros_like(x)]
     with frozen(getattr(model, "params", {}).values()):
         for k in range(steps):
-            alpha = (k + 0.5) / steps
-            point = Tensor((x0 + alpha * delta).astype(dtype, copy=False),
-                           requires_grad=True)
+            np.multiply(span, (k + 0.5) / steps, out=buf)
+            buf += start
+            point = Tensor(buf, requires_grad=True)
             with Tape() as tape:
                 logit = model.forward_classify(point)
                 tape.backward(logit)
-            if point.grad is None or not np.all(np.isfinite(point.grad)):
+            grad = point.grad
+            if grad is None or not np.all(np.isfinite(grad)):
                 raise AttributionError(f"non-finite gradient at step {k}")
-            node = point.grad.astype(np.float64, copy=True)
+            if not pairwise:
+                partials[0] += grad
+                continue
+            # every combine of a power-of-two step count is a doubling
             i = k + 1
             while i % 2 == 0:
-                node = partials.pop() + node
+                grad = partials.pop() + grad
                 i //= 2
-            partials.append(node)
+            partials.append(grad)
     grad_sum = partials.pop()
     while partials:
         grad_sum = partials.pop() + grad_sum

@@ -5,6 +5,16 @@ require gradients appends a backward closure to the tape; ``Tape.backward``
 replays the closures in reverse execution order, which is a valid reverse
 topological order by construction.
 
+A tape runs its backward once and frees memory as it goes: each record is
+dropped once its closure has run, which releases the activations the
+closure captured, and each op output's gradient is released once it has
+been handed to that closure. Leaf gradients (parameters, an input being
+attributed) are kept. Each closure gets the only reference to its output's
+gradient, so an op hands a gradient it has just computed, or a reshape of
+the one it got, to its parent as that parent's first ``.grad`` without a
+copy; a gradient that reaches several parents, or a transposed view of one,
+is copied.
+
 Data is float32 by default; build leaves with ``dtype=np.float64`` for
 gradient checking. Broadcasting follows numpy; backward sums gradients back
 down to each parent's shape.
@@ -23,10 +33,15 @@ _TAPE_STACK: list["Tape"] = []
 
 
 class Tape:
-    """Ordered record of (output, backward-closure) pairs."""
+    """Ordered record of (output, backward-closure) pairs.
+
+    Single-use: ``backward`` empties the tape as it runs, and a second call
+    raises :class:`ValidationError`.
+    """
 
     def __init__(self):
         self._records: list[tuple[Tensor, object]] = []
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -43,17 +58,26 @@ class Tape:
         self._records.append((output, backward))
 
     def backward(self, loss: "Tensor") -> None:
-        """Accumulate gradients of ``loss`` into every requires_grad leaf."""
+        """Accumulate gradients of ``loss`` into every requires_grad leaf.
+
+        Each record is popped before its closure runs and each op output's
+        ``.grad`` is set to ``None`` as it is handed over, so the memory
+        they hold is released as the pass goes; the tape is empty after it.
+        A ``loss.grad`` set beforehand seeds the pass as a copy.
+        """
+        if self._spent:
+            raise ValidationError("a tape runs its backward once")
         if loss.shape != ():
             raise ValidationError(f"loss must be scalar, got shape {loss.shape}")
-        if loss.grad is None:
-            loss.grad = np.ones((), dtype=loss.dtype)
-        for output, fn in reversed(self._records):
-            if output.grad is not None:
-                fn(output.grad)
-
-    def clear(self) -> None:
-        self._records.clear()
+        self._spent = True
+        seed = np.ones(()) if loss.grad is None else loss.grad
+        loss.grad = np.array(seed, dtype=loss.dtype)
+        records = self._records
+        while records:
+            output, fn = records.pop()
+            g, output.grad = output.grad, None
+            if g is not None:
+                fn(g)
 
 
 def active_tape() -> Tape | None:
@@ -116,25 +140,25 @@ class Tensor:
         tag = f" {self.name!r}" if self.name else ""
         return f"Tensor{tag}(shape={self.shape}, dtype={self.dtype.name}, grad={self.requires_grad})"
 
-    def item(self) -> float:
-        return float(self.data)
+    def accumulate_grad(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add ``g`` to ``.grad``.
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add ``g`` to ``.grad``; the first write stores a C-contiguous copy
-        in this tensor's dtype (a copy, because one ``g`` may reach several
-        parents; C order, because ``g`` may be a transposed view)."""
+        The first write stores a C-contiguous copy in this tensor's dtype (a
+        copy, because one ``g`` may reach several parents; C order, because
+        ``g`` may be a transposed view). ``fresh`` says nothing else holds
+        ``g`` (the caller has just computed it, or reshaped the gradient
+        only its closure holds): such a ``g`` that is already a writeable
+        C-contiguous array of this dtype (not a numpy scalar, which is
+        read-only) becomes ``.grad`` as it is.
+        """
         if g.shape != self.shape:
             raise ValidationError(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.dtype, order="C")
-        else:
+        if self.grad is not None:
             self.grad += g
+        elif fresh and g.dtype == self.dtype and g.flags.c_contiguous and g.flags.writeable:
+            self.grad = g
+        else:
+            self.grad = np.array(g, dtype=self.dtype, order="C")
 
     # -- operators ----------------------------------------------------------
     def __add__(self, other):
@@ -191,6 +215,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+def _pass_down(parent: Tensor, g: np.ndarray) -> None:
+    """Hand ``g`` (which may also reach another parent) to ``parent``, summed
+    down to its shape; only a summed-down ``g`` is fresh."""
+    gp = _unbroadcast(g, parent.shape)
+    parent.accumulate_grad(gp, fresh=gp is not g)
+
+
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
     """Mark ``out`` differentiable and push the closure if a tape is active."""
     tape = active_tape()
@@ -211,9 +242,9 @@ def add(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
+            _pass_down(a, g)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
+            _pass_down(b, g)
 
     return _record(out, (a, b), backward)
 
@@ -225,9 +256,9 @@ def sub(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
+            _pass_down(a, g)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.shape))
+            b.accumulate_grad(_unbroadcast(-g, b.shape), fresh=True)
 
     return _record(out, (a, b), backward)
 
@@ -239,9 +270,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
+            a.accumulate_grad(_unbroadcast(g * b.data, a.shape), fresh=True)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
+            b.accumulate_grad(_unbroadcast(g * a.data, b.shape), fresh=True)
 
     return _record(out, (a, b), backward)
 
@@ -257,10 +288,10 @@ def matmul(a, b) -> Tensor:
     def backward(g):
         if a.requires_grad:
             ga = g @ b.data.swapaxes(-1, -2)
-            a.accumulate_grad(_unbroadcast(ga, a.shape))
+            a.accumulate_grad(_unbroadcast(ga, a.shape), fresh=True)
         if b.requires_grad:
             gb = a.data.swapaxes(-1, -2) @ g
-            b.accumulate_grad(_unbroadcast(gb, b.shape))
+            b.accumulate_grad(_unbroadcast(gb, b.shape), fresh=True)
 
     return _record(out, (a, b), backward)
 
@@ -278,7 +309,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     old = x.shape
 
     def backward(g):
-        x.accumulate_grad(g.reshape(old))
+        x.accumulate_grad(g.reshape(old), fresh=True)  # g is this closure's alone
 
     return _record(out, (x,), backward)
 
@@ -301,7 +332,7 @@ def roll(x: Tensor, shifts, axes) -> Tensor:
     neg = tuple(-s for s in np.atleast_1d(shifts))
 
     def backward(g):
-        x.accumulate_grad(np.roll(g, neg, axis=axes))
+        x.accumulate_grad(np.roll(g, neg, axis=axes), fresh=True)
 
     return _record(out, (x,), backward)
 
@@ -315,7 +346,7 @@ def take_rows(x: Tensor, indices) -> Tensor:
     def backward(g):
         gx = np.zeros_like(x.data)
         np.add.at(gx, idx, g)
-        x.accumulate_grad(gx)
+        x.accumulate_grad(gx, fresh=True)
 
     return _record(out, (x,), backward)
 
@@ -339,7 +370,7 @@ def exp(x: Tensor) -> Tensor:
     out = Tensor(np.exp(x.data))
 
     def backward(g):
-        x.accumulate_grad(g * out.data)
+        x.accumulate_grad(g * out.data, fresh=True)
 
     return _record(out, (x,), backward)
 
@@ -349,7 +380,7 @@ def log(x: Tensor) -> Tensor:
     out = Tensor(np.log(x.data))
 
     def backward(g):
-        x.accumulate_grad(g / x.data)
+        x.accumulate_grad(g / x.data, fresh=True)
 
     return _record(out, (x,), backward)
 
@@ -359,7 +390,7 @@ def reciprocal(x: Tensor) -> Tensor:
     out = Tensor(1.0 / x.data)
 
     def backward(g):
-        x.accumulate_grad(-g * out.data * out.data)
+        x.accumulate_grad(-g * out.data * out.data, fresh=True)
 
     return _record(out, (x,), backward)
 
@@ -369,7 +400,7 @@ def sqrt(x: Tensor) -> Tensor:
     out = Tensor(np.sqrt(x.data))
 
     def backward(g):
-        x.accumulate_grad(g * 0.5 / out.data)
+        x.accumulate_grad(g * 0.5 / out.data, fresh=True)
 
     return _record(out, (x,), backward)
 
@@ -380,19 +411,20 @@ def sigmoid(x: Tensor) -> Tensor:
         out = Tensor(1.0 / (1.0 + np.exp(-x.data)))
 
     def backward(g):
-        x.accumulate_grad(g * out.data * (1.0 - out.data))
+        x.accumulate_grad(g * out.data * (1.0 - out.data), fresh=True)
 
     return _record(out, (x,), backward)
 
 
 def softplus(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(np.logaddexp(np.zeros((), dtype=x.dtype), x.data))
+    xd = x.data
+    out = Tensor(np.maximum(xd, 0) + np.log1p(np.exp(-np.abs(xd))))
 
     def backward(g):
         with np.errstate(over="ignore"):
             sig = 1.0 / (1.0 + np.exp(-x.data))
-        x.accumulate_grad(g * sig)
+        x.accumulate_grad(g * sig, fresh=True)
 
     return _record(out, (x,), backward)
 
@@ -404,7 +436,7 @@ def silu(x: Tensor) -> Tensor:
     out = Tensor(x.data * sig)
 
     def backward(g):
-        x.accumulate_grad(g * sig * (1.0 + x.data * (1.0 - sig)))
+        x.accumulate_grad(g * sig * (1.0 + x.data * (1.0 - sig)), fresh=True)
 
     return _record(out, (x,), backward)
 
@@ -421,7 +453,7 @@ def gelu(x: Tensor) -> Tensor:
 
     def backward(g):
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-        x.accumulate_grad(g * (cdf + x.data * pdf).astype(x.dtype))
+        x.accumulate_grad(g * (cdf + x.data * pdf).astype(x.dtype), fresh=True)
 
     return _record(out, (x,), backward)
 
@@ -436,7 +468,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def backward(g):
         y = out.data
         gx = y * (g - (g * y).sum(axis=axis, keepdims=True))
-        x.accumulate_grad(gx)
+        x.accumulate_grad(gx, fresh=True)
 
     return _record(out, (x,), backward)
 
@@ -456,14 +488,14 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     def backward(g):
         lead = tuple(range(g.ndim - 1))
         if beta.requires_grad:
-            beta.accumulate_grad(g.sum(axis=lead))
+            beta.accumulate_grad(g.sum(axis=lead), fresh=True)
         if gamma.requires_grad:
-            gamma.accumulate_grad((g * xhat).sum(axis=lead))
+            gamma.accumulate_grad((g * xhat).sum(axis=lead), fresh=True)
         if x.requires_grad:
             gh = g * gamma.data
             m1 = gh.mean(axis=-1, keepdims=True)
             m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate_grad(inv * (gh - m1 - xhat * m2))
+            x.accumulate_grad(inv * (gh - m1 - xhat * m2), fresh=True)
 
     return _record(out, (x, gamma, beta), backward)
 
@@ -478,7 +510,7 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         else:
             gk = g if keepdims else np.expand_dims(g, axis)
             gx = np.broadcast_to(gk, x.shape)
-        x.accumulate_grad(gx.astype(x.dtype, copy=True))
+        x.accumulate_grad(gx.astype(x.dtype, copy=True), fresh=True)
 
     return _record(out, (x,), backward)
 
@@ -494,7 +526,7 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         else:
             gk = g if keepdims else np.expand_dims(g, axis)
             gx = np.broadcast_to(gk, x.shape)
-        x.accumulate_grad((gx / denom).astype(x.dtype, copy=True))
+        x.accumulate_grad((gx / denom).astype(x.dtype, copy=True), fresh=True)
 
     return _record(out, (x,), backward)
 
@@ -505,7 +537,7 @@ def sum_sq(x: Tensor) -> Tensor:
     out = Tensor(np.asarray((x.data.astype(np.float64) ** 2).sum(), dtype=x.dtype))
 
     def backward(g):
-        x.accumulate_grad(g * 2.0 * x.data)
+        x.accumulate_grad(g * 2.0 * x.data, fresh=True)
 
     return _record(out, (x,), backward)
 
@@ -568,18 +600,19 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
         for an, dn, dc in zip(abar[:0:-1], dh[:0:-1], dh[-2::-1]):
             dc += an * dn
         if c.requires_grad:
-            c.accumulate_grad(np.matmul(g[:, None, :], hist)[:, 0, :])
+            c.accumulate_grad(np.matmul(g[:, None, :], hist)[:, 0, :], fresh=True)
         if d_skip.requires_grad:
-            d_skip.accumulate_grad((g * ud).sum(axis=0))
+            d_skip.accumulate_grad((g * ud).sum(axis=0), fresh=True)
         work = None  # a free [L, D, S] buffer once G has been used
         if u.requires_grad or b.requires_grad or a.requires_grad:
             work = abar - 1.0
             work /= ad
             work *= dh  # G
             if u.requires_grad:
-                u.accumulate_grad(d_skip.data * g + np.matmul(work, bd[:, :, None])[..., 0])
+                u.accumulate_grad(d_skip.data * g + np.matmul(work, bd[:, :, None])[..., 0],
+                                  fresh=True)
             if b.requires_grad:
-                b.accumulate_grad(np.matmul(ud[:, None, :], work)[:, 0, :])
+                b.accumulate_grad(np.matmul(ud[:, None, :], work)[:, 0, :], fresh=True)
         if delta.requires_grad or a.requires_grad:
             e = np.einsum("ld,ls->lds", ud, bd).astype(dtype, copy=False)
             if a.requires_grad:
@@ -592,11 +625,11 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
             e[1:] += a_dh_hp
             e *= abar  # E
             if delta.requires_grad:
-                delta.accumulate_grad(e @ np.ones(state, dtype=dtype))
+                delta.accumulate_grad(e @ np.ones(state, dtype=dtype), fresh=True)
             if a.requires_grad:
                 ga += np.einsum("lds,ld->ds", e, dd)
                 ga /= ad
-                a.accumulate_grad(ga)
+                a.accumulate_grad(ga, fresh=True)
 
     return _record(out, (u, delta, a, b, c, d_skip), backward)
 
@@ -615,6 +648,6 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
     def backward(g):
         with np.errstate(over="ignore"):
             sig = 1.0 / (1.0 + np.exp(-z))
-        logits.accumulate_grad(g * (sig - y) / n)
+        logits.accumulate_grad(g * (sig - y) / n, fresh=True)
 
     return _record(out, (logits,), backward)

@@ -148,9 +148,6 @@ class LabelVolume:
             raise ValidationError("labels must be non-negative")
         self.affine = np.asarray(self.affine, dtype=np.float64)
 
-    def label_set(self) -> np.ndarray:
-        return np.unique(self.labels)
-
 
 def _quaternion_affine(quatern, qoffset, pixdim) -> np.ndarray:
     b, c, d = quatern

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,123 @@ def test_first_grad_write_is_c_contiguous(rng):
         tape.backward(ad.sum_sq(ad.transpose(x, (2, 0, 1))))
     assert x.grad.flags["C_CONTIGUOUS"]
     np.testing.assert_allclose(x.grad, 2 * x.data)
+
+
+def test_second_backward_on_a_tape_rejected():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True, dtype=np.float64)
+    with Tape() as tape:
+        loss = ad.sum_sq(x)
+        tape.backward(loss)
+        with pytest.raises(ValidationError):
+            tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+def _fan_out(x, w):  # x*x + x
+    xx = ad.mul(x, x)
+    return [xx, ad.add(xx, x)], 2 * x.data + 1
+
+
+def _add_self(x, w):  # x + x
+    return [ad.add(x, x)], np.full_like(x.data, 2.0)
+
+
+def _residual(x, w):  # h + exp(h) with h = x*w
+    h = ad.mul(x, w)
+    e = ad.exp(h)
+    return [h, e, ad.add(h, e)], w.data * (1.0 + np.exp(x.data * w.data))
+
+
+@pytest.mark.parametrize("case", [_fan_out, _add_self, _residual])
+def test_backward_frees_non_leaf_grads_and_keeps_leaf_grads(case):
+    x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True, dtype=np.float64)
+    w = Tensor(np.array([1.5, 0.5, -0.25]), dtype=np.float64)
+    with Tape() as tape:
+        nodes, want = case(x, w)
+        loss = ad.tsum(nodes[-1])
+        tape.backward(loss)
+    assert len(tape) == 0
+    for t in (*nodes, loss):
+        assert t.requires_grad and t.grad is None
+    np.testing.assert_allclose(x.grad, want)
+
+
+def test_fresh_gradient_becomes_grad_without_a_copy(monkeypatch):
+    g = np.ones(3)
+    x = Tensor(np.zeros(3), requires_grad=True, dtype=np.float64)
+    x.accumulate_grad(g, fresh=True)
+    assert x.grad is g
+    # another dtype or a non-C-ordered view is still copied
+    y = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+    y.accumulate_grad(g, fresh=True)
+    assert y.grad.dtype == np.float32 and not np.shares_memory(y.grad, g)
+    gt = np.ones((3, 2)).T
+    z = Tensor(np.zeros((2, 3)), requires_grad=True, dtype=np.float64)
+    z.accumulate_grad(gt, fresh=True)
+    assert z.grad.flags["C_CONTIGUOUS"] and not np.shares_memory(z.grad, gt)
+
+    # through the tape: mul's product is handed over, add's shared g is not
+    handed = {}
+    real = Tensor.accumulate_grad
+
+    def spy(self, g, fresh=False):
+        handed[id(self)] = g
+        real(self, g, fresh)
+
+    monkeypatch.setattr(Tensor, "accumulate_grad", spy)
+    a = Tensor(np.arange(3.0), requires_grad=True, dtype=np.float64)
+    b = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+    with Tape() as tape:
+        tape.backward(ad.tsum(ad.add(ad.mul(a, 2.0), b)))
+    assert a.grad is handed[id(a)]
+    assert b.grad is not handed[id(b)] and not np.shares_memory(a.grad, b.grad)
+    np.testing.assert_array_equal(a.grad, np.full(3, 2.0))
+    np.testing.assert_array_equal(b.grad, np.ones(3))
+
+    # reshape hands on the gradient its closure alone holds; transpose copies
+    r = Tensor(np.ones((2, 3)), requires_grad=True, dtype=np.float64)
+    t = Tensor(np.ones((2, 3)), requires_grad=True, dtype=np.float64)
+    with Tape() as tape:
+        tape.backward(ad.tsum(ad.mul(ad.reshape(r, (3, 2)), ad.transpose(t, (1, 0)))))
+    assert r.grad is handed[id(r)] and r.grad.flags["C_CONTIGUOUS"]
+    assert t.grad is not handed[id(t)] and t.grad.flags["C_CONTIGUOUS"]
+
+
+def test_preset_loss_grad_seeds_a_copy():
+    # reshape hands its g on, so without the copy x.grad would alias seed
+    x = Tensor(np.array([2.0]), requires_grad=True, dtype=np.float64)
+    seed = np.array(3.0)
+    with Tape() as tape:
+        loss = ad.reshape(x, ())
+        loss.grad = seed
+        tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, [3.0])
+    x.grad += 1.0
+    assert seed == 3.0
+
+
+def test_backward_peak_memory_is_a_few_arrays():
+    # a chain of 8 ops on one 8 MB array: the backward frees each op's
+    # activations and gradient as it goes instead of holding the chain
+    x = Tensor(np.linspace(-1.0, 1.0, 1 << 20), requires_grad=True, dtype=np.float64)
+
+    def chain():
+        h = x
+        for _ in range(4):
+            h = ad.exp(ad.mul(h, 0.5))
+        return ad.tsum(h)
+
+    with Tape() as tape:
+        loss = chain()
+        assert len(tape) == 9
+        tracemalloc.start()
+        try:
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 * x.data.nbytes, peak / x.data.nbytes
+    assert x.grad.shape == x.shape and np.all(np.isfinite(x.grad))
 
 
 def test_grad_of_another_shape_rejected():
