@@ -106,12 +106,9 @@ def integrated_gradients(model, vol, baseline=ZERO, steps: int = 32) -> np.ndarr
     Each pass runs at the input's precision: a float32 volume gives float32
     path points, anything else float64; the points are built in that dtype
     in one reused buffer. The baseline, the path difference, the gradient
-    sum and the result are float64 either way. Float32 gradients are added
-    in place into one float64 sum; float64 ones are summed pairwise, so
-    that for power-of-two step counts a constant gradient averages back to
-    itself bit-exactly. The model's parameters are held constant during
-    the passes, so only the input gradient is computed and no parameter
-    ``.grad`` is touched.
+    sum and the result are float64 either way. The model's parameters are
+    held constant during the passes, so only the input gradient is computed
+    and no parameter ``.grad`` is touched.
     """
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
@@ -121,8 +118,9 @@ def integrated_gradients(model, vol, baseline=ZERO, steps: int = 32) -> np.ndarr
     start, span = x0.astype(dtype, copy=False), delta.astype(dtype, copy=False)
     buf = np.empty_like(start)
 
-    pairwise = dtype == np.float64
-    partials: list[np.ndarray] = [] if pairwise else [np.zeros_like(x)]
+    # pairwise accumulation: for power-of-two step counts every combine is
+    # a doubling, so a constant gradient averages back to itself bit-exactly
+    partials: list[np.ndarray] = []
     with frozen(getattr(model, "params", {}).values()):
         for k in range(steps):
             np.multiply(span, (k + 0.5) / steps, out=buf)
@@ -131,18 +129,14 @@ def integrated_gradients(model, vol, baseline=ZERO, steps: int = 32) -> np.ndarr
             with Tape() as tape:
                 logit = model.forward_classify(point)
                 tape.backward(logit)
-            grad = point.grad
-            if grad is None or not np.all(np.isfinite(grad)):
+            if point.grad is None or not np.all(np.isfinite(point.grad)):
                 raise AttributionError(f"non-finite gradient at step {k}")
-            if not pairwise:
-                partials[0] += grad
-                continue
-            # every combine of a power-of-two step count is a doubling
+            node = point.grad.astype(np.float64, copy=True)
             i = k + 1
             while i % 2 == 0:
-                grad = partials.pop() + grad
+                node = partials.pop() + node
                 i //= 2
-            partials.append(grad)
+            partials.append(node)
     grad_sum = partials.pop()
     while partials:
         grad_sum = partials.pop() + grad_sum

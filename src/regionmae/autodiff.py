@@ -10,10 +10,11 @@ dropped once its closure has run, which releases the activations the
 closure captured, and each op output's gradient is released once it has
 been handed to that closure. Leaf gradients (parameters, an input being
 attributed) are kept. Each closure gets the only reference to its output's
-gradient, so an op hands a gradient it has just computed, or a reshape of
-the one it got, to its parent as that parent's first ``.grad`` without a
-copy; a gradient that reaches several parents, or a transposed view of one,
-is copied.
+gradient, so whatever it hands a parent (a gradient it has just computed,
+or the one it got, reshaped or passed through) becomes that parent's first
+``.grad`` without a copy. Only ``add`` hands one ``g`` to two parents, and
+gives one of them a copy; a transposed view, or a gradient of another
+dtype, is copied into C order and the tensor's dtype.
 
 Data is float32 by default; build leaves with ``dtype=np.float64`` for
 gradient checking. Broadcasting follows numpy; backward sums gradients back
@@ -140,22 +141,20 @@ class Tensor:
         tag = f" {self.name!r}" if self.name else ""
         return f"Tensor{tag}(shape={self.shape}, dtype={self.dtype.name}, grad={self.requires_grad})"
 
-    def accumulate_grad(self, g: np.ndarray, fresh: bool = False) -> None:
+    def accumulate_grad(self, g: np.ndarray) -> None:
         """Add ``g`` to ``.grad``.
 
-        The first write stores a C-contiguous copy in this tensor's dtype (a
-        copy, because one ``g`` may reach several parents; C order, because
-        ``g`` may be a transposed view). ``fresh`` says nothing else holds
-        ``g`` (the caller has just computed it, or reshaped the gradient
-        only its closure holds): such a ``g`` that is already a writeable
-        C-contiguous array of this dtype (not a numpy scalar, which is
-        read-only) becomes ``.grad`` as it is.
+        Callers hand over a gradient nothing else holds (see the module
+        docstring), so a first ``g`` that is a writeable C-contiguous array
+        of this tensor's dtype becomes ``.grad`` as it is. Any other ``g``
+        (another dtype, a transposed view, a read-only numpy scalar) is
+        stored as a C-contiguous copy in this tensor's dtype.
         """
         if g.shape != self.shape:
             raise ValidationError(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
         if self.grad is not None:
             self.grad += g
-        elif fresh and g.dtype == self.dtype and g.flags.c_contiguous and g.flags.writeable:
+        elif g.dtype == self.dtype and g.flags.c_contiguous and g.flags.writeable:
             self.grad = g
         else:
             self.grad = np.array(g, dtype=self.dtype, order="C")
@@ -215,13 +214,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _pass_down(parent: Tensor, g: np.ndarray) -> None:
-    """Hand ``g`` (which may also reach another parent) to ``parent``, summed
-    down to its shape; only a summed-down ``g`` is fresh."""
-    gp = _unbroadcast(g, parent.shape)
-    parent.accumulate_grad(gp, fresh=gp is not g)
-
-
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
     """Mark ``out`` differentiable and push the closure if a tape is active."""
     tape = active_tape()
@@ -241,10 +233,14 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def backward(g):
-        if a.requires_grad:
-            _pass_down(a, g)
-        if b.requires_grad:
-            _pass_down(b, g)
+        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
+        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        if ga is g and gb is g:
+            ga = g.copy()  # g would reach both parents; each owns its .grad
+        if ga is not None:
+            a.accumulate_grad(ga)
+        if gb is not None:
+            b.accumulate_grad(gb)
 
     return _record(out, (a, b), backward)
 
@@ -256,9 +252,9 @@ def sub(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            _pass_down(a, g)
+            a.accumulate_grad(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.shape), fresh=True)
+            b.accumulate_grad(_unbroadcast(-g, b.shape))
 
     return _record(out, (a, b), backward)
 
@@ -270,9 +266,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape), fresh=True)
+            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape), fresh=True)
+            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
 
     return _record(out, (a, b), backward)
 
@@ -288,10 +284,10 @@ def matmul(a, b) -> Tensor:
     def backward(g):
         if a.requires_grad:
             ga = g @ b.data.swapaxes(-1, -2)
-            a.accumulate_grad(_unbroadcast(ga, a.shape), fresh=True)
+            a.accumulate_grad(_unbroadcast(ga, a.shape))
         if b.requires_grad:
             gb = a.data.swapaxes(-1, -2) @ g
-            b.accumulate_grad(_unbroadcast(gb, b.shape), fresh=True)
+            b.accumulate_grad(_unbroadcast(gb, b.shape))
 
     return _record(out, (a, b), backward)
 
@@ -309,7 +305,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     old = x.shape
 
     def backward(g):
-        x.accumulate_grad(g.reshape(old), fresh=True)  # g is this closure's alone
+        x.accumulate_grad(g.reshape(old))
 
     return _record(out, (x,), backward)
 
@@ -332,7 +328,7 @@ def roll(x: Tensor, shifts, axes) -> Tensor:
     neg = tuple(-s for s in np.atleast_1d(shifts))
 
     def backward(g):
-        x.accumulate_grad(np.roll(g, neg, axis=axes), fresh=True)
+        x.accumulate_grad(np.roll(g, neg, axis=axes))
 
     return _record(out, (x,), backward)
 
@@ -346,7 +342,7 @@ def take_rows(x: Tensor, indices) -> Tensor:
     def backward(g):
         gx = np.zeros_like(x.data)
         np.add.at(gx, idx, g)
-        x.accumulate_grad(gx, fresh=True)
+        x.accumulate_grad(gx)
 
     return _record(out, (x,), backward)
 
@@ -370,7 +366,7 @@ def exp(x: Tensor) -> Tensor:
     out = Tensor(np.exp(x.data))
 
     def backward(g):
-        x.accumulate_grad(g * out.data, fresh=True)
+        x.accumulate_grad(g * out.data)
 
     return _record(out, (x,), backward)
 
@@ -380,7 +376,7 @@ def log(x: Tensor) -> Tensor:
     out = Tensor(np.log(x.data))
 
     def backward(g):
-        x.accumulate_grad(g / x.data, fresh=True)
+        x.accumulate_grad(g / x.data)
 
     return _record(out, (x,), backward)
 
@@ -390,7 +386,7 @@ def reciprocal(x: Tensor) -> Tensor:
     out = Tensor(1.0 / x.data)
 
     def backward(g):
-        x.accumulate_grad(-g * out.data * out.data, fresh=True)
+        x.accumulate_grad(-g * out.data * out.data)
 
     return _record(out, (x,), backward)
 
@@ -400,7 +396,7 @@ def sqrt(x: Tensor) -> Tensor:
     out = Tensor(np.sqrt(x.data))
 
     def backward(g):
-        x.accumulate_grad(g * 0.5 / out.data, fresh=True)
+        x.accumulate_grad(g * 0.5 / out.data)
 
     return _record(out, (x,), backward)
 
@@ -411,7 +407,7 @@ def sigmoid(x: Tensor) -> Tensor:
         out = Tensor(1.0 / (1.0 + np.exp(-x.data)))
 
     def backward(g):
-        x.accumulate_grad(g * out.data * (1.0 - out.data), fresh=True)
+        x.accumulate_grad(g * out.data * (1.0 - out.data))
 
     return _record(out, (x,), backward)
 
@@ -424,7 +420,7 @@ def softplus(x: Tensor) -> Tensor:
     def backward(g):
         with np.errstate(over="ignore"):
             sig = 1.0 / (1.0 + np.exp(-x.data))
-        x.accumulate_grad(g * sig, fresh=True)
+        x.accumulate_grad(g * sig)
 
     return _record(out, (x,), backward)
 
@@ -436,7 +432,7 @@ def silu(x: Tensor) -> Tensor:
     out = Tensor(x.data * sig)
 
     def backward(g):
-        x.accumulate_grad(g * sig * (1.0 + x.data * (1.0 - sig)), fresh=True)
+        x.accumulate_grad(g * sig * (1.0 + x.data * (1.0 - sig)))
 
     return _record(out, (x,), backward)
 
@@ -453,7 +449,7 @@ def gelu(x: Tensor) -> Tensor:
 
     def backward(g):
         pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-        x.accumulate_grad(g * (cdf + x.data * pdf).astype(x.dtype), fresh=True)
+        x.accumulate_grad(g * (cdf + x.data * pdf).astype(x.dtype))
 
     return _record(out, (x,), backward)
 
@@ -468,7 +464,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def backward(g):
         y = out.data
         gx = y * (g - (g * y).sum(axis=axis, keepdims=True))
-        x.accumulate_grad(gx, fresh=True)
+        x.accumulate_grad(gx)
 
     return _record(out, (x,), backward)
 
@@ -488,14 +484,14 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     def backward(g):
         lead = tuple(range(g.ndim - 1))
         if beta.requires_grad:
-            beta.accumulate_grad(g.sum(axis=lead), fresh=True)
+            beta.accumulate_grad(g.sum(axis=lead))
         if gamma.requires_grad:
-            gamma.accumulate_grad((g * xhat).sum(axis=lead), fresh=True)
+            gamma.accumulate_grad((g * xhat).sum(axis=lead))
         if x.requires_grad:
             gh = g * gamma.data
             m1 = gh.mean(axis=-1, keepdims=True)
             m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate_grad(inv * (gh - m1 - xhat * m2), fresh=True)
+            x.accumulate_grad(inv * (gh - m1 - xhat * m2))
 
     return _record(out, (x, gamma, beta), backward)
 
@@ -510,7 +506,7 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         else:
             gk = g if keepdims else np.expand_dims(g, axis)
             gx = np.broadcast_to(gk, x.shape)
-        x.accumulate_grad(gx.astype(x.dtype, copy=True), fresh=True)
+        x.accumulate_grad(gx.astype(x.dtype, copy=True))
 
     return _record(out, (x,), backward)
 
@@ -526,7 +522,7 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         else:
             gk = g if keepdims else np.expand_dims(g, axis)
             gx = np.broadcast_to(gk, x.shape)
-        x.accumulate_grad((gx / denom).astype(x.dtype, copy=True), fresh=True)
+        x.accumulate_grad((gx / denom).astype(x.dtype, copy=True))
 
     return _record(out, (x,), backward)
 
@@ -537,7 +533,7 @@ def sum_sq(x: Tensor) -> Tensor:
     out = Tensor(np.asarray((x.data.astype(np.float64) ** 2).sum(), dtype=x.dtype))
 
     def backward(g):
-        x.accumulate_grad(g * 2.0 * x.data, fresh=True)
+        x.accumulate_grad(g * 2.0 * x.data)
 
     return _record(out, (x,), backward)
 
@@ -600,19 +596,18 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
         for an, dn, dc in zip(abar[:0:-1], dh[:0:-1], dh[-2::-1]):
             dc += an * dn
         if c.requires_grad:
-            c.accumulate_grad(np.matmul(g[:, None, :], hist)[:, 0, :], fresh=True)
+            c.accumulate_grad(np.matmul(g[:, None, :], hist)[:, 0, :])
         if d_skip.requires_grad:
-            d_skip.accumulate_grad((g * ud).sum(axis=0), fresh=True)
+            d_skip.accumulate_grad((g * ud).sum(axis=0))
         work = None  # a free [L, D, S] buffer once G has been used
         if u.requires_grad or b.requires_grad or a.requires_grad:
             work = abar - 1.0
             work /= ad
             work *= dh  # G
             if u.requires_grad:
-                u.accumulate_grad(d_skip.data * g + np.matmul(work, bd[:, :, None])[..., 0],
-                                  fresh=True)
+                u.accumulate_grad(d_skip.data * g + np.matmul(work, bd[:, :, None])[..., 0])
             if b.requires_grad:
-                b.accumulate_grad(np.matmul(ud[:, None, :], work)[:, 0, :], fresh=True)
+                b.accumulate_grad(np.matmul(ud[:, None, :], work)[:, 0, :])
         if delta.requires_grad or a.requires_grad:
             e = np.einsum("ld,ls->lds", ud, bd).astype(dtype, copy=False)
             if a.requires_grad:
@@ -625,11 +620,11 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
             e[1:] += a_dh_hp
             e *= abar  # E
             if delta.requires_grad:
-                delta.accumulate_grad(e @ np.ones(state, dtype=dtype), fresh=True)
+                delta.accumulate_grad(e @ np.ones(state, dtype=dtype))
             if a.requires_grad:
                 ga += np.einsum("lds,ld->ds", e, dd)
                 ga /= ad
-                a.accumulate_grad(ga, fresh=True)
+                a.accumulate_grad(ga)
 
     return _record(out, (u, delta, a, b, c, d_skip), backward)
 
@@ -648,6 +643,6 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
     def backward(g):
         with np.errstate(over="ignore"):
             sig = 1.0 / (1.0 + np.exp(-z))
-        logits.accumulate_grad(g * (sig - y) / n, fresh=True)
+        logits.accumulate_grad(g * (sig - y) / n)
 
     return _record(out, (logits,), backward)

@@ -161,39 +161,42 @@ def test_backward_frees_non_leaf_grads_and_keeps_leaf_grads(case):
     np.testing.assert_allclose(x.grad, want)
 
 
-def test_fresh_gradient_becomes_grad_without_a_copy(monkeypatch):
+def test_first_grad_write_keeps_an_owned_array_without_a_copy(monkeypatch):
     g = np.ones(3)
     x = Tensor(np.zeros(3), requires_grad=True, dtype=np.float64)
-    x.accumulate_grad(g, fresh=True)
+    x.accumulate_grad(g)
     assert x.grad is g
     # another dtype or a non-C-ordered view is still copied
     y = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
-    y.accumulate_grad(g, fresh=True)
+    y.accumulate_grad(g)
     assert y.grad.dtype == np.float32 and not np.shares_memory(y.grad, g)
     gt = np.ones((3, 2)).T
     z = Tensor(np.zeros((2, 3)), requires_grad=True, dtype=np.float64)
-    z.accumulate_grad(gt, fresh=True)
+    z.accumulate_grad(gt)
     assert z.grad.flags["C_CONTIGUOUS"] and not np.shares_memory(z.grad, gt)
 
-    # through the tape: mul's product is handed over, add's shared g is not
+    # through the tape: products, sub's pass-through and a reshape are
+    # handed over; add copies g once, so its parents get separate buffers
     handed = {}
     real = Tensor.accumulate_grad
 
-    def spy(self, g, fresh=False):
+    def spy(self, g):
         handed[id(self)] = g
-        real(self, g, fresh)
+        real(self, g)
 
     monkeypatch.setattr(Tensor, "accumulate_grad", spy)
     a = Tensor(np.arange(3.0), requires_grad=True, dtype=np.float64)
     b = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+    c = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
     with Tape() as tape:
-        tape.backward(ad.tsum(ad.add(ad.mul(a, 2.0), b)))
+        tape.backward(ad.tsum(ad.sub(ad.add(ad.mul(a, 2.0), b), c)))
     assert a.grad is handed[id(a)]
-    assert b.grad is not handed[id(b)] and not np.shares_memory(a.grad, b.grad)
+    assert b.grad is handed[id(b)] and not np.shares_memory(a.grad, b.grad)
+    assert c.grad is handed[id(c)] and not np.shares_memory(b.grad, c.grad)
     np.testing.assert_array_equal(a.grad, np.full(3, 2.0))
     np.testing.assert_array_equal(b.grad, np.ones(3))
+    np.testing.assert_array_equal(c.grad, -np.ones(3))
 
-    # reshape hands on the gradient its closure alone holds; transpose copies
     r = Tensor(np.ones((2, 3)), requires_grad=True, dtype=np.float64)
     t = Tensor(np.ones((2, 3)), requires_grad=True, dtype=np.float64)
     with Tape() as tape:
