@@ -13,7 +13,7 @@ against every macroregion under three nested criteria:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,6 @@ MACROREGIONS = (
     "subcortical",
     "cerebellum",
 )
-OTHER_REGION = "other"
 CRITERIA = ("any", "majority", "pure")
 
 DEFAULT_PURITY_THRESHOLD = 0.70
@@ -66,23 +65,16 @@ class PatchGrid:
     def for_shape(cls, shape, patch_size=(6, 6, 6)) -> "PatchGrid":
         patch_size = tuple(int(p) for p in patch_size)
         shape = tuple(int(s) for s in shape)
+        if any(p < 1 for p in patch_size):
+            raise GeometryError(f"patch size {patch_size} must be positive")
         if any(s % p != 0 for s, p in zip(shape, patch_size)):
             raise GeometryError(f"shape {shape} not divisible by patch size {patch_size}")
         return cls(patch_size=patch_size,
                    grid_dims=tuple(s // p for s, p in zip(shape, patch_size)))
 
-    def patch_of_voxel(self, v) -> int:
-        """Linear patch index of a voxel, x-fastest: p = px + py*Gx + pz*Gx*Gy."""
-        x, y, z = (int(c) for c in v)
-        shape = self.volume_shape
-        if not (0 <= x < shape[0] and 0 <= y < shape[1] and 0 <= z < shape[2]):
-            raise GeometryError(f"voxel {(x, y, z)} outside volume {shape}")
-        px, py, pz = x // self.patch_size[0], y // self.patch_size[1], z // self.patch_size[2]
-        gx, gy, _ = self.grid_dims
-        return px + py * gx + pz * gx * gy
-
     def patch_index_volume(self) -> np.ndarray:
-        """[X, Y, Z] int array giving every voxel's linear patch index."""
+        """[X, Y, Z] int array giving every voxel's linear patch index,
+        x-fastest: p = px + py*Gx + pz*Gx*Gy."""
         shape = self.volume_shape
         gx, gy, _ = self.grid_dims
         ix = np.arange(shape[0]) // self.patch_size[0]
@@ -93,7 +85,7 @@ class PatchGrid:
 
 
 class RegionMap:
-    """Atlas label -> macroregion mapping; unmapped labels read as "other"."""
+    """Atlas label -> macroregion mapping."""
 
     def __init__(self, mapping: dict[int, str]):
         if not mapping:
@@ -111,11 +103,6 @@ class RegionMap:
                 )
             clean[label] = region
         self.mapping = clean
-
-    def region_for(self, label: int) -> str:
-        if label == 0:
-            return OTHER_REGION
-        return self.mapping.get(int(label), OTHER_REGION)
 
     def labels_for(self, region: str) -> list[int]:
         return sorted(l for l, r in self.mapping.items() if r == region)
@@ -240,8 +227,7 @@ def classify_patches(
         raise ValidationError("majority_threshold must lie in (0, 1)")
     labels = atlas.labels
     if grid is None:
-        grid = PatchGrid.for_shape(labels.shape) if labels.shape != (96, 96, 96) \
-            else PatchGrid()
+        grid = PatchGrid.for_shape(labels.shape)
     if grid.volume_shape != labels.shape:
         raise GeometryError(
             f"atlas shape {labels.shape} does not match the patch grid "
@@ -305,7 +291,7 @@ def classify_patches(
 
 
 def patch_set_report(sets: PatchSets) -> list[dict]:
-    """Per region x criterion: patch count and voxel footprint (count x 216)."""
+    """Per region x criterion: patch count and voxel footprint (count x patch voxels)."""
     vpp = sets.grid.voxels_per_patch
     rows = []
     for region in MACROREGIONS:

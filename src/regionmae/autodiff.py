@@ -163,36 +163,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes if len(axes) > 1 else axes[0])
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def as_tensor(value, like: Tensor | None = None) -> Tensor:

@@ -20,26 +20,24 @@ from pathlib import Path
 import numpy as np
 
 from . import stats as st
-from .atlas import PatchSets, RegionMap, classify_patches, patch_set_report, \
-    render_report
+from .atlas import PatchGrid, PatchSets, RegionMap, classify_patches, \
+    patch_set_report, render_report
 from .attribution import AttributionConfig, aggregate_group, ig_sq, \
     threshold_and_project, write_roi_csv
 from .autodiff import Tensor
 from .checkpoint import load_checkpoint, restore_params, save_checkpoint
 from .config import data_path, load_config, require_data_path, \
     write_input_hashes, write_snapshot
-from .errors import ConfigurationError, DegenerateDataError, ValidationError
+from .errors import ConfigurationError, DegenerateDataError, GeometryError, \
+    ValidationError
 from .masking import MaskSpec, build_mask, save_mask
 from .model import HybridModel, ModelConfig
-from .nifti import LabelVolume, Volume4D, read_nifti, write_nifti
+from .nifti import Volume4D, read_nifti, write_nifti
 from .preprocess import preprocess_volume, read_manifest, write_manifest, \
     write_qc_csv
 from .synth import SynthConfig, write_cohort
 from .training import FINETUNE, PRETRAIN, RunConfig, finetune, pretrain, \
     split_subjects, write_metrics_csv
-
-SUBCOMMANDS = ("preprocess", "classify-patches", "build-mask", "pretrain",
-               "finetune", "attribute", "stats", "synth")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -62,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Region-aware masked pretraining pipeline")
     _add_common(parser)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in SUBCOMMANDS:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         _add_common(p)
         if name == "synth":
@@ -145,7 +143,7 @@ def cmd_preprocess(cfg: dict, args, out: Path) -> list:
     if not kept:
         raise DegenerateDataError("every subject was excluded by QC")
     write_manifest(kept, out / "manifest.csv")
-    n_excluded = len(records) - len(kept)
+    n_excluded = sum(r.excluded for r in reports)
     print(f"preprocessed {len(kept)} subjects ({n_excluded} excluded) -> {out}")
     return inputs
 
@@ -155,10 +153,15 @@ def cmd_classify(cfg: dict, args, out: Path) -> list:
     map_path = require_data_path(cfg, "region_map")
     atlas = read_nifti(atlas_path, kind="labels")
     regions = RegionMap.from_csv(map_path)
+    try:
+        grid = PatchGrid.for_shape(atlas.labels.shape, cfg["model"]["patch_size"])
+    except GeometryError as exc:
+        raise ConfigurationError(f"model.patch_size: {exc}") from exc
     sets = classify_patches(
         atlas, regions,
         purity_threshold=cfg["atlas"]["purity_threshold"],
         majority_threshold=cfg["atlas"]["majority_threshold"],
+        grid=grid,
     )
     sets.save(out / "patch_sets.json")
     rows = patch_set_report(sets)

@@ -189,19 +189,14 @@ def build_mask(spec: MaskSpec, sets: PatchSets, t_patches: int,
 # Mask application on token matrices
 
 
-def _flat_mask(mask) -> np.ndarray:
-    if isinstance(mask, MaskTensor):
-        return mask.flat()
-    return np.asarray(mask, dtype=bool).reshape(-1)
-
-
 def apply_mask(tokens, mask, mask_token):
     """Swap the masked rows of a [N, D] token matrix for a shared embedding.
 
-    ``tokens`` and ``mask_token`` may be numpy arrays or autodiff tensors
-    (anything with numpy-style arithmetic).
+    ``mask`` holds one bool per row, e.g. ``MaskTensor.flat()``. ``tokens``
+    and ``mask_token`` may be numpy arrays or autodiff tensors: only ``*``
+    and ``+`` are applied to them.
     """
-    m = _flat_mask(mask)
+    m = np.asarray(mask, dtype=bool).reshape(-1)
     n = tokens.shape[0]
     if m.shape[0] != n:
         raise ValidationError(f"mask covers {m.shape[0]} slots but tokens have {n} rows")

@@ -47,8 +47,6 @@ CONFIGURATIONS = (MAMBA, ALTERNATE, AM, MA)
 ATT = "ATT"
 SSM = "SSM"
 
-SCAN_ORDERS = ("time_major", "space_major")
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -62,7 +60,6 @@ class ModelConfig:
     t_patch: int = 4
     mlp_ratio: float = 1.0
     ssm_expand: int = 2
-    scan_order: str = "time_major"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -82,8 +79,6 @@ class ModelConfig:
             raise ValidationError("patch_size must be 3 ints >= 1")
         if len(self.window) != 4 or any(w < 1 for w in self.window):
             raise ValidationError("window must be 4 ints >= 1")
-        if self.scan_order not in SCAN_ORDERS:
-            raise ValidationError(f"unknown scan order {self.scan_order!r}")
         if self.ssm_expand < 1 or self.ssm_state_dim < 1:
             raise ValidationError("ssm_expand and ssm_state_dim must be >= 1")
 
@@ -95,7 +90,9 @@ class ModelConfig:
         return self.embed_dim * (2 ** stage)
 
     def config_hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True, default=list)
+        # the retired scan_order stays in the blob so saved checkpoints keep their hash
+        blob = json.dumps({**asdict(self), "scan_order": "time_major"},
+                          sort_keys=True, default=list)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -266,22 +263,6 @@ class HybridModel:
         wx, wy, wz, wt = self.config.window
         return (wz, wy, wx, wt)
 
-    def _scan_permutation(self, dims) -> tuple[np.ndarray, np.ndarray] | None:
-        """Token order for the SSM scan; None keeps the stored order.
-
-        Stored order is already "time_major": t fastest, then x, y, z.
-        "space_major" visits each temporal slab in full (x fastest) before
-        moving to the next one.
-        """
-        if self.config.scan_order == "time_major":
-            return None
-        key = ("scan", dims)
-        if key not in self._cache:
-            idx = np.arange(int(np.prod(dims)), dtype=np.int64).reshape(dims)
-            perm = idx.transpose(3, 0, 1, 2).reshape(-1)
-            self._cache[key] = (perm, np.argsort(perm))
-        return self._cache[key]
-
     # -- core blocks -----------------------------------------------------------
 
     def _attention_mask(self, dims, eff, shifts) -> np.ndarray | None:
@@ -347,14 +328,9 @@ class HybridModel:
         h2 = ad.gelu(self._lin(f"{prefix}.mlp1", h2))
         return ad.add(x, self._lin(f"{prefix}.mlp2", h2))
 
-    def _mamba(self, x: Tensor, dims, prefix: str) -> Tensor:
+    def _mamba(self, x: Tensor, prefix: str) -> Tensor:
         state = self.config.ssm_state_dim
         h = self._norm(f"{prefix}.ln", x)
-
-        perm = self._scan_permutation(dims)
-        if perm is not None:
-            h = ad.take_rows(h, perm[0])
-
         xu_z = self._lin(f"{prefix}.in", h)  # [L, 2*inner]
         inner = xu_z.shape[-1] // 2
         u = ad.take_cols(xu_z, 0, inner)
@@ -370,16 +346,12 @@ class HybridModel:
         a = ad.mul(ad.exp(self.params[f"{prefix}.a_log"]), -1.0)
         y = ad.selective_scan(u, delta, a, b_in, c_in, self.params[f"{prefix}.d_skip"])
         y = ad.mul(y, ad.silu(z))
-        y = self._lin(f"{prefix}.out", y)
-
-        if perm is not None:
-            y = ad.take_rows(y, perm[1])
-        return ad.add(x, y)
+        return ad.add(x, self._lin(f"{prefix}.out", y))
 
     def _run_block(self, x: Tensor, dims, prefix: str, kind: str, local: int) -> Tensor:
         if kind == ATT:
             return self._window_attention(x, dims, prefix, shift=bool(local % 2))
-        return self._mamba(x, dims, prefix)
+        return self._mamba(x, prefix)
 
     def _merge(self, x: Tensor, dims, stage: int) -> tuple[Tensor, tuple]:
         nz, ny, nx, nt = dims

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -203,7 +202,7 @@ def resample_temporal(vol: Volume4D, target_tr: float) -> Volume4D:
                     brain_mask=vol.brain_mask)
 
 
-def crop_fov(vol, target=DEFAULT_FOV):
+def crop_fov(vol: Volume4D, target=DEFAULT_FOV) -> Volume4D:
     """Center-crop (or symmetrically zero-pad) to a fixed field of view.
 
     The affine translation is updated so every retained voxel keeps its
@@ -213,10 +212,7 @@ def crop_fov(vol, target=DEFAULT_FOV):
     if len(target) != 3 or any(t <= 0 for t in target):
         raise ValidationError(f"target FOV must be 3 positive ints, got {target}")
 
-    if isinstance(vol, LabelVolume):
-        data = vol.labels[..., np.newaxis]
-    else:
-        data = vol.data
+    data = vol.data
     src = data.shape[:3]
     start = [(s - t) // 2 for s, t in zip(src, target)]
 
@@ -231,9 +227,6 @@ def crop_fov(vol, target=DEFAULT_FOV):
 
     affine = np.asarray(vol.affine, dtype=np.float64).copy()
     affine[:3, 3] = (vol.affine @ np.array([start[0], start[1], start[2], 1.0]))[:3]
-
-    if isinstance(vol, LabelVolume):
-        return LabelVolume(labels=out[..., 0], affine=affine)
     return Volume4D(data=out, affine=affine, tr_seconds=vol.tr_seconds)
 
 
@@ -327,15 +320,6 @@ def qc_gate(
         reasons.append(P99_FAIL)
     return QcReport(dice=dice_value, p99=p99, excluded=bool(reasons), reasons=reasons,
                     subject_id=subject_id)
-
-
-def compute_iqr_threshold(p99_values) -> float:
-    """Upper Tukey fence Q3 + 1.5 * IQR over a cohort of per-subject p99s."""
-    arr = np.asarray(list(p99_values), dtype=np.float64)
-    if arr.size == 0:
-        raise DegenerateDataError("no p99 values supplied")
-    q1, q3 = np.percentile(arr, [25.0, 75.0])
-    return float(q3 + 1.5 * (q3 - q1))
 
 
 def write_qc_csv(reports, path) -> None:

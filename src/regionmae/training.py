@@ -120,8 +120,7 @@ def masked_mse(recon, target, mask):
     """Mean squared error over masked voxels only.
 
     ``recon`` may be an autodiff tensor (gradients flow) or a numpy array
-    (plain float result). ``mask`` is a patch-slot MaskTensor or an explicit
-    voxel-level boolean array.
+    (plain float result). ``mask`` is a patch-slot MaskTensor.
     """
     target = np.asarray(target)
     if isinstance(recon, Tensor):
@@ -129,13 +128,7 @@ def masked_mse(recon, target, mask):
     shape = recon.shape
     if tuple(shape) != tuple(target.shape):
         raise ValidationError(f"recon {shape} and target {target.shape} differ")
-    if isinstance(mask, MaskTensor):
-        vox = _voxel_mask(mask, shape)
-    else:
-        vox = np.asarray(mask, dtype=bool)
-        if vox.shape != tuple(shape):
-            raise ValidationError("voxel mask shape mismatch")
-    idx = np.flatnonzero(vox.reshape(-1))
+    idx = np.flatnonzero(_voxel_mask(mask, shape).reshape(-1))
     if idx.size == 0:
         raise ValidationError("mask selects no voxels")
 

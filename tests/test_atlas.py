@@ -40,7 +40,7 @@ def brute_force(labels, region_map, purity=0.70, majority=0.5, ps=6):
                 patch_pure = n_labeled > 0 and dom_count / n_labeled >= purity
                 for region in MACROREGIONS:
                     cnt = sum(c for l, c in hist.items()
-                              if l != 0 and region_map.region_for(l) == region)
+                              if region_map.mapping.get(l) == region)
                     if cnt >= 1:
                         out[region]["any"].add(p)
                     if cnt / vpp > majority:
@@ -51,24 +51,6 @@ def brute_force(labels, region_map, purity=0.70, majority=0.5, ps=6):
 
 
 # -- patch grid ---------------------------------------------------------------
-
-def test_patch_of_voxel_corners():
-    grid = PatchGrid()
-    assert grid.patch_of_voxel((0, 0, 0)) == 0
-    assert grid.patch_of_voxel((5, 5, 5)) == 0
-    assert grid.patch_of_voxel((6, 0, 0)) == 1
-    assert grid.patch_of_voxel((0, 6, 0)) == 16
-    assert grid.patch_of_voxel((0, 0, 6)) == 256
-    assert grid.patch_of_voxel((95, 95, 95)) == 4095
-
-
-def test_patch_of_voxel_out_of_range():
-    grid = PatchGrid()
-    with pytest.raises(GeometryError):
-        grid.patch_of_voxel((96, 0, 0))
-    with pytest.raises(GeometryError):
-        grid.patch_of_voxel((0, -1, 0))
-
 
 def test_grid_defaults():
     grid = PatchGrid()
@@ -87,18 +69,15 @@ def test_grid_for_shape_divisibility():
 def test_patch_index_volume_matches_scalar():
     grid = PatchGrid.for_shape((12, 12, 12))
     vol = grid.patch_index_volume()
-    for v in [(0, 0, 0), (5, 7, 11), (11, 0, 6), (6, 6, 6)]:
-        assert vol[v] == grid.patch_of_voxel(v)
+    for x, y, z in [(0, 0, 0), (5, 7, 11), (11, 0, 6), (6, 6, 6)]:
+        assert vol[x, y, z] == x // 6 + (y // 6) * 2 + (z // 6) * 4
 
 
 # -- region map ---------------------------------------------------------------
 
 def test_region_map_basics():
     rm = RegionMap({1: "frontal", 2: "frontal", 3: "cerebellum"})
-    assert rm.region_for(1) == "frontal"
-    assert rm.region_for(3) == "cerebellum"
-    assert rm.region_for(99) == "other"
-    assert rm.region_for(0) == "other"
+    assert rm.mapping == {1: "frontal", 2: "frontal", 3: "cerebellum"}
     assert rm.labels_for("frontal") == [1, 2]
 
 

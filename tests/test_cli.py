@@ -7,8 +7,9 @@ import yaml
 
 from regionmae import cli
 from regionmae.cli import main
-from regionmae.config import DEFAULTS
+from regionmae.config import DEFAULTS, hash_file
 from regionmae.masking import load_mask
+from regionmae.nifti import LabelVolume, write_nifti
 from regionmae.preprocess import read_manifest
 from regionmae.training import read_metrics_csv
 
@@ -236,6 +237,56 @@ def test_classify_outputs(pipeline):
     assert report[0] == "region,criterion,n_patches,n_voxels"
     assert len(report) > 1
     assert sets["grid_dims"] == [4, 4, 4]
+
+
+def test_classify_patches_uses_model_patch_size(pipeline, tmp_path, capsys):
+    synth = pipeline / "synth"
+    atlas = ["--set", f"data.atlas={synth / 'atlas.nii.gz'}",
+             "--set", f"data.region_map={synth / 'region_map.csv'}"]
+    patches = tmp_path / "patches"
+    assert main(["--out-dir", str(patches), *atlas,
+                 "--set", "model.patch_size=[3, 3, 3]", "classify-patches"]) == 0
+    sets = patches / "patch_sets.json"
+    assert json.loads(sets.read_text())["grid_dims"] == [8, 8, 8]
+    # pretrain takes the same size and the 8^3 x 2 mask lattice fits its tokens
+    assert main(["--out-dir", str(tmp_path / "pretrain"),
+                 "--set", f"data.manifest={pipeline / 'prep' / 'manifest.csv'}",
+                 "--set", f"data.patch_sets={sets}", "--set", "pretrain.epochs=1",
+                 *SMALL_MODEL, "--set", "model.patch_size=[3, 3, 3]",
+                 "pretrain"]) == 0
+    capsys.readouterr()
+    for bad in ("[5, 5, 5]", "[0, 6, 6]"):
+        rc = main(["--out-dir", str(tmp_path / "bad"), *atlas,
+                   "--set", f"model.patch_size={bad}", "classify-patches"])
+        assert rc == 2
+        assert "model.patch_size" in capsys.readouterr().err
+
+
+def test_preprocess_template_mask(pipeline, tmp_path, capsys):
+    synth = pipeline / "synth"
+    brain = synth / "brain_mask.nii.gz"
+    miss = tmp_path / "miss.nii.gz"
+    corner = np.zeros((24, 24, 24), dtype=np.int32)
+    corner[:2, :2, :2] = 1  # outside the synthetic brain
+    write_nifti(LabelVolume(labels=corner, affine=np.eye(4)), miss)
+    for template, dice, reasons in ((miss, "0.000000", "DICE_FAIL"),
+                                    (brain, "1.000000", "")):
+        out = tmp_path / ("fail" if reasons else "pass")
+        capsys.readouterr()
+        assert main(["--out-dir", str(out),
+                     "--set", f"data.manifest={synth / 'manifest.csv'}",
+                     "--set", f"data.template_mask={template}",
+                     "--set", "preprocess.fov=[24, 24, 24]",
+                     "--set", "preprocess.drop_excluded=false",
+                     "preprocess"]) == 0
+        rows = (out / "qc.csv").read_text().splitlines()[1:]
+        assert len(rows) == 14
+        assert all(r.split(",")[1] == dice and r.split(",")[4] == reasons
+                   for r in rows)
+        n_excluded = 14 if reasons else 0
+        assert f"14 subjects ({n_excluded} excluded)" in capsys.readouterr().out
+        inputs = json.loads((out / "inputs.json").read_text())
+        assert inputs[str(template)] == hash_file(template)
 
 
 def test_mask_artifact_loads(pipeline):

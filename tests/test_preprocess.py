@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from regionmae.errors import DegenerateDataError, GeometryError, ValidationError
 from regionmae.nifti import LabelVolume, Volume4D
 from regionmae.preprocess import (
+    DEFAULT_P99_THRESHOLD,
     QcReport,
     SubjectRecord,
-    compute_iqr_threshold,
     crop_fov,
     dice,
     estimate_brain_mask,
@@ -304,10 +304,10 @@ def test_qc_report_consistency_enforced():
 
 
 def test_iqr_threshold_hand_case():
-    assert compute_iqr_threshold([1, 2, 3, 4, 5]) == pytest.approx(7.0)
+    # the default p99 gate is the Tukey fence Q3 + 1.5 IQR of the cohort
     q1, q3 = 1.2646, 1.5132
     thr = q3 + 1.5 * (q3 - q1)
-    assert thr == pytest.approx(1.8862, abs=5e-4)
+    assert thr == pytest.approx(DEFAULT_P99_THRESHOLD, abs=5e-4)
 
 
 # -- files -------------------------------------------------------------------
