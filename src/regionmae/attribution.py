@@ -84,10 +84,11 @@ def _as_volume_array(vol) -> tuple[np.ndarray, np.dtype]:
     return np.asarray(data, dtype=np.float64), dtype
 
 
-def _baseline_array(x: np.ndarray, baseline) -> np.ndarray:
+def _baseline_array(x: np.ndarray, baseline) -> np.ndarray | None:
+    """The baseline as a float64 array, or None for the zero baseline."""
     if isinstance(baseline, str):
         if baseline == ZERO:
-            return np.zeros_like(x)
+            return None
         if baseline == MEAN:
             return np.full_like(x, x.mean())
         raise ValidationError(f"unknown baseline {baseline!r}")
@@ -106,17 +107,20 @@ def integrated_gradients(model, vol, baseline=ZERO, steps: int = 32) -> np.ndarr
     Each pass runs at the input's precision: a float32 volume gives float32
     path points, anything else float64; the points are built in that dtype
     in one reused buffer. The baseline, the path difference, the gradient
-    sum and the result are float64 either way. The model's parameters are
-    held constant during the passes, so only the input gradient is computed
-    and no parameter ``.grad`` is touched.
+    sum and the result are float64 either way. With the zero baseline the
+    path difference is ``x`` itself and a point is ``x`` scaled, so no
+    baseline volume is built. The model's parameters are held constant
+    during the passes, so only the input gradient is computed and no
+    parameter ``.grad`` is touched.
     """
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
     x, dtype = _as_volume_array(vol)
     x0 = _baseline_array(x, baseline)
-    delta = x - x0
-    start, span = x0.astype(dtype, copy=False), delta.astype(dtype, copy=False)
-    buf = np.empty_like(start)
+    delta = x if x0 is None else x - x0
+    start = None if x0 is None else x0.astype(dtype, copy=False)
+    span = delta.astype(dtype, copy=False)
+    buf = np.empty_like(span)
 
     # pairwise accumulation: for power-of-two step counts every combine is
     # a doubling, so a constant gradient averages back to itself bit-exactly
@@ -124,7 +128,8 @@ def integrated_gradients(model, vol, baseline=ZERO, steps: int = 32) -> np.ndarr
     with frozen(getattr(model, "params", {}).values()):
         for k in range(steps):
             np.multiply(span, (k + 0.5) / steps, out=buf)
-            buf += start
+            if start is not None:
+                buf += start
             point = Tensor(buf, requires_grad=True)
             with Tape() as tape:
                 logit = model.forward_classify(point)

@@ -5,10 +5,20 @@ require gradients appends a backward closure to the tape; ``Tape.backward``
 replays the closures in reverse execution order, which is a valid reverse
 topological order by construction.
 
+A tensor keeps its gradient bookkeeping in a small :class:`GradSlot`
+(``requires_grad``, ``grad``, shape and dtype), apart from its data. The
+tape holds each op output's slot, and each closure holds its parents'
+slots plus only the arrays its backward reads: ``add``, ``sub``,
+``reshape``, ``transpose``, ``roll``, ``take_*``, ``tsum`` and ``tmean``
+hold none, and ``mul``/``matmul`` hold one side's data only when the
+other side requires a gradient. So an op output that no backward reads
+(a linear's matmul before its bias, a reshaped copy) is freed during the
+forward, as soon as the caller drops it.
+
 A tape runs its backward once and frees memory as it goes: each record is
-dropped once its closure has run, which releases the activations the
-closure captured, and each op output's gradient is released once it has
-been handed to that closure. Leaf gradients (parameters, an input being
+dropped once its closure has run, which releases the arrays the closure
+captured, and each op output's gradient is released once it has been
+handed to that closure. Leaf gradients (parameters, an input being
 attributed) are kept. Each closure gets the only reference to its output's
 gradient, so whatever it hands a parent (a gradient it has just computed,
 or the one it got, reshaped or passed through) becomes that parent's first
@@ -34,14 +44,14 @@ _TAPE_STACK: list["Tape"] = []
 
 
 class Tape:
-    """Ordered record of (output, backward-closure) pairs.
+    """Ordered record of (output slot, backward-closure) pairs.
 
     Single-use: ``backward`` empties the tape as it runs, and a second call
     raises :class:`ValidationError`.
     """
 
     def __init__(self):
-        self._records: list[tuple[Tensor, object]] = []
+        self._records: list[tuple[GradSlot, object]] = []
         self._spent = False
 
     def __enter__(self) -> "Tape":
@@ -55,7 +65,7 @@ class Tape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def record(self, output: "Tensor", backward) -> None:
+    def record(self, output: "GradSlot", backward) -> None:
         self._records.append((output, backward))
 
     def backward(self, loss: "Tensor") -> None:
@@ -103,52 +113,26 @@ def frozen(tensors):
             t.requires_grad = True
 
 
-class Tensor:
-    """A contiguous real array plus gradient bookkeeping."""
+class GradSlot:
+    """A tensor's gradient bookkeeping without its data: what the tape and
+    the backward closures hold to route gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad", "name")
+    __slots__ = ("requires_grad", "grad", "shape", "dtype")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None, name: str = ""):
-        arr = np.asarray(data, dtype=dtype)
-        if arr.dtype not in (np.float32, np.float64):
-            # non-float inputs (ints, bools, lists) default to 32-bit
-            arr = arr.astype(np.float32)
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        self.data = arr
-        self.requires_grad = bool(requires_grad)
+    def __init__(self, shape, dtype, requires_grad: bool = False):
+        self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self.name = name
-
-    # -- introspection ------------------------------------------------------
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def __repr__(self):
-        tag = f" {self.name!r}" if self.name else ""
-        return f"Tensor{tag}(shape={self.shape}, dtype={self.dtype.name}, grad={self.requires_grad})"
+        self.shape = shape
+        self.dtype = dtype
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         """Add ``g`` to ``.grad``.
 
         Callers hand over a gradient nothing else holds (see the module
         docstring), so a first ``g`` that is a writeable C-contiguous array
-        of this tensor's dtype becomes ``.grad`` as it is. Any other ``g``
+        of this slot's dtype becomes ``.grad`` as it is. Any other ``g``
         (another dtype, a transposed view, a read-only numpy scalar) is
-        stored as a C-contiguous copy in this tensor's dtype.
+        stored as a C-contiguous copy in this slot's dtype.
         """
         if g.shape != self.shape:
             raise ValidationError(f"gradient of shape {g.shape} for a tensor of shape {self.shape}")
@@ -158,6 +142,77 @@ class Tensor:
             self.grad = g
         else:
             self.grad = np.array(g, dtype=self.dtype, order="C")
+
+
+class Tensor:
+    """A contiguous real array plus its :class:`GradSlot`.
+
+    ``requires_grad``, ``grad`` and ``accumulate_grad`` go through the slot;
+    assigning ``data`` keeps the slot's shape and dtype in step.
+    """
+
+    __slots__ = ("_data", "slot", "name")
+
+    def __init__(self, data, requires_grad: bool = False, dtype=None, name: str = ""):
+        arr = np.asarray(data, dtype=dtype)
+        if arr.dtype not in (np.float32, np.float64):
+            # non-float inputs (ints, bools, lists) default to 32-bit
+            arr = arr.astype(np.float32)
+        if not arr.flags["C_CONTIGUOUS"]:
+            arr = np.ascontiguousarray(arr)
+        self._data = arr
+        self.slot = GradSlot(arr.shape, arr.dtype, bool(requires_grad))
+        self.name = name
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, arr: np.ndarray) -> None:
+        self._data = arr
+        self.slot.shape, self.slot.dtype = arr.shape, arr.dtype
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.slot.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool) -> None:
+        self.slot.requires_grad = bool(flag)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self.slot.grad = g
+
+    # -- introspection ------------------------------------------------------
+    @property
+    def shape(self):
+        return self._data.shape
+
+    @property
+    def ndim(self):
+        return self._data.ndim
+
+    @property
+    def size(self):
+        return self._data.size
+
+    @property
+    def dtype(self):
+        return self._data.dtype
+
+    def __repr__(self):
+        tag = f" {self.name!r}" if self.name else ""
+        return f"Tensor{tag}(shape={self.shape}, dtype={self.dtype.name}, grad={self.requires_grad})"
+
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add ``g`` to ``.grad``; see :meth:`GradSlot.accumulate_grad`."""
+        self.slot.accumulate_grad(g)
 
     # -- operators ----------------------------------------------------------
     def __add__(self, other):
@@ -187,11 +242,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """Mark ``out`` differentiable and push the closure if a tape is active."""
+    """Mark ``out`` differentiable and push its slot and the closure if a
+    tape is active."""
     tape = active_tape()
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        tape.record(out, backward)
+        tape.record(out.slot, backward)
     return out
 
 
@@ -203,16 +259,17 @@ def add(a, b) -> Tensor:
     a = as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = as_tensor(b, like=a)
     out = Tensor(a.data + b.data)
+    sa, sb = a.slot, b.slot
 
     def backward(g):
-        ga = _unbroadcast(g, a.shape) if a.requires_grad else None
-        gb = _unbroadcast(g, b.shape) if b.requires_grad else None
+        ga = _unbroadcast(g, sa.shape) if sa.requires_grad else None
+        gb = _unbroadcast(g, sb.shape) if sb.requires_grad else None
         if ga is g and gb is g:
             ga = g.copy()  # g would reach both parents; each owns its .grad
         if ga is not None:
-            a.accumulate_grad(ga)
+            sa.accumulate_grad(ga)
         if gb is not None:
-            b.accumulate_grad(gb)
+            sb.accumulate_grad(gb)
 
     return _record(out, (a, b), backward)
 
@@ -221,12 +278,13 @@ def sub(a, b) -> Tensor:
     a = as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = as_tensor(b, like=a)
     out = Tensor(a.data - b.data)
+    sa, sb = a.slot, b.slot
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-g, b.shape))
+        if sa.requires_grad:
+            sa.accumulate_grad(_unbroadcast(g, sa.shape))
+        if sb.requires_grad:
+            sb.accumulate_grad(_unbroadcast(-g, sb.shape))
 
     return _record(out, (a, b), backward)
 
@@ -235,12 +293,16 @@ def mul(a, b) -> Tensor:
     a = as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = as_tensor(b, like=a)
     out = Tensor(a.data * b.data)
+    sa, sb = a.slot, b.slot
+    # each side's gradient reads the other side's data
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
+        if b_data is not None:
+            sa.accumulate_grad(_unbroadcast(g * b_data, sa.shape))
+        if a_data is not None:
+            sb.accumulate_grad(_unbroadcast(g * a_data, sb.shape))
 
     return _record(out, (a, b), backward)
 
@@ -252,14 +314,16 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ValidationError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data)
+    sa, sb = a.slot, b.slot
+    # each side's gradient reads the other side's data
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def backward(g):
-        if a.requires_grad:
-            ga = g @ b.data.swapaxes(-1, -2)
-            a.accumulate_grad(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = a.data.swapaxes(-1, -2) @ g
-            b.accumulate_grad(_unbroadcast(gb, b.shape))
+        if b_data is not None:
+            sa.accumulate_grad(_unbroadcast(g @ b_data.swapaxes(-1, -2), sa.shape))
+        if a_data is not None:
+            sb.accumulate_grad(_unbroadcast(a_data.swapaxes(-1, -2) @ g, sb.shape))
 
     return _record(out, (a, b), backward)
 
@@ -274,10 +338,10 @@ def reshape(x: Tensor, shape) -> Tensor:
     x = as_tensor(x)
     shape = tuple(shape) if not isinstance(shape, int) else (shape,)
     out = Tensor(x.data.reshape(shape))
-    old = x.shape
+    sx, old = x.slot, x.shape
 
     def backward(g):
-        x.accumulate_grad(g.reshape(old))
+        sx.accumulate_grad(g.reshape(old))
 
     return _record(out, (x,), backward)
 
@@ -286,10 +350,10 @@ def transpose(x: Tensor, axes) -> Tensor:
     x = as_tensor(x)
     axes = tuple(axes)
     out = Tensor(x.data.transpose(axes))
-    inverse = tuple(np.argsort(axes))
+    sx, inverse = x.slot, tuple(np.argsort(axes))
 
     def backward(g):
-        x.accumulate_grad(g.transpose(inverse))
+        sx.accumulate_grad(g.transpose(inverse))
 
     return _record(out, (x,), backward)
 
@@ -297,10 +361,10 @@ def transpose(x: Tensor, axes) -> Tensor:
 def roll(x: Tensor, shifts, axes) -> Tensor:
     x = as_tensor(x)
     out = Tensor(np.roll(x.data, shifts, axis=axes))
-    neg = tuple(-s for s in np.atleast_1d(shifts))
+    sx, neg = x.slot, tuple(-s for s in np.atleast_1d(shifts))
 
     def backward(g):
-        x.accumulate_grad(np.roll(g, neg, axis=axes))
+        sx.accumulate_grad(np.roll(g, neg, axis=axes))
 
     return _record(out, (x,), backward)
 
@@ -310,11 +374,12 @@ def take_rows(x: Tensor, indices) -> Tensor:
     x = as_tensor(x)
     idx = np.asarray(indices, dtype=np.int64)
     out = Tensor(x.data[idx])
+    sx = x.slot
 
     def backward(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(sx.shape, dtype=sx.dtype)
         np.add.at(gx, idx, g)
-        x.accumulate_grad(gx)
+        sx.accumulate_grad(gx)
 
     return _record(out, (x,), backward)
 
@@ -324,87 +389,93 @@ def take_cols(x: Tensor, start: int, stop: int) -> Tensor:
     of ``x.grad``, which is zeros on the first write."""
     x = as_tensor(x)
     out = Tensor(x.data[..., start:stop])
+    sx = x.slot
 
     def backward(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[..., start:stop] += g
+        if sx.grad is None:
+            sx.grad = np.zeros(sx.shape, dtype=sx.dtype)
+        sx.grad[..., start:stop] += g
 
     return _record(out, (x,), backward)
 
 
 def exp(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(np.exp(x.data))
+    y = np.exp(x.data)
+    sx = x.slot
 
     def backward(g):
-        x.accumulate_grad(g * out.data)
+        sx.accumulate_grad(g * y)
 
-    return _record(out, (x,), backward)
+    return _record(Tensor(y), (x,), backward)
 
 
 def log(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(np.log(x.data))
+    xd, sx = x.data, x.slot
 
     def backward(g):
-        x.accumulate_grad(g / x.data)
+        sx.accumulate_grad(g / xd)
 
-    return _record(out, (x,), backward)
+    return _record(Tensor(np.log(xd)), (x,), backward)
 
 
 def reciprocal(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(1.0 / x.data)
+    y = 1.0 / x.data
+    sx = x.slot
 
     def backward(g):
-        x.accumulate_grad(-g * out.data * out.data)
+        sx.accumulate_grad(-g * y * y)
 
-    return _record(out, (x,), backward)
+    return _record(Tensor(y), (x,), backward)
 
 
 def sqrt(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(np.sqrt(x.data))
+    y = np.sqrt(x.data)
+    sx = x.slot
 
     def backward(g):
-        x.accumulate_grad(g * 0.5 / out.data)
+        sx.accumulate_grad(g * 0.5 / y)
 
-    return _record(out, (x,), backward)
+    return _record(Tensor(y), (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     x = as_tensor(x)
     with np.errstate(over="ignore"):
-        out = Tensor(1.0 / (1.0 + np.exp(-x.data)))
+        y = 1.0 / (1.0 + np.exp(-x.data))
+    sx = x.slot
 
     def backward(g):
-        x.accumulate_grad(g * out.data * (1.0 - out.data))
+        sx.accumulate_grad(g * y * (1.0 - y))
 
-    return _record(out, (x,), backward)
+    return _record(Tensor(y), (x,), backward)
 
 
 def softplus(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    xd = x.data
+    xd, sx = x.data, x.slot
     out = Tensor(np.maximum(xd, 0) + np.log1p(np.exp(-np.abs(xd))))
 
     def backward(g):
         with np.errstate(over="ignore"):
-            sig = 1.0 / (1.0 + np.exp(-x.data))
-        x.accumulate_grad(g * sig)
+            sig = 1.0 / (1.0 + np.exp(-xd))
+        sx.accumulate_grad(g * sig)
 
     return _record(out, (x,), backward)
 
 
 def silu(x: Tensor) -> Tensor:
     x = as_tensor(x)
+    xd, sx = x.data, x.slot
     with np.errstate(over="ignore"):
-        sig = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(x.data * sig)
+        sig = 1.0 / (1.0 + np.exp(-xd))
+    out = Tensor(xd * sig)
 
     def backward(g):
-        x.accumulate_grad(g * sig * (1.0 + x.data * (1.0 - sig)))
+        sx.accumulate_grad(g * sig * (1.0 + xd * (1.0 - sig)))
 
     return _record(out, (x,), backward)
 
@@ -416,12 +487,13 @@ _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) Gaussian error linear unit."""
     x = as_tensor(x)
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    out = Tensor(x.data * cdf.astype(x.dtype))
+    xd, sx = x.data, x.slot
+    cdf = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
+    out = Tensor(xd * cdf.astype(xd.dtype))
 
     def backward(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-        x.accumulate_grad(g * (cdf + x.data * pdf).astype(x.dtype))
+        pdf = _INV_SQRT2PI * np.exp(-0.5 * xd * xd)
+        sx.accumulate_grad(g * (cdf + xd * pdf).astype(xd.dtype))
 
     return _record(out, (x,), backward)
 
@@ -431,14 +503,13 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     x = as_tensor(x)
     shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    out = Tensor(e / e.sum(axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+    sx = x.slot
 
     def backward(g):
-        y = out.data
-        gx = y * (g - (g * y).sum(axis=axis, keepdims=True))
-        x.accumulate_grad(gx)
+        sx.accumulate_grad(y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
-    return _record(out, (x,), backward)
+    return _record(Tensor(y), (x,), backward)
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -451,19 +522,21 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out = Tensor(gamma.data * xhat + beta.data)
+    gd = gamma.data
+    out = Tensor(gd * xhat + beta.data)
+    sx, sg, sb = x.slot, gamma.slot, beta.slot
 
     def backward(g):
         lead = tuple(range(g.ndim - 1))
-        if beta.requires_grad:
-            beta.accumulate_grad(g.sum(axis=lead))
-        if gamma.requires_grad:
-            gamma.accumulate_grad((g * xhat).sum(axis=lead))
-        if x.requires_grad:
-            gh = g * gamma.data
+        if sb.requires_grad:
+            sb.accumulate_grad(g.sum(axis=lead))
+        if sg.requires_grad:
+            sg.accumulate_grad((g * xhat).sum(axis=lead))
+        if sx.requires_grad:
+            gh = g * gd
             m1 = gh.mean(axis=-1, keepdims=True)
             m2 = (gh * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate_grad(inv * (gh - m1 - xhat * m2))
+            sx.accumulate_grad(inv * (gh - m1 - xhat * m2))
 
     return _record(out, (x, gamma, beta), backward)
 
@@ -471,14 +544,11 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
 def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
+    sx = x.slot
 
     def backward(g):
-        if axis is None:
-            gx = np.broadcast_to(g, x.shape)
-        else:
-            gk = g if keepdims else np.expand_dims(g, axis)
-            gx = np.broadcast_to(gk, x.shape)
-        x.accumulate_grad(gx.astype(x.dtype, copy=True))
+        gk = g if axis is None or keepdims else np.expand_dims(g, axis)
+        sx.accumulate_grad(np.broadcast_to(gk, sx.shape).astype(sx.dtype, copy=True))
 
     return _record(out, (x,), backward)
 
@@ -487,14 +557,11 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     out = Tensor(x.data.mean(axis=axis, keepdims=keepdims))
     denom = x.size if axis is None else np.prod([x.shape[a] for a in np.atleast_1d(axis)])
+    sx = x.slot
 
     def backward(g):
-        if axis is None:
-            gx = np.broadcast_to(g, x.shape)
-        else:
-            gk = g if keepdims else np.expand_dims(g, axis)
-            gx = np.broadcast_to(gk, x.shape)
-        x.accumulate_grad((gx / denom).astype(x.dtype, copy=True))
+        gk = g if axis is None or keepdims else np.expand_dims(g, axis)
+        sx.accumulate_grad((np.broadcast_to(gk, sx.shape) / denom).astype(sx.dtype, copy=True))
 
     return _record(out, (x,), backward)
 
@@ -502,10 +569,11 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def sum_sq(x: Tensor) -> Tensor:
     """Scalar sum of squares."""
     x = as_tensor(x)
-    out = Tensor(np.asarray((x.data.astype(np.float64) ** 2).sum(), dtype=x.dtype))
+    xd, sx = x.data, x.slot
+    out = Tensor(np.asarray((xd.astype(np.float64) ** 2).sum(), dtype=xd.dtype))
 
     def backward(g):
-        x.accumulate_grad(g * 2.0 * x.data)
+        sx.accumulate_grad(g * 2.0 * xd)
 
     return _record(out, (x,), backward)
 
@@ -525,15 +593,21 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
         h_t  = abar * h_{t-1} + bbar * u_t
         y_t  = h_t . c_t + d_skip * u_t
 
-    Forward keeps two [L, D, S] arrays for the backward: ``abar`` and the
-    state history ``h_t``, built in place from ``zoh * b_t * u_t`` with
-    ``zoh = (abar - 1) / a``. Backward writes the adjoint dL/dh_t in place
-    over its direct path g_t c_t, recomputes ``zoh`` and forms two shared
-    terms: ``G = dL/dh * zoh`` gives the u and b gradients, and
-    ``E = abar (a dL/dh h_{t-1} + dL/dh u_t b_t)`` gives the delta gradient
-    (E summed over S) and the a gradient
-    ((sum_t delta_t E_t - sum_t G_t u_t b_t) / a). Requires a < 0
-    everywhere (guaranteed when a = -exp(..)).
+    The state works in an [L, S, D] layout, so every per-row and per-state
+    factor broadcasts over the contiguous D axis. The forward builds
+    ``abar`` in a temporary and keeps one [L, S, D] array for the backward:
+    the state history ``h``. The backward recomputes ``abar`` into a fresh
+    buffer and writes the adjoint dL/dh_t into a second one, in place over
+    its direct path c_t g_t. The ``abar`` buffer then becomes
+    ``G = zoh dL/dh`` with ``zoh = (abar - 1) / a``, which gives the u and
+    b gradients, and ``h``'s buffer becomes ``dL/dh h``. It needs no
+    h_{t-1}, because
+
+        abar_t (a h_{t-1} + b_t u_t) = a h_t + b_t u_t,
+
+    so ``E = dL/dh (a h_t + b_t u_t)`` gives the delta gradient (E summed
+    over S) and the a gradient ((sum_t delta_t E_t - sum_t G_t b_t u_t) / a).
+    Requires a < 0 everywhere (guaranteed when a = -exp(..)).
     """
     u, delta, a, b, c, d_skip = map(as_tensor, (u, delta, a, b, c, d_skip))
     seq_len, dim = u.shape
@@ -549,54 +623,61 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
         raise ValidationError(
             "selective_scan needs a < 0 everywhere; a has zero, positive or NaN entries")
 
-    ud, dd, ad, bd, cd = u.data, delta.data, a.data, b.data, c.data
-    dtype = np.result_type(ud, dd, ad, bd, cd)
-    abar = np.einsum("ld,ds->lds", dd, ad).astype(dtype, copy=False)
-    np.exp(abar, out=abar)
+    ud, dd, bd, cd, skip = u.data, delta.data, b.data, c.data, d_skip.data
+    dtype = np.result_type(ud, dd, a.data, bd, cd)
+    at = np.ascontiguousarray(a.data.T)  # [S, D]
+
+    def discretize():
+        """abar = exp(delta a) as a fresh [L, S, D] array."""
+        abar = np.einsum("ld,sd->lsd", dd, at).astype(dtype, copy=False)
+        return np.exp(abar, out=abar)
+
+    abar = discretize()
     hist = abar - 1.0
-    hist /= ad
-    hist *= np.einsum("ld,ls->lds", ud, bd)
-    for at, hp, ht in zip(abar[1:], hist[:-1], hist[1:]):
-        ht += at * hp
-    y = np.matmul(hist, cd[:, :, None])[..., 0] + d_skip.data * ud
-    out = Tensor(y)
+    hist /= at
+    hist *= bd[:, :, None]
+    hist *= ud[:, None, :]
+    for ar, hp, ht in zip(abar[1:], hist[:-1], hist[1:]):
+        ht += ar * hp
+    del abar
+    out = Tensor(np.matmul(cd[:, None, :], hist)[:, 0, :] + skip * ud)
+    su, sdelta, sa, sb, sc, sskip = (t.slot for t in (u, delta, a, b, c, d_skip))
 
     def backward(g):
+        if sc.requires_grad:
+            sc.accumulate_grad(np.matmul(hist, g[:, :, None])[..., 0])
+        if sskip.requires_grad:
+            sskip.accumulate_grad((g * ud).sum(axis=0))
         # dL/dh_t is the direct path through y_t plus the recurrence path
         # from t+1, accumulated backwards in place
-        dh = np.einsum("ld,ls->lds", g, cd).astype(dtype, copy=False)
-        for an, dn, dc in zip(abar[:0:-1], dh[:0:-1], dh[-2::-1]):
+        work = discretize()
+        dh = np.einsum("ls,ld->lsd", cd, g).astype(dtype, copy=False)
+        for an, dn, dc in zip(work[:0:-1], dh[:0:-1], dh[-2::-1]):
             dc += an * dn
-        if c.requires_grad:
-            c.accumulate_grad(np.matmul(g[:, None, :], hist)[:, 0, :])
-        if d_skip.requires_grad:
-            d_skip.accumulate_grad((g * ud).sum(axis=0))
-        work = None  # a free [L, D, S] buffer once G has been used
-        if u.requires_grad or b.requires_grad or a.requires_grad:
-            work = abar - 1.0
-            work /= ad
+        if su.requires_grad or sb.requires_grad or sa.requires_grad:
+            work -= 1.0
+            work /= at
             work *= dh  # G
-            if u.requires_grad:
-                u.accumulate_grad(d_skip.data * g + np.matmul(work, bd[:, :, None])[..., 0])
-            if b.requires_grad:
-                b.accumulate_grad(np.matmul(ud[:, None, :], work)[:, 0, :])
-        if delta.requires_grad or a.requires_grad:
-            e = np.einsum("ld,ls->lds", ud, bd).astype(dtype, copy=False)
-            if a.requires_grad:
-                ga = -np.einsum("lds,lds->ds", work, e)
+            if su.requires_grad:
+                su.accumulate_grad(skip * g + np.matmul(bd[:, None, :], work)[:, 0, :])
+            if sb.requires_grad:
+                sb.accumulate_grad(np.matmul(work, ud[:, :, None])[..., 0])
+        if sdelta.requires_grad or sa.requires_grad:
+            e = hist
             e *= dh
-            if work is None:
-                work = np.empty_like(dh)
-            a_dh_hp = np.multiply(dh[1:], hist[:-1], out=work[1:])
-            a_dh_hp *= ad
-            e[1:] += a_dh_hp
-            e *= abar  # E
-            if delta.requires_grad:
-                delta.accumulate_grad(e @ np.ones(state, dtype=dtype))
-            if a.requires_grad:
-                ga += np.einsum("lds,ld->ds", e, dd)
-                ga /= ad
-                a.accumulate_grad(ga)
+            e *= at
+            dh *= bd[:, :, None]
+            dh *= ud[:, None, :]
+            e += dh  # E
+            if sdelta.requires_grad:
+                sdelta.accumulate_grad(np.matmul(np.ones((1, state), dtype), e)[:, 0, :])
+            if sa.requires_grad:
+                work *= bd[:, :, None]
+                work *= ud[:, None, :]
+                ga = np.einsum("lsd,ld->sd", e, dd)
+                ga -= work.sum(axis=0)
+                ga /= at
+                sa.accumulate_grad(ga.T)
 
     return _record(out, (u, delta, a, b, c, d_skip), backward)
 
@@ -611,10 +692,11 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
     loss = np.logaddexp(np.zeros((), dtype=z.dtype), z) - z * y
     out = Tensor(np.asarray(loss.mean(), dtype=z.dtype))
     n = max(z.size, 1)
+    sz = logits.slot
 
     def backward(g):
         with np.errstate(over="ignore"):
             sig = 1.0 / (1.0 + np.exp(-z))
-        logits.accumulate_grad(g * (sig - y) / n)
+        sz.accumulate_grad(g * (sig - y) / n)
 
     return _record(out, (logits,), backward)

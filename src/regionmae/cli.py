@@ -112,9 +112,13 @@ def cmd_preprocess(cfg: dict, args, out: Path) -> list:
     inputs = [manifest] + [Path(r.path) for r in records]
 
     template_mask = None
-    mask_path = data_path(cfg, "template_mask")
-    if mask_path is not None and mask_path.exists():
+    if data_path(cfg, "template_mask") is not None:
+        mask_path = require_data_path(cfg, "template_mask")
         template_mask = read_nifti(mask_path, kind="labels").labels > 0
+        if template_mask.shape != tuple(p["fov"]):
+            raise ConfigurationError(
+                f"data.template_mask has shape {template_mask.shape}, but "
+                f"preprocess.fov is {tuple(p['fov'])}")
         inputs.append(mask_path)
 
     reports, kept = [], []

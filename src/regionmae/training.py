@@ -255,8 +255,9 @@ def pretrain(model, train_vols: Sequence[tuple[str, np.ndarray]],
                 mask = _derive_mask(run.mask_spec, sets, t_patches, t_patch,
                                     step_seed=int(rng.integers(2 ** 31)))
                 with Tape() as tape:
-                    recon = model.forward_pretrain(vol, mask)
-                    loss = masked_mse(recon, vol, mask)
+                    # no local keeps the voxel reconstruction: the backward
+                    # does not read it, so it is freed before the backward
+                    loss = masked_mse(model.forward_pretrain(vol, mask), vol, mask)
                     scaled = ad.mul(loss, 1.0 / len(batch))
                     tape.backward(scaled)
                 sample_loss = float(loss.data)

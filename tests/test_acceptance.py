@@ -729,6 +729,7 @@ def test_criterion_13_pipeline_determinism(tmp_path):
 # 14. end-to-end learnability on the planted-signal cohort
 
 
+@pytest.mark.slow  # about four fifths of the suite's wall time
 def test_criterion_14_end_to_end_learnability():
     with criterion(14, "MA pretrain+finetune reaches AUROC >= 0.8 in 4/5 seeds"):
         t0 = time.monotonic()

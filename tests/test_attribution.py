@@ -182,6 +182,19 @@ def test_float32_volume_matches_float64_volume(rng):
     assert np.abs(got - ref).max() <= 1e-5 * np.abs(ref).max()
 
 
+def test_zero_baseline_matches_an_explicit_zero_volume(rng):
+    # the ZERO baseline skips the zero volume and its add into each point;
+    # an explicit zero array still takes that path, so results agree bytewise
+    model = small_model()
+    for dtype in (np.float32, np.float64):
+        x = rng.normal(size=(12, 12, 12, 4)).astype(dtype)
+        x[:2] = 0.0
+        x[-2:] = -0.0
+        got = integrated_gradients(model, x, ZERO, steps=4)
+        want = integrated_gradients(model, x, np.zeros(x.shape), steps=4)
+        assert got.tobytes() == want.tobytes(), dtype
+
+
 def test_parameters_get_no_gradients(rng):
     model = small_model()
     x = rng.normal(size=(12, 12, 12, 4)).astype(np.float32)

@@ -1,10 +1,11 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from regionmae import autodiff as ad
-from regionmae.autodiff import Tape, Tensor
+from regionmae.autodiff import GradSlot, Tape, Tensor
 from regionmae.errors import ValidationError
 
 
@@ -177,22 +178,23 @@ def test_first_grad_write_keeps_an_owned_array_without_a_copy(monkeypatch):
 
     # through the tape: products, sub's pass-through and a reshape are
     # handed over; add copies g once, so its parents get separate buffers
+    # the closures hold gradient slots, so the spy sits on the slot
     handed = {}
-    real = Tensor.accumulate_grad
+    real = GradSlot.accumulate_grad
 
     def spy(self, g):
         handed[id(self)] = g
         real(self, g)
 
-    monkeypatch.setattr(Tensor, "accumulate_grad", spy)
+    monkeypatch.setattr(GradSlot, "accumulate_grad", spy)
     a = Tensor(np.arange(3.0), requires_grad=True, dtype=np.float64)
     b = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
     c = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
     with Tape() as tape:
         tape.backward(ad.tsum(ad.sub(ad.add(ad.mul(a, 2.0), b), c)))
-    assert a.grad is handed[id(a)]
-    assert b.grad is handed[id(b)] and not np.shares_memory(a.grad, b.grad)
-    assert c.grad is handed[id(c)] and not np.shares_memory(b.grad, c.grad)
+    assert a.grad is handed[id(a.slot)]
+    assert b.grad is handed[id(b.slot)] and not np.shares_memory(a.grad, b.grad)
+    assert c.grad is handed[id(c.slot)] and not np.shares_memory(b.grad, c.grad)
     np.testing.assert_array_equal(a.grad, np.full(3, 2.0))
     np.testing.assert_array_equal(b.grad, np.ones(3))
     np.testing.assert_array_equal(c.grad, -np.ones(3))
@@ -201,8 +203,8 @@ def test_first_grad_write_keeps_an_owned_array_without_a_copy(monkeypatch):
     t = Tensor(np.ones((2, 3)), requires_grad=True, dtype=np.float64)
     with Tape() as tape:
         tape.backward(ad.tsum(ad.mul(ad.reshape(r, (3, 2)), ad.transpose(t, (1, 0)))))
-    assert r.grad is handed[id(r)] and r.grad.flags["C_CONTIGUOUS"]
-    assert t.grad is not handed[id(t)] and t.grad.flags["C_CONTIGUOUS"]
+    assert r.grad is handed[id(r.slot)] and r.grad.flags["C_CONTIGUOUS"]
+    assert t.grad is not handed[id(t.slot)] and t.grad.flags["C_CONTIGUOUS"]
 
 
 def test_preset_loss_grad_seeds_a_copy():
@@ -240,6 +242,38 @@ def test_backward_peak_memory_is_a_few_arrays():
             tracemalloc.stop()
     assert peak < 4 * x.data.nbytes, peak / x.data.nbytes
     assert x.grad.shape == x.shape and np.all(np.isfinite(x.grad))
+
+
+def test_output_no_backward_reads_is_freed_in_the_forward(rng):
+    # a linear's matmul output feeds only the bias add, whose backward reads
+    # no data, so nothing keeps it once the caller drops it
+    x, w, b = leaf(rng, 5, 4), leaf(rng, 4, 3), leaf(rng, 3)
+    proj = rng.normal(size=(5, 3))
+    with Tape() as tape:
+        y = ad.matmul(x, w)
+        dead = weakref.ref(y.data)
+        out = ad.add(y, b)
+        del y
+        assert dead() is None
+        tape.backward(ad.tsum(ad.mul(out, Tensor(proj))))
+    np.testing.assert_allclose(x.grad, proj @ w.data.T)
+    np.testing.assert_allclose(w.grad, x.data.T @ proj)
+    np.testing.assert_allclose(b.grad, proj.sum(axis=0))
+
+
+def test_matmul_with_a_frozen_weight_keeps_no_input(rng):
+    # only the weight's gradient would read the input
+    x, w = leaf(rng, 5, 4), leaf(rng, 4, 3)
+    proj = rng.normal(size=(5, 3))
+    with ad.frozen([w]), Tape() as tape:
+        h = ad.mul(x, 2.0)
+        dead = weakref.ref(h.data)
+        out = ad.matmul(h, w)
+        del h
+        assert dead() is None
+        tape.backward(ad.tsum(ad.mul(out, Tensor(proj))))
+    assert w.grad is None
+    np.testing.assert_allclose(x.grad, 2.0 * proj @ w.data.T)
 
 
 def test_grad_of_another_shape_rejected():
@@ -500,6 +534,24 @@ def test_selective_scan_single_step():
     check_op(lambda: scalarize(ad.selective_scan(u, delta, a, b, c, d_skip), w),
              {"u": u, "delta": delta, "a": a, "b": b, "c": c, "d_skip": d_skip},
              tol=2e-6)
+
+
+def test_selective_scan_keeps_one_lsd_array_for_the_backward():
+    L, D, S = 256, 16, 8
+    leaves = scan_leaves(np.random.default_rng(880), L=L, D=D, S=S)
+    lds = L * S * D * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.selective_scan(*leaves)
+            held = tracemalloc.get_traced_memory()[0] - before
+            tape.backward(ad.tsum(out))
+    finally:
+        tracemalloc.stop()
+    # the state history, plus the [L, D] output and small arrays
+    assert lds <= held < 1.5 * lds, held / lds
+    assert all(t.grad is not None for t in leaves)
 
 
 def test_selective_scan_float32_matches_float64():

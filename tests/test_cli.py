@@ -289,6 +289,43 @@ def test_preprocess_template_mask(pipeline, tmp_path, capsys):
         assert inputs[str(template)] == hash_file(template)
 
 
+def test_preprocess_missing_template_mask_exits_2(pipeline, tmp_path, capsys):
+    synth = pipeline / "synth"
+    rc = main(["--out-dir", str(tmp_path / "out"),
+               "--set", f"data.manifest={synth / 'manifest.csv'}",
+               "--set", f"data.template_mask={tmp_path / 'no_such_mask.nii.gz'}",
+               "--set", "preprocess.fov=[24, 24, 24]",
+               "preprocess"])
+    assert rc == 2
+    assert "data.template_mask" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "qc.csv").exists()
+
+
+def test_preprocess_template_mask_of_another_shape_fails_before_reading_volumes(
+        pipeline, tmp_path, capsys, monkeypatch):
+    small = tmp_path / "small.nii.gz"
+    write_nifti(LabelVolume(labels=np.ones((10, 10, 10), dtype=np.int32),
+                            affine=np.eye(4)), small)
+    kinds = []
+    real = cli.read_nifti
+
+    def spy(path, kind="auto"):
+        kinds.append(kind)
+        return real(path, kind=kind)
+
+    monkeypatch.setattr(cli, "read_nifti", spy)
+    synth = pipeline / "synth"
+    rc = main(["--out-dir", str(tmp_path / "out"),
+               "--set", f"data.manifest={synth / 'manifest.csv'}",
+               "--set", f"data.template_mask={small}",
+               "--set", "preprocess.fov=[24, 24, 24]",
+               "preprocess"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "data.template_mask" in err and "preprocess.fov" in err
+    assert kinds == ["labels"]  # the template only, no subject volume
+
+
 def test_mask_artifact_loads(pipeline):
     tensor, spec = load_mask(pipeline / "mask" / "mask.bits")
     assert spec.strategy == "REGION_ANY"
