@@ -35,7 +35,8 @@ CRITERIA = ("any", "majority", "pure")
 DEFAULT_PURITY_THRESHOLD = 0.70
 DEFAULT_MAJORITY_THRESHOLD = 0.5
 
-_MAX_LABEL = 100_000  # guard for the dense per-patch histogram
+# classify_patches builds a dense [patches, max label + 1] count table
+_MAX_LABEL = 100_000
 
 
 @dataclass(frozen=True)
@@ -138,16 +139,17 @@ class RegionMap:
 
 @dataclass
 class PatchSets:
-    """Classification result: per-region index sets plus per-patch histograms."""
+    """Classification result: each macroregion's sorted patch indices per criterion.
+
+    The JSON form holds the grid, the two thresholds and the sets.
+    ``from_json_dict`` ignores any other key, so a file that also carries
+    per-patch histograms loads to the same sets.
+    """
 
     grid: PatchGrid
     any_sets: dict[str, np.ndarray]
     majority_sets: dict[str, np.ndarray]
     pure_sets: dict[str, np.ndarray]
-    hist_labels: np.ndarray  # [L] non-zero label values present in the atlas
-    hist_counts: np.ndarray  # [P, L] voxel counts per patch per label
-    n_labeled: np.ndarray  # [P]
-    dominant_label: np.ndarray  # [P]; 0 where the patch has no labeled voxel
     purity_threshold: float = DEFAULT_PURITY_THRESHOLD
     majority_threshold: float = DEFAULT_MAJORITY_THRESHOLD
 
@@ -178,10 +180,6 @@ class PatchSets:
                 }
                 for region in MACROREGIONS
             },
-            "hist_labels": self.hist_labels.tolist(),
-            "hist_counts": self.hist_counts.tolist(),
-            "n_labeled": self.n_labeled.tolist(),
-            "dominant_label": self.dominant_label.tolist(),
         }
 
     @classmethod
@@ -197,10 +195,6 @@ class PatchSets:
             any_sets=as_sets("any"),
             majority_sets=as_sets("majority"),
             pure_sets=as_sets("pure"),
-            hist_labels=np.asarray(blob["hist_labels"], dtype=np.int64),
-            hist_counts=np.asarray(blob["hist_counts"], dtype=np.int64),
-            n_labeled=np.asarray(blob["n_labeled"], dtype=np.int64),
-            dominant_label=np.asarray(blob["dominant_label"], dtype=np.int64),
             purity_threshold=float(blob["purity_threshold"]),
             majority_threshold=float(blob["majority_threshold"]),
         )
@@ -245,18 +239,9 @@ def classify_patches(
     counts = np.bincount(joint, minlength=n_patches * (max_label + 1))
     counts = counts.reshape(n_patches, max_label + 1)  # [P, label 0..max]
 
-    label_values = np.arange(1, max_label + 1, dtype=np.int64)
-    nonzero_counts = counts[:, 1:]  # [P, L]
+    nonzero_counts = counts[:, 1:]  # [P, label 1..max]
     n_labeled = nonzero_counts.sum(axis=1)
-
-    # Dominant non-zero label; argmax takes the first (= smallest id) on ties.
-    if max_label > 0:
-        dom_pos = np.argmax(nonzero_counts, axis=1)
-        dom_count = nonzero_counts[np.arange(n_patches), dom_pos]
-        dominant = np.where(n_labeled > 0, label_values[dom_pos], 0)
-    else:
-        dom_count = np.zeros(n_patches, dtype=np.int64)
-        dominant = np.zeros(n_patches, dtype=np.int64)
+    dom_count = nonzero_counts.max(axis=1, initial=0)  # the dominant label's count
 
     with np.errstate(invalid="ignore"):
         purity = np.where(n_labeled > 0, dom_count / np.maximum(n_labeled, 1), 0.0)
@@ -281,10 +266,6 @@ def classify_patches(
         any_sets=any_sets,
         majority_sets=majority_sets,
         pure_sets=pure_sets,
-        hist_labels=label_values,
-        hist_counts=nonzero_counts.astype(np.int64),
-        n_labeled=n_labeled.astype(np.int64),
-        dominant_label=dominant.astype(np.int64),
         purity_threshold=purity_threshold,
         majority_threshold=majority_threshold,
     )

@@ -471,10 +471,11 @@ def silu(x: Tensor) -> Tensor:
     x = as_tensor(x)
     xd, sx = x.data, x.slot
     with np.errstate(over="ignore"):
-        sig = 1.0 / (1.0 + np.exp(-xd))
-    out = Tensor(xd * sig)
+        out = Tensor(xd * (1.0 / (1.0 + np.exp(-xd))))
 
     def backward(g):
+        with np.errstate(over="ignore"):
+            sig = 1.0 / (1.0 + np.exp(-xd))
         sx.accumulate_grad(g * sig * (1.0 + xd * (1.0 - sig)))
 
     return _record(out, (x,), backward)

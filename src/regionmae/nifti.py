@@ -4,8 +4,8 @@ Implements the single-file variant of the format: a 348-byte binary header,
 an optional extension block, and a Fortran-ordered voxel payload starting at
 ``vox_offset``. Both byte orders are accepted on read (detected from the
 plausibility of ``dim[0]``); files are always written little-endian.
-Extension blocks are carried through round-trips as opaque bytes and never
-interpreted.
+The reader skips extension blocks without interpreting them, and the writer
+writes none.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ class NiftiHeader:
     xyzt_units: int = 0
     magic: bytes = MAGIC_SINGLE
     byte_order: str = "<"
-    extensions: bytes = b""  # raw extension block, excluding the 4-byte extender
 
     @property
     def rank(self) -> int:
@@ -262,14 +261,13 @@ def read_nifti(path, kind: str = "auto") -> Volume4D | LabelVolume:
     unscaled 3D integer data and a volume otherwise. Voxel values are scaled
     by scl_slope/scl_inter when the slope is non-zero.
     """
+    if kind not in ("auto", "volume", "labels"):
+        raise ValidationError(f"unknown kind {kind!r}")
     path = Path(path)
     with _open_for_read(path) as fh:
         raw = fh.read()
     header = parse_header(raw)
     data = _read_payload(raw, header)
-
-    if len(raw) > HEADER_SIZE + 4 and raw[HEADER_SIZE] != 0:
-        header.extensions = bytes(raw[HEADER_SIZE + 4 : header.vox_offset])
 
     slope, inter = header.scl_slope, header.scl_inter
     scaled = np.isfinite(slope) and slope != 0.0 and not (slope == 1.0 and inter == 0.0)
@@ -290,8 +288,6 @@ def read_nifti(path, kind: str = "auto") -> Volume4D | LabelVolume:
             data = rounded.astype(np.int32)
         return LabelVolume(labels=data.astype(np.int32), affine=affine)
 
-    if kind != "volume":
-        raise ValidationError(f"unknown kind {kind!r}")
     data = _squeeze_to_rank(data, 4)
     if data.ndim == 3:
         data = data[..., np.newaxis]
@@ -315,7 +311,6 @@ def _build_header_bytes(
     dtype: np.dtype,
     affine: np.ndarray,
     tr_seconds: float,
-    extensions: bytes,
 ) -> bytes:
     for size in shape:
         if size > np.iinfo(np.int16).max:
@@ -328,7 +323,7 @@ def _build_header_bytes(
     zooms = np.sqrt((np.asarray(affine)[:3, :3] ** 2).sum(axis=0))
     pixdim = [1.0, float(zooms[0]), float(zooms[1]), float(zooms[2]), float(tr_seconds)]
     pixdim += [1.0] * (8 - len(pixdim))
-    vox_offset = HEADER_SIZE + 4 + len(extensions)
+    vox_offset = HEADER_SIZE + 4  # header, then an extender with no extensions
     srow = np.asarray(affine, dtype=np.float64)[:3, :].reshape(-1)
 
     hdr = struct.pack(
@@ -376,11 +371,10 @@ def _build_header_bytes(
         MAGIC_SINGLE,
     )
     assert len(hdr) == HEADER_SIZE
-    extender = b"\x01\x00\x00\x00" if extensions else b"\x00\x00\x00\x00"
-    return hdr + extender + extensions
+    return hdr + b"\x00\x00\x00\x00"
 
 
-def write_nifti(vol: Volume4D | LabelVolume, path, extensions: bytes = b"") -> None:
+def write_nifti(vol: Volume4D | LabelVolume, path) -> None:
     """Write a volume as a single-file NIfTI-1, gzip-compressed for .gz paths.
 
     Volumes are stored as float32 (float64 input keeps float64); label volumes
@@ -397,7 +391,7 @@ def write_nifti(vol: Volume4D | LabelVolume, path, extensions: bytes = b"") -> N
         tr = vol.tr_seconds
     else:
         raise ValidationError(f"cannot write object of type {type(vol).__name__}")
-    header = _build_header_bytes(data.shape, dtype, vol.affine, tr, extensions)
+    header = _build_header_bytes(data.shape, dtype, vol.affine, tr)
     with _open_for_write(path) as fh:
         fh.write(header)
         fh.write(data.tobytes(order="F"))

@@ -1,8 +1,8 @@
-"""Spatial/temporal resampling, intensity standardization, and QC gating.
+"""Temporal resampling, FOV cropping, intensity standardization, and QC gating.
 
-All operations are pure functions over :class:`~regionmae.nifti.Volume4D` /
-:class:`~regionmae.nifti.LabelVolume`; a driver can process subjects in
-parallel without coordination.
+All operations are pure functions over :class:`~regionmae.nifti.Volume4D`
+and boolean masks; a driver can process subjects in parallel without
+coordination.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDataError, GeometryError, ValidationError
-from .nifti import LabelVolume, Volume4D
+from .nifti import Volume4D
 
 DICE_FAIL = "DICE_FAIL"
 P99_FAIL = "P99_FAIL"
@@ -95,83 +95,6 @@ def write_manifest(records, path) -> None:
 
 # ---------------------------------------------------------------------------
 # Resampling
-
-
-def _source_coords(target_affine, target_shape, source_affine) -> np.ndarray:
-    """Map every target voxel index into source voxel coordinates, [3, N]."""
-    try:
-        to_source = np.linalg.inv(np.asarray(source_affine, dtype=np.float64))
-    except np.linalg.LinAlgError as exc:
-        raise GeometryError("source affine is singular") from exc
-    composed = to_source @ np.asarray(target_affine, dtype=np.float64)
-    grid = np.indices(target_shape, dtype=np.float64).reshape(3, -1)
-    return composed[:3, :3] @ grid + composed[:3, 3:4]
-
-
-def resample_spatial(vol, target_affine, target_shape, mode: str = "trilinear"):
-    """Resample onto a target grid; voxels that map outside the source are 0.
-
-    Volumes support trilinear or nearest interpolation, label volumes nearest
-    only (so the output label set stays within the source label set).
-    """
-    target_shape = tuple(int(s) for s in target_shape)
-    if len(target_shape) != 3 or any(s <= 0 for s in target_shape):
-        raise ValidationError(f"target_shape must be 3 positive ints, got {target_shape}")
-    if mode not in ("trilinear", "nearest"):
-        raise ValidationError(f"unknown interpolation mode {mode!r}")
-
-    if isinstance(vol, LabelVolume):
-        if mode != "nearest":
-            raise ValidationError("label volumes must be resampled with nearest mode")
-        data = vol.labels[..., np.newaxis]
-    elif isinstance(vol, Volume4D):
-        data = vol.data
-    else:
-        raise ValidationError(f"cannot resample {type(vol).__name__}")
-
-    try:
-        np.linalg.inv(np.asarray(target_affine, dtype=np.float64))
-    except np.linalg.LinAlgError as exc:
-        raise GeometryError("target affine is singular") from exc
-
-    coords = _source_coords(target_affine, target_shape, vol.affine)
-    shape = data.shape[:3]
-    n_t = data.shape[3]
-    flat_src = data.reshape(-1, n_t)
-    n_out = coords.shape[1]
-
-    if mode == "nearest":
-        idx = np.rint(coords).astype(np.int64)
-        inb = np.all((idx >= 0) & (idx < np.array(shape)[:, None]), axis=0)
-        safe = np.clip(idx, 0, np.array(shape)[:, None] - 1)
-        flat_idx = np.ravel_multi_index(tuple(safe), shape)
-        out = flat_src[flat_idx]
-        out[~inb] = 0
-    else:
-        base = np.floor(coords).astype(np.int64)
-        frac = (coords - base).astype(np.float64)
-        out = np.zeros((n_out, n_t), dtype=np.float64)
-        for corner in range(8):
-            off = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
-            idx = base + off[:, None]
-            inb = np.all((idx >= 0) & (idx < np.array(shape)[:, None]), axis=0)
-            w = np.prod(np.where(off[:, None] == 1, frac, 1.0 - frac), axis=0)
-            w = w * inb
-            if not w.any():
-                continue
-            safe = np.clip(idx, 0, np.array(shape)[:, None] - 1)
-            flat_idx = np.ravel_multi_index(tuple(safe), shape)
-            out += w[:, None] * flat_src[flat_idx]
-        out = out.astype(data.dtype if data.dtype == np.float64 else np.float32)
-
-    out = out.reshape(target_shape + (n_t,))
-    if isinstance(vol, LabelVolume):
-        return LabelVolume(labels=out[..., 0].astype(np.int32), affine=np.asarray(target_affine, float))
-    return Volume4D(
-        data=out,
-        affine=np.asarray(target_affine, dtype=np.float64),
-        tr_seconds=vol.tr_seconds,
-    )
 
 
 def resample_temporal(vol: Volume4D, target_tr: float) -> Volume4D:
@@ -353,8 +276,6 @@ def read_qc_csv(path) -> list[QcReport]:
 
 def preprocess_volume(
     vol: Volume4D,
-    target_affine=None,
-    target_shape=None,
     target_tr: float = DEFAULT_TR,
     fov=DEFAULT_FOV,
     template_mask: np.ndarray | None = None,
@@ -364,15 +285,13 @@ def preprocess_volume(
     p99_thresh: float = DEFAULT_P99_THRESHOLD,
     subject_id: str = "",
 ):
-    """Full per-subject pipeline: resample, crop, standardize, QC.
+    """Full per-subject pipeline: resample in time, crop, standardize, QC.
 
-    When ``target_affine``/``target_shape`` are given the volume is first
-    resampled onto that grid (trilinear). The QC dice compares the estimated
-    subject mask against ``template_mask`` on the final grid; with no
-    template the dice gate trivially passes (dice = 1.0).
+    The volume is resampled to ``target_tr`` along time only, then
+    center-cropped to ``fov``. The QC dice compares the estimated subject
+    mask against ``template_mask`` on the cropped grid; with no template the
+    dice gate trivially passes (dice = 1.0).
     """
-    if target_affine is not None and target_shape is not None:
-        vol = resample_spatial(vol, target_affine, target_shape, mode="trilinear")
     if vol.n_timepoints >= 2 and abs(vol.tr_seconds - target_tr) > 1e-12:
         vol = resample_temporal(vol, target_tr)
     vol = crop_fov(vol, fov)

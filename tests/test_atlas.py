@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -203,28 +204,6 @@ def test_inclusion_and_disjointness(rng):
         majority_union |= maj
 
 
-def test_histogram_bookkeeping():
-    labels = np.zeros((6, 6, 6), dtype=np.int32)
-    patch_block(labels, 0, 0, 0, [3] * 100 + [5] * 80 + [0] * 36)
-    sets = classify_patches(LabelVolume(labels=labels, affine=np.eye(4)),
-                            RegionMap({3: "limbic", 5: "temporal"}),
-                            grid=PatchGrid.for_shape((6, 6, 6)))
-    assert sets.n_labeled[0] == 180
-    assert sets.dominant_label[0] == 3
-    hist = dict(zip(sets.hist_labels.tolist(), sets.hist_counts[0].tolist()))
-    assert hist[3] == 100 and hist[5] == 80
-    assert sets.hist_counts[0].sum() + 36 == sets.grid.voxels_per_patch
-
-
-def test_dominant_tie_breaks_to_smallest_label():
-    labels = np.zeros((6, 6, 6), dtype=np.int32)
-    patch_block(labels, 0, 0, 0, [7] * 100 + [2] * 100 + [0] * 16)
-    sets = classify_patches(LabelVolume(labels=labels, affine=np.eye(4)),
-                            RegionMap({2: "frontal", 7: "parietal"}),
-                            grid=PatchGrid.for_shape((6, 6, 6)))
-    assert sets.dominant_label[0] == 2
-
-
 def test_report_footprints():
     labels = np.zeros((12, 12, 12), dtype=np.int32)
     patch_block(labels, 0, 0, 0, [1] * 216)
@@ -258,8 +237,27 @@ def test_patchsets_json_roundtrip(tmp_path, rng):
         for criterion in CRITERIA:
             np.testing.assert_array_equal(back.patch_set(region, criterion),
                                           sets.patch_set(region, criterion))
-    np.testing.assert_array_equal(back.hist_counts, sets.hist_counts)
-    np.testing.assert_array_equal(back.n_labeled, sets.n_labeled)
+    assert set(json.loads(p.read_text())) == {
+        "patch_size", "grid_dims", "purity_threshold", "majority_threshold", "regions"}
+
+
+def test_patchsets_json_with_legacy_histograms_loads_same_sets(tmp_path, rng):
+    labels = rng.integers(0, 5, size=(12, 12, 12)).astype(np.int32)
+    grid = PatchGrid.for_shape(labels.shape)
+    sets = classify_patches(LabelVolume(labels=labels, affine=np.eye(4)),
+                            simple_region_map(4), grid=grid)
+    # the per-patch histogram keys earlier versions wrote beside the sets
+    pidx = grid.patch_index_volume().ravel()
+    counts = np.bincount(pidx * 5 + labels.ravel(),
+                         minlength=grid.n_patches * 5).reshape(-1, 5)[:, 1:]
+    blob = sets.to_json_dict()
+    blob.update(hist_labels=[1, 2, 3, 4], hist_counts=counts.tolist(),
+                n_labeled=counts.sum(axis=1).tolist(),
+                dominant_label=(counts.argmax(axis=1) + 1).tolist())
+    p = tmp_path / "legacy.json"
+    p.write_text(json.dumps(blob))
+    # grid, thresholds and every region's three sets
+    assert PatchSets.load(p).to_json_dict() == sets.to_json_dict()
 
 
 def test_shape_mismatch_rejected():

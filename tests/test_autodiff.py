@@ -276,6 +276,24 @@ def test_matmul_with_a_frozen_weight_keeps_no_input(rng):
     np.testing.assert_allclose(x.grad, 2.0 * proj @ w.data.T)
 
 
+def test_silu_keeps_only_its_input_for_the_backward(rng):
+    # the sigmoid is recomputed in the backward, as softplus does
+    x = leaf(rng, 256, 64, lo=-3.0, hi=3.0)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.silu(x)
+            held = tracemalloc.get_traced_memory()[0] - before
+            tape.backward(ad.tsum(out))
+    finally:
+        tracemalloc.stop()
+    # the output, plus the record and closure
+    assert x.data.nbytes <= held < 1.5 * x.data.nbytes, held / x.data.nbytes
+    sig = 1.0 / (1.0 + np.exp(-x.data))
+    np.testing.assert_allclose(x.grad, sig * (1.0 + x.data * (1.0 - sig)))
+
+
 def test_grad_of_another_shape_rejected():
     x = Tensor(np.zeros(3), requires_grad=True, dtype=np.float64)
     with pytest.raises(ValidationError):

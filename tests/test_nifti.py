@@ -60,6 +60,10 @@ def test_volume_roundtrip(tmp_path, rng):
     vol = Volume4D(data=data, affine=affine, tr_seconds=0.8)
     p = tmp_path / "vol.nii"
     write_nifti(vol, p)
+    raw = p.read_bytes()
+    assert raw[348:352] == b"\x00" * 4  # extender: no extension blocks
+    (vox_offset,) = struct.unpack("<f", raw[108:112])
+    assert vox_offset == 352
     back = read_nifti(p, kind="volume")
     assert isinstance(back, Volume4D)
     np.testing.assert_array_equal(back.data, data)
@@ -203,17 +207,19 @@ def test_tr_unit_conversion(tmp_path):
 
 def test_extensions_preserved(tmp_path, rng):
     data = rng.normal(size=(3, 3, 3, 2)).astype(np.float32)
-    vol = Volume4D(data=data, affine=np.eye(4), tr_seconds=1.5)
     ext = struct.pack("<2i", 16, 42) + b"payload!"  # one 16-byte extension
+    raw = bytearray(make_raw("<", data.shape, 16, data, vox_offset=352 + len(ext)))
+    raw[348] = 1  # extender flag: an extension block follows
+    raw[352:352 + len(ext)] = ext
     p = tmp_path / "ext.nii"
-    write_nifti(vol, p, extensions=ext)
-    raw = p.read_bytes()
-    assert raw[348] == 1  # extender flag set
-    hdr = parse_header(raw)
-    assert hdr.extensions == b""  # populated by read path, not parse
+    p.write_bytes(bytes(raw))
     back = read_nifti(p)
     np.testing.assert_array_equal(back.data, data)
-    assert raw[352:352 + len(ext)] == ext
+
+
+def test_unknown_kind_rejected_before_reading(tmp_path):
+    with pytest.raises(ValidationError, match="label"):
+        read_nifti(tmp_path / "absent.nii.gz", kind="label")
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -250,7 +256,7 @@ def test_oversized_axis_rejected():
     from regionmae.nifti import _build_header_bytes
 
     with pytest.raises(ValidationError):
-        _build_header_bytes((40000, 2, 2), np.dtype(np.float32), np.eye(4), 1.0, b"")
+        _build_header_bytes((40000, 2, 2), np.dtype(np.float32), np.eye(4), 1.0)
 
 
 def test_trailing_singleton_squeezed(tmp_path):

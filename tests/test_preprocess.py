@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from regionmae.errors import DegenerateDataError, GeometryError, ValidationError
-from regionmae.nifti import LabelVolume, Volume4D
+from regionmae.nifti import Volume4D
 from regionmae.preprocess import (
     DEFAULT_P99_THRESHOLD,
     QcReport,
@@ -17,7 +17,6 @@ from regionmae.preprocess import (
     qc_gate,
     read_manifest,
     read_qc_csv,
-    resample_spatial,
     resample_temporal,
     write_manifest,
     write_qc_csv,
@@ -29,73 +28,6 @@ def vol_of(data, affine=None, tr=1.0):
     return Volume4D(data=np.asarray(data, dtype=np.float32),
                     affine=np.eye(4) if affine is None else affine,
                     tr_seconds=tr)
-
-
-# -- spatial resampling ------------------------------------------------------
-
-def test_resample_identity_exact(rng):
-    data = rng.normal(size=(7, 6, 5, 3)).astype(np.float32)
-    vol = vol_of(data)
-    out = resample_spatial(vol, np.eye(4), (7, 6, 5), mode="trilinear")
-    np.testing.assert_array_equal(out.data, data)
-
-
-def test_resample_integer_translation_matches_index_shift(rng):
-    data = np.zeros((8, 8, 8, 1), dtype=np.float32)
-    data[3, 4, 5, 0] = 1.0
-    vol = vol_of(data)
-    target_affine = np.eye(4)
-    target_affine[:3, 3] = (1.0, 0.0, 0.0)  # target voxel i samples source i+1
-    out = resample_spatial(vol, target_affine, (8, 8, 8), mode="trilinear")
-    expect = np.zeros_like(data)
-    expect[2, 4, 5, 0] = 1.0
-    np.testing.assert_array_equal(out.data, expect)
-
-
-def test_resample_outside_is_zero(rng):
-    data = rng.uniform(1.0, 2.0, size=(4, 4, 4, 2)).astype(np.float32)
-    vol = vol_of(data)
-    target_affine = np.eye(4)
-    target_affine[:3, 3] = (10.0, 0.0, 0.0)  # fully outside the source
-    out = resample_spatial(vol, target_affine, (4, 4, 4))
-    assert np.all(out.data == 0)
-
-
-def test_resample_labels_nearest_closure(rng):
-    labels = rng.integers(0, 5, size=(10, 10, 10)).astype(np.int32)
-    lab = LabelVolume(labels=labels, affine=np.eye(4))
-    target_affine = np.diag([2.0, 2.0, 2.0, 1.0])  # 2x downsample
-    out = resample_spatial(lab, target_affine, (5, 5, 5), mode="nearest")
-    assert isinstance(out, LabelVolume)
-    assert set(np.unique(out.labels)) <= set(np.unique(labels))
-    np.testing.assert_array_equal(out.labels, labels[::2, ::2, ::2])
-
-
-def test_resample_labels_reject_trilinear():
-    lab = LabelVolume(labels=np.zeros((4, 4, 4), dtype=np.int32), affine=np.eye(4))
-    with pytest.raises(ValidationError):
-        resample_spatial(lab, np.eye(4), (4, 4, 4), mode="trilinear")
-
-
-def test_resample_singular_affine_rejected():
-    vol = vol_of(np.zeros((4, 4, 4, 1)))
-    bad = np.eye(4)
-    bad[0, 0] = 0.0
-    with pytest.raises(GeometryError):
-        resample_spatial(Volume4D(data=vol.data, affine=bad), np.eye(4), (4, 4, 4))
-    with pytest.raises(GeometryError):
-        resample_spatial(vol, bad, (4, 4, 4))
-
-
-def test_resample_halfway_average():
-    data = np.zeros((4, 4, 4, 1), dtype=np.float32)
-    data[1, 1, 1, 0] = 2.0
-    data[2, 1, 1, 0] = 4.0
-    vol = vol_of(data)
-    target_affine = np.eye(4)
-    target_affine[:3, 3] = (0.5, 0.0, 0.0)
-    out = resample_spatial(vol, target_affine, (4, 4, 4))
-    assert out.data[1, 1, 1, 0] == pytest.approx(3.0)
 
 
 # -- temporal resampling -----------------------------------------------------
