@@ -35,7 +35,8 @@ CRITERIA = ("any", "majority", "pure")
 DEFAULT_PURITY_THRESHOLD = 0.70
 DEFAULT_MAJORITY_THRESHOLD = 0.5
 
-# classify_patches builds a dense [patches, max label + 1] count table
+# classify_patches builds a [max label + 1] lookup table from label values to
+# count-table columns
 _MAX_LABEL = 100_000
 
 
@@ -122,13 +123,20 @@ class RegionMap:
                     raise ConfigurationError(
                         f"{path}:{line_no}: expected `label,macroregion`, got {line!r}"
                     )
-                if line_no == 1 and not parts[0].lstrip("-").isdigit():
-                    continue  # header row
-                label = int(parts[0])
+                try:
+                    label = int(parts[0])
+                except ValueError:
+                    if line_no == 1:
+                        continue  # header row
+                    raise ConfigurationError(f"{path}:{line_no}: label must be "
+                                             f"an integer, got {parts[0]!r}") from None
                 if label in mapping:
                     raise ConfigurationError(f"{path}:{line_no}: duplicate label {label}")
                 mapping[label] = parts[1]
-        return cls(mapping)
+        try:
+            return cls(mapping)
+        except (ConfigurationError, ValidationError) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -234,12 +242,17 @@ def classify_patches(
     n_patches = grid.n_patches
     vpp = grid.voxels_per_patch
 
-    pidx = grid.patch_index_volume()
-    joint = pidx.ravel() * (max_label + 1) + labels.ravel().astype(np.int64)
-    counts = np.bincount(joint, minlength=n_patches * (max_label + 1))
-    counts = counts.reshape(n_patches, max_label + 1)  # [P, label 0..max]
+    # one count column per label present, so sparse label ids cost nothing;
+    # column 0 counts the unlabeled voxels
+    present = np.bincount(labels.ravel(), minlength=max_label + 1) > 0
+    present[0] = True
+    column = np.cumsum(present) - 1  # label value -> column, for labels present
+    n_cols = int(column[-1]) + 1
+    joint = grid.patch_index_volume().ravel() * n_cols + column[labels.ravel()]
+    counts = np.bincount(joint, minlength=n_patches * n_cols)
+    counts = counts.reshape(n_patches, n_cols)  # [P, 0 and each label present]
 
-    nonzero_counts = counts[:, 1:]  # [P, label 1..max]
+    nonzero_counts = counts[:, 1:]  # [P, each nonzero label present]
     n_labeled = nonzero_counts.sum(axis=1)
     dom_count = nonzero_counts.max(axis=1, initial=0)  # the dominant label's count
 
@@ -251,9 +264,10 @@ def classify_patches(
     majority_sets: dict[str, np.ndarray] = {}
     pure_sets: dict[str, np.ndarray] = {}
     for region in MACROREGIONS:
-        members = [l for l in regions.labels_for(region) if l <= max_label]
+        members = [l for l in regions.labels_for(region)
+                   if l <= max_label and present[l]]
         if members:
-            region_count = nonzero_counts[:, np.asarray(members) - 1].sum(axis=1)
+            region_count = nonzero_counts[:, column[members] - 1].sum(axis=1)
         else:
             region_count = np.zeros(n_patches, dtype=np.int64)
         any_sets[region] = np.flatnonzero(region_count >= 1)

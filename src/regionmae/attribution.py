@@ -268,13 +268,3 @@ def write_roi_csv(path, rows) -> None:
         for r in rows:
             writer.writerow([r.roi_label, r.roi_name, r.voxels,
                              f"{r.mean_attr:.10g}", r.rank])
-
-
-def read_roi_csv(path) -> list[RoiRow]:
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(RoiRow(int(rec["roi_label"]), rec["roi_name"],
-                               int(rec["voxels"]), float(rec["mean_attr"]),
-                               int(rec["rank"])))
-    return rows

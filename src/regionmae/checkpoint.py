@@ -21,14 +21,15 @@ def manifest_path(blob_path) -> Path:
     return p.with_suffix(p.suffix + ".manifest.json")
 
 
-def save_checkpoint(params: dict[str, Tensor], path, config_hash: str,
+def save_checkpoint(arrays: dict[str, np.ndarray], path, config_hash: str,
                     extra: dict | None = None) -> None:
+    """Write ``arrays`` (name -> array, stored as float32) and the manifest."""
     path = Path(path)
     entries = []
     offset = 0
     chunks = []
-    for name in sorted(params):
-        arr = np.asarray(params[name].data, dtype=np.float32)
+    for name in sorted(arrays):
+        arr = np.asarray(arrays[name], dtype=np.float32)
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
         chunks.append(arr.tobytes())  # C order regardless of input layout
         offset += arr.nbytes

@@ -24,7 +24,6 @@ from .atlas import PatchGrid, PatchSets, RegionMap, classify_patches, \
     patch_set_report, render_report
 from .attribution import AttributionConfig, aggregate_group, ig_sq, \
     threshold_and_project, write_roi_csv
-from .autodiff import Tensor
 from .checkpoint import load_checkpoint, restore_params, save_checkpoint
 from .config import data_path, load_config, require_data_path, \
     write_input_hashes, write_snapshot
@@ -206,8 +205,7 @@ def cmd_pretrain(cfg: dict, args, out: Path) -> list:
     result = pretrain(model, as_pairs(train), as_pairs(val), run, sets)
 
     write_metrics_csv(out / "metrics.csv", result.metrics)
-    best = {k: Tensor(v) for k, v in result.best_state.items()}
-    save_checkpoint(best, out / "model.ckpt", model.config.config_hash(),
+    save_checkpoint(result.best_state, out / "model.ckpt", model.config.config_hash(),
                     extra={"phase": "pretrain", "best_epoch": result.best_epoch,
                            "best_val_loss": result.best_val_loss})
     print(f"pretrain done: best val loss {result.best_val_loss:.6g} "
@@ -239,8 +237,7 @@ def cmd_finetune(cfg: dict, args, out: Path) -> list:
     result = finetune(model, triple(train), triple(val), triple(test), run)
 
     write_metrics_csv(out / "metrics.csv", result.metrics)
-    best = {k: Tensor(v) for k, v in result.best_state.items()}
-    save_checkpoint(best, out / "model.ckpt", model.config.config_hash(),
+    save_checkpoint(result.best_state, out / "model.ckpt", model.config.config_hash(),
                     extra={"phase": "finetune", "best_epoch": result.best_epoch})
     summary = {"test_acc": result.test_acc, "test_auroc": result.test_auroc,
                "test_loss": result.test_loss, "best_epoch": result.best_epoch}

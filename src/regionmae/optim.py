@@ -8,76 +8,18 @@ from .autodiff import Tensor
 from .errors import TrainingError, ValidationError
 
 
-def clip_global_norm(params: dict[str, Tensor], max_norm: float = 1.0) -> float:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``.
-
-    Returns the pre-clip norm.
-    """
-    total = 0.0
-    for t in params.values():
-        if t.grad is not None:
-            total += float((t.grad.astype(np.float64) ** 2).sum())
-    norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for t in params.values():
-            if t.grad is not None:
-                t.grad *= scale
-    return norm
-
-
-def adamw_step(
-    params: dict[str, Tensor],
-    state: dict,
-    lr: float = 5e-5,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-    weight_decay: float = 0.0,
-) -> dict:
-    """One AdamW update over named parameters; missing grads are treated as 0.
+class AdamW:
+    """AdamW over a named parameter dict; it owns the moment buffers ``m``
+    and ``v`` and the step count ``steps``.
 
     Weight decay is decoupled: params shrink by (1 - lr*wd) independently of
-    the adaptive step. State holds bias-corrected moment buffers per name.
+    the adaptive step. A parameter with no gradient is stepped as if its
+    gradient were zero.
     """
-    if not state:
-        state = {
-            "step": 0,
-            "m": {k: np.zeros_like(v.data) for k, v in params.items()},
-            "v": {k: np.zeros_like(v.data) for k, v in params.items()},
-        }
-    state["step"] += 1
-    t = state["step"]
-    b1, b2 = betas
-    bc1 = 1.0 - b1 ** t
-    bc2 = 1.0 - b2 ** t
-
-    for name, p in params.items():
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        g = g.astype(p.data.dtype, copy=False)
-        m = state["m"][name]
-        v = state["v"][name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / bc1
-        v_hat = v / bc2
-        if weight_decay:
-            p.data *= (1.0 - lr * weight_decay)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    return state
-
-
-class AdamW:
-    """Object wrapper around :func:`adamw_step` bound to a parameter dict."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 5e-5,
                  betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0, clip_norm: float | None = 1.0):
+                 weight_decay: float = 0.0, clip_norm: float = 1.0):
         if lr < 0:
             raise ValidationError("lr must be non-negative")
         self.params = params
@@ -86,14 +28,47 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.clip_norm = clip_norm
-        self.state: dict = {}
+        self.steps = 0
+        # first and second moment per parameter name, made at its first step
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
 
     def step(self) -> float:
-        norm = clip_global_norm(self.params, self.clip_norm) \
-            if self.clip_norm is not None else 0.0
-        self.state = adamw_step(self.params, self.state, lr=self.lr,
-                                betas=self.betas, eps=self.eps,
-                                weight_decay=self.weight_decay)
+        """Scale the gradients so their joint L2 norm is at most
+        ``clip_norm``, then update every parameter. Returns the pre-clip
+        norm."""
+        grads = [p.grad for p in self.params.values() if p.grad is not None]
+        norm = float(np.sqrt(sum(float((g.astype(np.float64) ** 2).sum())
+                                 for g in grads)))
+        if norm > self.clip_norm and norm > 0:
+            scale = self.clip_norm / norm
+            for g in grads:
+                g *= scale
+
+        self.steps += 1
+        b1, b2 = self.betas
+        bc1 = 1.0 - b1 ** self.steps
+        bc2 = 1.0 - b2 ** self.steps
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                g = np.zeros_like(p.data)
+            if not np.all(np.isfinite(g)):
+                raise TrainingError(f"non-finite gradient for parameter {name!r}")
+            g = g.astype(p.data.dtype, copy=False)
+            if name not in self.m:
+                self.m[name] = np.zeros_like(p.data)
+                self.v[name] = np.zeros_like(p.data)
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            m_hat = m / bc1
+            v_hat = v / bc2
+            if self.weight_decay:
+                p.data *= (1.0 - self.lr * self.weight_decay)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
         return norm
 
     def zero_grad(self) -> None:

@@ -65,21 +65,30 @@ class SubjectRecord:
 
 
 def read_manifest(path) -> list[SubjectRecord]:
-    """Read a subject manifest CSV (columns subject_id, path, label)."""
+    """Read a subject manifest CSV (columns subject_id, path, label).
+
+    A label is empty (unlabeled), 0 or 1.
+    """
     records = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "subject_id" not in reader.fieldnames:
-            raise ValidationError("manifest must have a subject_id column")
+        if not {"subject_id", "path"} <= set(reader.fieldnames or ()):
+            raise ValidationError(
+                f"{path}:1: manifest needs subject_id and path columns")
         for row in reader:
+            where = f"{path}:{reader.line_num}"
+            subject_id = (row["subject_id"] or "").strip()
+            vol_path = (row["path"] or "").strip()
+            if not subject_id or not vol_path:
+                raise ValidationError(f"{where}: empty subject_id or path")
+            if any(r.subject_id == subject_id for r in records):
+                raise ValidationError(f"{where}: duplicate subject_id {subject_id!r}")
             raw_label = (row.get("label") or "").strip()
-            records.append(
-                SubjectRecord(
-                    subject_id=row["subject_id"].strip(),
-                    path=row["path"].strip(),
-                    label=int(raw_label) if raw_label else None,
-                )
-            )
+            if raw_label not in ("", "0", "1"):
+                raise ValidationError(
+                    f"{where}: label must be empty, 0 or 1, got {raw_label!r}")
+            records.append(SubjectRecord(subject_id=subject_id, path=vol_path,
+                                         label=int(raw_label) if raw_label else None))
     if not records:
         raise ValidationError(f"manifest {path} has no rows")
     return records
@@ -257,21 +266,6 @@ def write_qc_csv(reports, path) -> None:
                 str(rep.excluded).lower(),
                 ";".join(rep.reasons),
             ])
-
-
-def read_qc_csv(path) -> list[QcReport]:
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            reasons = [r for r in row["reasons"].split(";") if r]
-            out.append(QcReport(
-                dice=float(row["dice"]),
-                p99=float(row["p99"]),
-                excluded=row["excluded"] == "true",
-                reasons=reasons,
-                subject_id=row["subject_id"],
-            ))
-    return out
 
 
 def preprocess_volume(

@@ -50,11 +50,14 @@ def accuracy(scores, labels, threshold: float = 0.0) -> float:
 
 
 def auroc(scores, labels) -> float:
-    """P(score+ > score-) + 0.5 P(tie), via average ranks."""
+    """P(score+ > score-) + 0.5 P(tie), via average ranks; labels are 0 or 1."""
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels).astype(int)
+    labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise ValidationError("scores and labels differ in length")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValidationError("AUROC labels must be 0 or 1")
+    labels = labels.astype(int)
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:

@@ -7,15 +7,17 @@ classification head (optionally end-to-end) with binary cross-entropy and
 tracks accuracy/AUROC, keeping the parameters with the best validation AUROC
 for the final test evaluation.
 
-Both loops accumulate per-sample gradients across a batch, clip the global
-gradient norm, and step a decoupled-weight-decay Adam optimizer.
+Both drivers run the same epoch loop, ``_train_epoch``, with their own
+per-sample loss: it accumulates per-sample gradients across a batch, then
+steps a decoupled-weight-decay Adam optimizer that clips the global gradient
+norm first.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -75,19 +77,6 @@ def write_metrics_csv(path, rows: Sequence[MetricsRow]) -> None:
                 "" if r.acc is None else f"{r.acc:.10g}",
                 "" if r.auroc is None else f"{r.auroc:.10g}",
             ])
-
-
-def read_metrics_csv(path) -> list[MetricsRow]:
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(MetricsRow(
-                epoch=int(rec["epoch"]), split=rec["split"],
-                loss=float(rec["loss"]),
-                acc=float(rec["acc"]) if rec["acc"] else None,
-                auroc=float(rec["auroc"]) if rec["auroc"] else None,
-            ))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +171,41 @@ def split_subjects(records: Sequence, ratios=(8.0, 1.0, 1.0), seed: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# Optimizer plumbing shared by both drivers
+# The batch loop shared by both drivers
 
 
-def _check_finite(loss_value: float, context: str) -> None:
-    if not np.isfinite(loss_value):
-        raise TrainingError(f"non-finite loss ({loss_value}) at {context}")
+def _snapshot(model) -> dict[str, np.ndarray]:
+    return {k: v.data.copy() for k, v in model.params.items()}
 
 
-def _select_params(model, freeze_encoder: bool, head_only_names=("cls.",)):
-    if not freeze_encoder:
-        return dict(model.params)
-    return {k: v for k, v in model.params.items()
-            if any(k.startswith(p) for p in head_only_names)}
+def _train_epoch(opt: AdamW, rng, samples: Sequence, batch_size: int, epoch: int,
+                 sample_loss) -> float:
+    """One pass over ``samples`` in a fresh random order; returns the mean
+    batch loss.
+
+    ``sample_loss(sample)`` returns a sample's scalar loss tensor and runs
+    inside the tape scope. Each batch accumulates the gradients of its
+    samples' losses over the batch size, then ``opt.step()`` clips and
+    updates. ``samples[i][0]`` is the subject ID a non-finite loss names.
+    """
+    order = rng.permutation(len(samples))
+    batch_losses = []
+    for start in range(0, len(order), batch_size):
+        batch = order[start:start + batch_size]
+        opt.zero_grad()
+        batch_loss = 0.0
+        for j in batch:
+            with Tape() as tape:
+                loss = sample_loss(samples[j])
+                tape.backward(ad.mul(loss, 1.0 / len(batch)))
+            value = float(loss.data)
+            if not np.isfinite(value):
+                raise TrainingError(f"non-finite loss ({value}) at epoch {epoch}, "
+                                    f"subject {samples[j][0]}")
+            batch_loss += value / len(batch)
+        opt.step()
+        batch_losses.append(batch_loss)
+    return float(np.mean(batch_losses))
 
 
 @dataclass
@@ -203,13 +214,6 @@ class PretrainResult:
     best_val_loss: float
     best_epoch: int
     best_state: dict[str, np.ndarray]
-    loss_curve: list[float] = field(default_factory=list)
-
-
-def _derive_mask(spec: MaskSpec, sets, t_patches: int, t_patch_len: int,
-                 step_seed: int) -> MaskTensor:
-    per_step = dataclasses.replace(spec, seed=step_seed)
-    return build_mask(per_step, sets, t_patches, t_patch_len=t_patch_len)
 
 
 def pretrain(model, train_vols: Sequence[tuple[str, np.ndarray]],
@@ -219,72 +223,49 @@ def pretrain(model, train_vols: Sequence[tuple[str, np.ndarray]],
 
     ``train_vols``/``val_vols`` are (subject_id, [X,Y,Z,T] float array) pairs,
     already preprocessed. ``sets`` is the PatchSets object the mask spec draws
-    candidates from.
+    candidates from. ``run.seed`` seeds the batch order, every step's mask
+    and the fixed validation mask.
     """
     if run.mask_spec is None:
         raise ConfigurationError("pretraining needs a mask_spec")
     if not train_vols:
         raise ConfigurationError("empty training set")
     t_patch = model.config.t_patch
-    n_t = train_vols[0][1].shape[3]
-    t_patches = n_t // t_patch
+    t_patches = train_vols[0][1].shape[3] // t_patch
 
-    opt = AdamW(_select_params(model, freeze_encoder=False), lr=run.lr,
-                weight_decay=run.weight_decay, clip_norm=run.clip_norm)
+    def mask_for(seed: int) -> MaskTensor:
+        return build_mask(dataclasses.replace(run.mask_spec, seed=seed), sets,
+                          t_patches, t_patch_len=t_patch)
+
+    opt = AdamW(model.params, lr=run.lr, weight_decay=run.weight_decay,
+                clip_norm=run.clip_norm)
     rng = np.random.default_rng(run.seed)
-    val_mask = _derive_mask(run.mask_spec, sets, t_patches, t_patch,
-                            step_seed=run.seed)
+    val_mask = mask_for(run.seed)
+
+    def sample_loss(sample):
+        _, vol = sample
+        mask = mask_for(int(rng.integers(2 ** 31)))
+        # no local keeps the voxel reconstruction: the backward does not
+        # read it, so it is freed before the backward
+        return masked_mse(model.forward_pretrain(vol, mask), vol, mask)
 
     metrics: list[MetricsRow] = []
-    curve: list[float] = []
-    best_val = np.inf
-    best_epoch = -1
-    best_state: dict[str, np.ndarray] = {
-        k: v.data.copy() for k, v in model.params.items()}
-
-    step = 0
+    best_val, best_epoch, best_state = np.inf, -1, _snapshot(model)
     for epoch in range(run.epochs):
-        order = rng.permutation(len(train_vols))
-        epoch_losses = []
-        for start in range(0, len(order), run.batch_size):
-            batch = order[start:start + run.batch_size]
-            opt.zero_grad()
-            batch_loss = 0.0
-            for j in batch:
-                sid, vol = train_vols[j]
-                mask = _derive_mask(run.mask_spec, sets, t_patches, t_patch,
-                                    step_seed=int(rng.integers(2 ** 31)))
-                with Tape() as tape:
-                    # no local keeps the voxel reconstruction: the backward
-                    # does not read it, so it is freed before the backward
-                    loss = masked_mse(model.forward_pretrain(vol, mask), vol, mask)
-                    scaled = ad.mul(loss, 1.0 / len(batch))
-                    tape.backward(scaled)
-                sample_loss = float(loss.data)
-                _check_finite(sample_loss, f"epoch {epoch}, subject {sid}")
-                batch_loss += sample_loss / len(batch)
-            opt.step()
-            epoch_losses.append(batch_loss)
-            step += 1
-        train_loss = float(np.mean(epoch_losses))
-        curve.append(train_loss)
+        train_loss = _train_epoch(opt, rng, train_vols, run.batch_size, epoch,
+                                  sample_loss)
         metrics.append(MetricsRow(epoch, "train", train_loss))
-
         if val_vols:
-            val_losses = [masked_mse(model.forward_pretrain(v, val_mask).data,
-                                     v, val_mask) for _, v in val_vols]
-            val_loss = float(np.mean(val_losses))
+            val_loss = float(np.mean([
+                masked_mse(model.forward_pretrain(v, val_mask).data, v, val_mask)
+                for _, v in val_vols]))
             metrics.append(MetricsRow(epoch, "val", val_loss))
             if val_loss < best_val:
-                best_val = val_loss
-                best_epoch = epoch
-                best_state = {k: v.data.copy() for k, v in model.params.items()}
+                best_val, best_epoch, best_state = val_loss, epoch, _snapshot(model)
 
     if not val_vols:
-        best_val = curve[-1]
-        best_epoch = run.epochs - 1
-        best_state = {k: v.data.copy() for k, v in model.params.items()}
-    return PretrainResult(metrics, best_val, best_epoch, best_state, curve)
+        best_val, best_epoch, best_state = train_loss, run.epochs - 1, _snapshot(model)
+    return PretrainResult(metrics, best_val, best_epoch, best_state)
 
 
 @dataclass
@@ -313,60 +294,42 @@ def _evaluate_classifier(model, samples):
 
 
 def finetune(model, train, val, test, run: RunConfig) -> FinetuneResult:
-    """Supervised loop over (subject_id, volume, label) triples."""
+    """Supervised loop over (subject_id, volume, label) triples.
+
+    With ``run.freeze_encoder`` only the ``cls.*`` head is trained.
+    """
     if not train:
         raise ConfigurationError("empty training set")
     train_labels = {int(lbl) for _, _, lbl in train}
     if len(train_labels) < 2:
         raise ConfigurationError("training split contains a single class")
 
-    params = _select_params(model, run.freeze_encoder)
-    # parameters left out of the optimizer get no gradients at all
-    with frozen(v for k, v in model.params.items() if k not in params):
-        return _finetune_loop(model, train, val, test, run, params)
-
-
-def _finetune_loop(model, train, val, test, run: RunConfig, params) -> FinetuneResult:
+    params = {k: v for k, v in model.params.items()
+              if not run.freeze_encoder or k.startswith("cls.")}
     opt = AdamW(params, lr=run.lr, weight_decay=run.weight_decay,
                 clip_norm=run.clip_norm)
     rng = np.random.default_rng(run.seed)
 
+    def sample_loss(sample):
+        _, vol, label = sample
+        logit = model.forward_classify(vol)
+        return ad.bce_with_logits(ad.reshape(logit, (1,)), np.array([float(label)]))
+
     metrics: list[MetricsRow] = []
-    best_auc = -np.inf
-    best_epoch = -1
-    best_state = {k: v.data.copy() for k, v in model.params.items()}
-
-    for epoch in range(run.epochs):
-        order = rng.permutation(len(train))
-        epoch_losses = []
-        for start in range(0, len(order), run.batch_size):
-            batch = order[start:start + run.batch_size]
-            opt.zero_grad()
-            batch_loss = 0.0
-            for j in batch:
-                sid, vol, label = train[j]
-                with Tape() as tape:
-                    logit = model.forward_classify(vol)
-                    loss = ad.bce_with_logits(ad.reshape(logit, (1,)),
-                                              np.array([float(label)]))
-                    tape.backward(ad.mul(loss, 1.0 / len(batch)))
-                sample_loss = float(loss.data)
-                _check_finite(sample_loss, f"epoch {epoch}, subject {sid}")
-                batch_loss += sample_loss / len(batch)
-            opt.step()
-            epoch_losses.append(batch_loss)
-        train_loss = float(np.mean(epoch_losses))
-        tr_loss, tr_acc, tr_auc = _evaluate_classifier(model, train)
-        metrics.append(MetricsRow(epoch, "train", train_loss, tr_acc, tr_auc))
-
-        if val:
-            v_loss, v_acc, v_auc = _evaluate_classifier(model, val)
-            metrics.append(MetricsRow(epoch, "val", v_loss, v_acc, v_auc))
-            score = v_auc if v_auc is not None else v_acc
-            if score > best_auc:
-                best_auc = score
-                best_epoch = epoch
-                best_state = {k: v.data.copy() for k, v in model.params.items()}
+    best_auc, best_epoch, best_state = -np.inf, -1, _snapshot(model)
+    # parameters left out of the optimizer get no gradients at all
+    with frozen(v for k, v in model.params.items() if k not in params):
+        for epoch in range(run.epochs):
+            train_loss = _train_epoch(opt, rng, train, run.batch_size, epoch,
+                                      sample_loss)
+            _, tr_acc, tr_auc = _evaluate_classifier(model, train)
+            metrics.append(MetricsRow(epoch, "train", train_loss, tr_acc, tr_auc))
+            if val:
+                v_loss, v_acc, v_auc = _evaluate_classifier(model, val)
+                metrics.append(MetricsRow(epoch, "val", v_loss, v_acc, v_auc))
+                score = v_auc if v_auc is not None else v_acc
+                if score > best_auc:
+                    best_auc, best_epoch, best_state = score, epoch, _snapshot(model)
 
     if val:
         for k, p in model.params.items():
@@ -374,12 +337,10 @@ def _finetune_loop(model, train, val, test, run: RunConfig, params) -> FinetuneR
     else:
         best_auc = metrics[-1].auroc if metrics[-1].auroc is not None else np.nan
         best_epoch = run.epochs - 1
-        best_state = {k: v.data.copy() for k, v in model.params.items()}
+        best_state = _snapshot(model)
 
     t_loss, t_acc, t_auc = _evaluate_classifier(model, test) if test else (np.nan,) * 3
     if test:
         metrics.append(MetricsRow(run.epochs, "test", t_loss, t_acc, t_auc))
     return FinetuneResult(metrics, float(best_auc), best_epoch, best_state,
-                          t_acc if test else np.nan,
-                          t_auc if test else np.nan,
-                          t_loss if test else np.nan)
+                          t_acc, t_auc, t_loss)

@@ -188,6 +188,25 @@ def test_brute_force_equivalence(rng):
                 assert got == expect[region][criterion], (region, criterion, trial)
 
 
+def test_sparse_label_ids_match_brute_force():
+    # ids far apart, one mapped id absent from the atlas and one atlas id
+    # absent from the map: the count table has a column per id present only
+    r = np.random.default_rng(7)
+    coarse = r.integers(0, 9, size=(4, 4, 4)).astype(np.int32)
+    dense = np.repeat(np.repeat(np.repeat(coarse, 6, 0), 6, 1), 6, 2)
+    ids = np.array([0, 2001, 2063, 3000, 4127, 5555, 7000, 9138, 99_000], np.int32)
+    labels = ids[dense]
+    rm = RegionMap({int(i): MACROREGIONS[k % len(MACROREGIONS)]
+                    for k, i in enumerate(ids[1:-1])} | {50_000: "limbic"})
+    sets = classify_patches(LabelVolume(labels=labels, affine=np.eye(4)), rm,
+                            grid=PatchGrid.for_shape(labels.shape))
+    expect = brute_force(labels, rm)
+    for region in MACROREGIONS:
+        for criterion in CRITERIA:
+            got = set(int(i) for i in sets.patch_set(region, criterion))
+            assert got == expect[region][criterion], (region, criterion)
+
+
 def test_inclusion_and_disjointness(rng):
     rm = simple_region_map(8)
     labels = rng.integers(0, 9, size=(24, 24, 24)).astype(np.int32)

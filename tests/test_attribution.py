@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from regionmae.attribution import (
     ig_sq,
     integrated_gradients,
     project_rois,
-    read_roi_csv,
     smooth_per_timepoint,
     threshold_and_project,
     threshold_map,
@@ -371,8 +372,10 @@ def test_roi_csv_roundtrip(tmp_path):
     rows = project_rois(gmap, atlas, AttributionConfig(), names={1: "front"})
     path = tmp_path / "rois.csv"
     write_roi_csv(path, rows)
-    back = read_roi_csv(path)
-    assert [(r.roi_label, r.roi_name, r.voxels, r.rank) for r in back] == \
+    with open(path, newline="") as fh:
+        back = list(csv.DictReader(fh))
+    assert [(int(r["roi_label"]), r["roi_name"], int(r["voxels"]), int(r["rank"]))
+            for r in back] == \
         [(r.roi_label, r.roi_name, r.voxels, r.rank) for r in rows]
     for a, b in zip(back, rows):
-        assert a.mean_attr == pytest.approx(b.mean_attr, rel=1e-9)
+        assert float(a["mean_attr"]) == pytest.approx(b.mean_attr, rel=1e-9)

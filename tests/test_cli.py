@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -11,7 +12,6 @@ from regionmae.config import DEFAULTS, hash_file
 from regionmae.masking import load_mask
 from regionmae.nifti import LabelVolume, write_nifti
 from regionmae.preprocess import read_manifest
-from regionmae.training import read_metrics_csv
 
 SMALL_MODEL = [
     "--set", "model.embed_dim=8",
@@ -130,6 +130,40 @@ def test_unreadable_volume_exits_1(tmp_path, capsys):
                "--set", f"data.manifest={manifest}", "preprocess"])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("text, where", [
+    ("subject_id,volume\ns0,a.nii.gz\n", ":1:"),
+    ("subject_id,path,label\ns0,a.nii.gz,0\ns1,b.nii.gz,yes\n", ":3:"),
+    ("subject_id,path,label\ns0,a.nii.gz,2\n", ":2:"),
+    ("subject_id,path,label\ns0,a.nii.gz,0\ns0,b.nii.gz,1\n", ":3:"),
+], ids=["no_path_column", "label_yes", "label_2", "duplicate_subject"])
+def test_malformed_manifest_exits_2_naming_file_and_line(tmp_path, capsys, text,
+                                                          where):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(text)
+    rc = main(["--out-dir", str(tmp_path / "o"),
+               "--set", f"data.manifest={manifest}", "preprocess"])
+    assert rc == 2
+    assert f"{manifest}{where}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, where", [
+    ("label,macroregion\n1,frontal\nfront,parietal\n", ":3:"),
+    ("label,macroregion\n1,cortex\n", ": unknown macroregion"),
+], ids=["non_numeric_label", "unknown_region"])
+def test_malformed_region_map_exits_2_naming_file(tmp_path, capsys, text, where):
+    atlas = tmp_path / "atlas.nii.gz"
+    write_nifti(LabelVolume(labels=np.ones((12, 12, 12), dtype=np.int16),
+                            affine=np.eye(4)), atlas)
+    region_map = tmp_path / "region_map.csv"
+    region_map.write_text(text)
+    rc = main(["--out-dir", str(tmp_path / "o"),
+               "--set", f"data.atlas={atlas}",
+               "--set", f"data.region_map={region_map}",
+               "classify-patches"])
+    assert rc == 2
+    assert f"{region_map}{where}" in capsys.readouterr().err
 
 
 def test_invalid_synth_config_exits_2(tmp_path, capsys):
@@ -345,9 +379,10 @@ def test_build_mask_idempotent(pipeline, tmp_path):
 
 def test_pretrain_outputs(pipeline):
     pre = pipeline / "pretrain"
-    rows = read_metrics_csv(pre / "metrics.csv")
-    assert {r.split for r in rows} == {"train", "val"}
-    assert max(r.epoch for r in rows) == 1
+    with open(pre / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["split"] for r in rows} == {"train", "val"}
+    assert max(int(r["epoch"]) for r in rows) == 1
     assert (pre / "model.ckpt").exists()
     assert (pre / "model.ckpt.manifest.json").exists()
     hashes = json.loads((pre / "inputs.json").read_text())
@@ -360,8 +395,9 @@ def test_finetune_outputs(pipeline):
     assert set(summary) == {"test_acc", "test_auroc", "test_loss",
                             "best_epoch"}
     assert 0.0 <= summary["test_acc"] <= 1.0
-    rows = read_metrics_csv(ft / "metrics.csv")
-    assert {r.split for r in rows} == {"train", "val", "test"}
+    with open(ft / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {r["split"] for r in rows} == {"train", "val", "test"}
 
 
 def test_attribute_outputs(pipeline):

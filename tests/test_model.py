@@ -76,7 +76,7 @@ def test_config_hash_distinguishes_configs(tmp_path):
     assert ModelConfig(configuration=MA, stage_depths=(1, 1), patch_size=(4, 4, 4),
                        seed=3).config_hash() == "61d0913dbe22447f"
     path = tmp_path / "model.ckpt"
-    save_checkpoint({"w": Tensor(np.ones(3))}, path, "42e5977e657305e1")
+    save_checkpoint({"w": np.ones(3)}, path, "42e5977e657305e1")
     arrays, _ = load_checkpoint(path, a.config_hash())
     np.testing.assert_array_equal(arrays["w"], np.ones(3))
 

@@ -66,6 +66,10 @@ class TestAuroc:
         with pytest.raises(MetricError):
             auroc([0.1, 0.2], [1, 1])
 
+    def test_labels_outside_0_1_rejected(self):
+        with pytest.raises(ValidationError, match="0 or 1"):
+            auroc([0.1, 0.9, 0.5], [0, 1, 2])
+
 
 def test_accuracy_thresholds_at_zero():
     assert accuracy([-1.0, 2.0, 0.5, -0.2], [0, 1, 1, 1]) == pytest.approx(0.75)

@@ -1,3 +1,7 @@
+import csv
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -14,18 +18,17 @@ from regionmae.masking import (
 )
 from regionmae.model import ALTERNATE, MAMBA, HybridModel, ModelConfig
 from regionmae.nifti import LabelVolume
+from regionmae.optim import AdamW
 from regionmae.preprocess import SubjectRecord
 from regionmae.training import (
     FINETUNE,
     PRETRAIN,
     MetricsRow,
     RunConfig,
-    _derive_mask,
     _voxel_mask,
     finetune,
     masked_mse,
     pretrain,
-    read_metrics_csv,
     split_subjects,
     write_metrics_csv,
 )
@@ -194,8 +197,12 @@ def test_metrics_csv_roundtrip(tmp_path):
     rows = [MetricsRow(0, "train", 0.5), MetricsRow(0, "val", 0.4, 0.9, 0.95)]
     path = tmp_path / "metrics.csv"
     write_metrics_csv(path, rows)
-    back = read_metrics_csv(path)
-    assert back == rows
+    with open(path, newline="") as fh:
+        back = list(csv.DictReader(fh))
+    assert back == [
+        {"epoch": "0", "split": "train", "loss": "0.5", "acc": "", "auroc": ""},
+        {"epoch": "0", "split": "val", "loss": "0.4", "acc": "0.9", "auroc": "0.95"},
+    ]
 
 
 # mask derivation -------------------------------------------------------------------
@@ -204,16 +211,16 @@ def test_metrics_csv_roundtrip(tmp_path):
 def test_full_ratio_mask_is_fixed_across_steps():
     sets = simple_sets()
     spec = MaskSpec(strategy=RANDOM_TUBE, ratio=1.0, temporal_mode=TUBE, seed=0)
-    m1 = _derive_mask(spec, sets, t_patches=2, t_patch_len=4, step_seed=1)
-    m2 = _derive_mask(spec, sets, t_patches=2, t_patch_len=4, step_seed=999)
+    m1 = build_mask(dataclasses.replace(spec, seed=1), sets, 2, t_patch_len=4)
+    m2 = build_mask(dataclasses.replace(spec, seed=999), sets, 2, t_patch_len=4)
     np.testing.assert_array_equal(m1.mask, m2.mask)
 
 
 def test_partial_ratio_mask_resamples_each_step():
     sets = simple_sets()
     spec = MaskSpec(strategy=RANDOM_TUBE, ratio=0.5, temporal_mode=TUBE, seed=0)
-    m1 = _derive_mask(spec, sets, t_patches=2, t_patch_len=4, step_seed=1)
-    m2 = _derive_mask(spec, sets, t_patches=2, t_patch_len=4, step_seed=999)
+    m1 = build_mask(dataclasses.replace(spec, seed=1), sets, 2, t_patch_len=4)
+    m2 = build_mask(dataclasses.replace(spec, seed=999), sets, 2, t_patch_len=4)
     assert not np.array_equal(m1.mask, m2.mask)
 
 
@@ -256,7 +263,9 @@ def test_pretrain_zero_lr_keeps_loss_constant():
     run = RunConfig(phase=PRETRAIN, epochs=3, batch_size=8, lr=0.0, seed=0,
                     mask_spec=spec)
     result = pretrain(model, [("s0", vol)], [], run, sets)
-    assert result.loss_curve[0] == result.loss_curve[1] == result.loss_curve[2]
+    curve = [m.loss for m in result.metrics if m.split == "train"]
+    assert len(curve) == 3
+    assert curve[0] == curve[1] == curve[2]
 
 
 def test_pretrain_same_seed_same_curve():
@@ -268,7 +277,7 @@ def test_pretrain_same_seed_same_curve():
         run = RunConfig(phase=PRETRAIN, epochs=4, batch_size=8, lr=1e-3, seed=7,
                         mask_spec=spec)
         result = pretrain(model, [("s0", vol)], [("s0", vol)], run, sets)
-        curves.append(result.loss_curve)
+        curves.append([m.loss for m in result.metrics if m.split == "train"])
     assert curves[0] == curves[1]
 
 
@@ -380,3 +389,31 @@ def test_frozen_encoder_finetune_leaves_encoder_without_gradients():
     assert all(p.grad is None for name, p in model.params.items()
                if not name.startswith("cls."))
     assert model.params["cls.w"].grad is not None
+
+
+# both drivers -----------------------------------------------------------------------
+
+
+def test_both_drivers_step_once_per_batch(monkeypatch):
+    steps = []
+    step = AdamW.step
+
+    def counted(opt):
+        steps.append(opt)
+        return step(opt)
+
+    monkeypatch.setattr(AdamW, "step", counted)
+    n, batch_size, epochs = 5, 2, 2
+    vol, sets, spec = pretrain_fixture()
+    pretrain(tiny_model(), [(f"s{i}", vol) for i in range(n)], [],
+             RunConfig(phase=PRETRAIN, epochs=epochs, batch_size=batch_size,
+                       lr=1e-3, mask_spec=spec), sets)
+    assert len(steps) == epochs * math.ceil(n / batch_size)
+    assert steps[-1].steps == len(steps)
+
+    steps.clear()
+    finetune(tiny_model(configuration=ALTERNATE), labeled_cohort(n), [], [],
+             RunConfig(phase=FINETUNE, epochs=epochs, batch_size=batch_size,
+                       lr=1e-3, freeze_encoder=True))
+    assert len(steps) == epochs * math.ceil(n / batch_size)
+    assert steps[-1].steps == len(steps)
