@@ -26,6 +26,12 @@ or the one it got, reshaped or passed through) becomes that parent's first
 gives one of them a copy; a transposed view, or a gradient of another
 dtype, is copied into C order and the tensor's dtype.
 
+``selective_scan`` is the one op that trades recomputation for memory. It
+runs over blocks of ``SCAN_BLOCK_ROWS`` rows in reused buffers and keeps
+only the state at each block boundary, not its [L, S, D] state history;
+its backward rebuilds each block's history from the boundary state before
+it, with the same ops, so the result is the same as keeping it.
+
 Data is float32 by default; build leaves with ``dtype=np.float64`` for
 gradient checking. Broadcasting follows numpy; backward sums gradients back
 down to each parent's shape.
@@ -583,6 +589,12 @@ def sum_sq(x: Tensor) -> Tensor:
 # Fused ops
 
 
+# Rows per block of ``selective_scan``. A block's three [Q, S, D] work
+# buffers stay in L2 (768 KiB at S=8, D=64 and 1.5 MiB at D=128, in
+# float32); CHANGES.md has the sweep that chose it.
+SCAN_BLOCK_ROWS = 128
+
+
 def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
                    d_skip: Tensor) -> Tensor:
     """Input-dependent SSM scan with zero-order-hold discretization.
@@ -594,21 +606,31 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
         h_t  = abar * h_{t-1} + bbar * u_t
         y_t  = h_t . c_t + d_skip * u_t
 
-    The state works in an [L, S, D] layout, so every per-row and per-state
-    factor broadcasts over the contiguous D axis. The forward builds
-    ``abar`` in a temporary and keeps one [L, S, D] array for the backward:
-    the state history ``h``. The backward recomputes ``abar`` into a fresh
-    buffer and writes the adjoint dL/dh_t into a second one, in place over
-    its direct path c_t g_t. The ``abar`` buffer then becomes
+    The state works in an [S, D] layout per row, so every per-row and
+    per-state factor broadcasts over the contiguous D axis. The rows run in
+    blocks of ``SCAN_BLOCK_ROWS``, and each block's ``abar`` and state
+    history live in reused [Q, S, D] buffers that fit in L2. The forward
+    writes the block's rows of ``y`` and keeps only the block's last state,
+    so between forward and backward a call holds [L/Q, S, D] boundary states
+    instead of the [L, S, D] history.
+
+    The backward walks the blocks in reverse. For each block it recomputes
+    ``abar`` and rebuilds the history from the previous block's boundary
+    state with the forward's ops, so the history is byte-identical. It
+    writes the adjoint dL/dh_t into a third buffer, in place over its
+    direct path c_t g_t, and adds ``abar dL/dh`` of the next block's first
+    row to the block's last row. The ``abar`` buffer then becomes
     ``G = zoh dL/dh`` with ``zoh = (abar - 1) / a``, which gives the u and
-    b gradients, and ``h``'s buffer becomes ``dL/dh h``. It needs no
+    b gradients, and the history's buffer becomes ``dL/dh h``. It needs no
     h_{t-1}, because
 
         abar_t (a h_{t-1} + b_t u_t) = a h_t + b_t u_t,
 
     so ``E = dL/dh (a h_t + b_t u_t)`` gives the delta gradient (E summed
-    over S) and the a gradient ((sum_t delta_t E_t - sum_t G_t b_t u_t) / a).
-    Requires a < 0 everywhere (guaranteed when a = -exp(..)).
+    over S) and the a gradient ((sum_t delta_t E_t - sum_t G_t b_t u_t) / a),
+    which is summed block by block. The per-row gradients come out as if
+    the scan ran unblocked; only the a gradient's summation order depends
+    on Q. Requires a < 0 everywhere (guaranteed when a = -exp(..)).
     """
     u, delta, a, b, c, d_skip = map(as_tensor, (u, delta, a, b, c, d_skip))
     seq_len, dim = u.shape
@@ -624,63 +646,108 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
         raise ValidationError(
             "selective_scan needs a < 0 everywhere; a has zero, positive or NaN entries")
 
-    ud, dd, bd, cd, skip = u.data, delta.data, b.data, c.data, d_skip.data
-    dtype = np.result_type(ud, dd, a.data, bd, cd)
-    at = np.ascontiguousarray(a.data.T)  # [S, D]
+    dtype = np.result_type(u.data, delta.data, a.data, b.data, c.data)
+    ud, dd, bd, cd = (t.data.astype(dtype, copy=False) for t in (u, delta, b, c))
+    skip = d_skip.data
+    at = np.ascontiguousarray(a.data.T, dtype=dtype)  # [S, D]
+    q = max(1, min(SCAN_BLOCK_ROWS, seq_len))
+    blocks = [slice(s0, min(s0 + q, seq_len)) for s0 in range(0, seq_len, q)]
 
-    def discretize():
-        """abar = exp(delta a) as a fresh [L, S, D] array."""
-        abar = np.einsum("ld,sd->lsd", dd, at).astype(dtype, copy=False)
-        return np.exp(abar, out=abar)
+    def history(rows, abar, hist, h0):
+        """Fill the [n, S, D] views ``abar`` = exp(delta a) and ``hist``, the
+        state history, for ``rows``, starting from the state ``h0`` before
+        the first row (None: zero)."""
+        np.multiply(dd[rows, None, :], at, out=abar)
+        np.exp(abar, out=abar)
+        np.subtract(abar, 1.0, out=hist)
+        hist /= at
+        hist *= bd[rows, :, None]
+        hist *= ud[rows, None, :]
+        if h0 is not None:
+            hist[0] += abar[0] * h0
+        for ar, hp, ht in zip(abar[1:], hist[:-1], hist[1:]):
+            ht += ar * hp
 
-    abar = discretize()
-    hist = abar - 1.0
-    hist /= at
-    hist *= bd[:, :, None]
-    hist *= ud[:, None, :]
-    for ar, hp, ht in zip(abar[1:], hist[:-1], hist[1:]):
-        ht += ar * hp
-    del abar
-    out = Tensor(np.matmul(cd[:, None, :], hist)[:, 0, :] + skip * ud)
+    abar, hist = np.empty((2, q, state, dim), dtype)
+    ends = np.empty((max(len(blocks) - 1, 0), state, dim), dtype)
+    y = np.empty((seq_len, dim), np.result_type(dtype, skip))
+    for k, rows in enumerate(blocks):
+        n = rows.stop - rows.start
+        history(rows, abar[:n], hist[:n], ends[k - 1] if k else None)
+        np.add(np.matmul(cd[rows, None, :], hist[:n])[:, 0, :], skip * ud[rows],
+               out=y[rows])
+        if k < len(ends):
+            ends[k] = hist[n - 1]
+    del abar, hist
     su, sdelta, sa, sb, sc, sskip = (t.slot for t in (u, delta, a, b, c, d_skip))
 
     def backward(g):
-        if sc.requires_grad:
-            sc.accumulate_grad(np.matmul(hist, g[:, :, None])[..., 0])
-        if sskip.requires_grad:
-            sskip.accumulate_grad((g * ud).sum(axis=0))
-        # dL/dh_t is the direct path through y_t plus the recurrence path
-        # from t+1, accumulated backwards in place
-        work = discretize()
-        dh = np.einsum("ls,ld->lsd", cd, g).astype(dtype, copy=False)
-        for an, dn, dc in zip(work[:0:-1], dh[:0:-1], dh[-2::-1]):
-            dc += an * dn
-        if su.requires_grad or sb.requires_grad or sa.requires_grad:
-            work -= 1.0
-            work /= at
-            work *= dh  # G
-            if su.requires_grad:
-                su.accumulate_grad(skip * g + np.matmul(bd[:, None, :], work)[:, 0, :])
-            if sb.requires_grad:
-                sb.accumulate_grad(np.matmul(work, ud[:, :, None])[..., 0])
-        if sdelta.requires_grad or sa.requires_grad:
-            e = hist
-            e *= dh
-            e *= at
-            dh *= bd[:, :, None]
-            dh *= ud[:, None, :]
-            e += dh  # E
-            if sdelta.requires_grad:
-                sdelta.accumulate_grad(np.matmul(np.ones((1, state), dtype), e)[:, 0, :])
-            if sa.requires_grad:
-                work *= bd[:, :, None]
-                work *= ud[:, None, :]
-                ga = np.einsum("lsd,ld->sd", e, dd)
-                ga -= work.sum(axis=0)
-                ga /= at
-                sa.accumulate_grad(ga.T)
+        need_g = su.requires_grad or sb.requires_grad or sa.requires_grad
+        need_e = sdelta.requires_grad or sa.requires_grad
+        gskip = (g * ud).sum(axis=0) if sskip.requires_grad else None
+        gc = np.empty((seq_len, state), np.result_type(dtype, g)) if sc.requires_grad else None
+        gu = np.empty((seq_len, dim), np.result_type(skip, g, dtype)) \
+            if su.requires_grad else None
+        gb = np.empty((seq_len, state), dtype) if sb.requires_grad else None
+        gdelta = np.empty((seq_len, dim), dtype) if sdelta.requires_grad else None
+        ga = np.zeros((state, dim), dtype) if sa.requires_grad else None
+        work, hist, dh = np.empty((3, q, state, dim), dtype)
+        ones = np.ones((1, state), dtype)
+        carry = None  # abar dL/dh at the first row of the block after this one
+        for k in reversed(range(len(blocks))):
+            rows = blocks[k]
+            n = rows.stop - rows.start
+            wk, hk, dk = work[:n], hist[:n], dh[:n]
+            history(rows, wk, hk, ends[k - 1] if k else None)
+            if sc.requires_grad:
+                gc[rows] = np.matmul(hk, g[rows, :, None])[..., 0]
+            if not (need_g or need_e):
+                continue
+            # dL/dh_t is the direct path through y_t plus the recurrence path
+            # from t+1, accumulated backwards in place
+            np.multiply(cd[rows, :, None], g[rows, None, :], out=dk)
+            if carry is not None:
+                dk[-1] += carry
+            for an, dn, dc in zip(wk[:0:-1], dk[:0:-1], dk[-2::-1]):
+                dc += an * dn
+            carry = wk[0] * dk[0]
+            if need_g:
+                wk -= 1.0
+                wk /= at
+                wk *= dk  # G
+                if su.requires_grad:
+                    gu[rows] = skip * g[rows] + np.matmul(bd[rows, None, :], wk)[:, 0, :]
+                if sb.requires_grad:
+                    gb[rows] = np.matmul(wk, ud[rows, :, None])[..., 0]
+            if need_e:
+                e = hk
+                e *= dk
+                e *= at
+                dk *= bd[rows, :, None]
+                dk *= ud[rows, None, :]
+                e += dk  # E
+                if sdelta.requires_grad:
+                    gdelta[rows] = np.matmul(ones, e)[:, 0, :]
+                if sa.requires_grad:
+                    wk *= bd[rows, :, None]
+                    wk *= ud[rows, None, :]
+                    ga += np.einsum("lsd,ld->sd", e, dd[rows])
+                    ga -= wk.sum(axis=0)
+        if gc is not None:
+            sc.accumulate_grad(gc)
+        if gskip is not None:
+            sskip.accumulate_grad(gskip)
+        if gu is not None:
+            su.accumulate_grad(gu)
+        if gb is not None:
+            sb.accumulate_grad(gb)
+        if gdelta is not None:
+            sdelta.accumulate_grad(gdelta)
+        if ga is not None:
+            ga /= at
+            sa.accumulate_grad(ga.T)
 
-    return _record(out, (u, delta, a, b, c, d_skip), backward)
+    return _record(Tensor(y), (u, delta, a, b, c, d_skip), backward)
 
 
 def bce_with_logits(logits: Tensor, targets) -> Tensor:

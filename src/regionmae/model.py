@@ -81,6 +81,8 @@ class ModelConfig:
             raise ValidationError("window must be 4 ints >= 1")
         if self.ssm_expand < 1 or self.ssm_state_dim < 1:
             raise ValidationError("ssm_expand and ssm_state_dim must be >= 1")
+        if not self.mlp_ratio > 0:  # NaN fails too
+            raise ValidationError(f"mlp_ratio must be > 0, got {self.mlp_ratio}")
 
     @property
     def n_stages(self) -> int:

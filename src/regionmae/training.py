@@ -52,8 +52,13 @@ class RunConfig:
             raise ValidationError(f"unknown phase {self.phase!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("epochs and batch_size must be >= 1")
-        if self.lr < 0:
-            raise ValidationError("lr must be non-negative")
+        # written as "not (x >= 0)" so that NaN fails too
+        if not self.lr >= 0:
+            raise ValidationError(f"lr must be non-negative, got {self.lr}")
+        if not self.clip_norm > 0:
+            raise ValidationError(f"clip_norm must be > 0, got {self.clip_norm}")
+        if not self.weight_decay >= 0:
+            raise ValidationError(f"weight_decay must be non-negative, got {self.weight_decay}")
         if len(self.split) != 3 or any(r <= 0 for r in self.split):
             raise ValidationError("split needs three positive ratios")
 

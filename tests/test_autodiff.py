@@ -554,22 +554,81 @@ def test_selective_scan_single_step():
              tol=2e-6)
 
 
-def test_selective_scan_keeps_one_lsd_array_for_the_backward():
-    L, D, S = 256, 16, 8
+def test_selective_scan_keeps_only_block_boundary_states_for_the_backward():
+    L, D, S = 16 * ad.SCAN_BLOCK_ROWS, 32, 8
     leaves = scan_leaves(np.random.default_rng(880), L=L, D=D, S=S)
     lds = L * S * D * np.dtype(np.float64).itemsize
     tracemalloc.start()
     try:
         with Tape() as tape:
             before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             out = ad.selective_scan(*leaves)
             held = tracemalloc.get_traced_memory()[0] - before
             tape.backward(ad.tsum(out))
+            peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # the state history, plus the [L, D] output and small arrays
-    assert lds <= held < 1.5 * lds, held / lds
+    # the [L, D] output and one [S, D] state per block boundary; the history
+    # is rebuilt block by block in the backward
+    assert held < 0.25 * lds, held / lds
+    assert peak < lds, peak / lds
     assert all(t.grad is not None for t in leaves)
+
+
+SCAN_NAMES = ("u", "delta", "a", "b", "c", "d_skip")
+
+
+def scan_with_grads(leaves, w, grads):
+    for name, t in zip(SCAN_NAMES, leaves):
+        t.grad = None
+        t.requires_grad = name in grads
+    with Tape() as tape:
+        out = ad.selective_scan(*leaves)
+        tape.backward(ad.tsum(ad.mul(out, Tensor(w))))
+    return out.data, {name: t.grad for name, t in zip(SCAN_NAMES, leaves)}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("grads", [set(SCAN_NAMES), {"u", "delta", "b", "c"}],
+                         ids=["all", "ig"])
+def test_selective_scan_result_does_not_depend_on_the_block_size(
+        monkeypatch, dtype, grads):
+    # L = Q, L = Q + 1 and L not a multiple of Q, for Q = 1, 2 and 3
+    for L in (1, 2, 3, 4, 7, 50):
+        r = np.random.default_rng(890 + L)
+        leaves = [Tensor(t.data, dtype=dtype) for t in scan_leaves(r, L=L, D=5, S=3)]
+        w = r.normal(size=(L, 5)).astype(dtype)
+        monkeypatch.setattr(ad, "SCAN_BLOCK_ROWS", L + 3)  # one block
+        y_ref, g_ref = scan_with_grads(leaves, w, grads)
+        for q in (1, 2, 3, L):
+            monkeypatch.setattr(ad, "SCAN_BLOCK_ROWS", q)
+            y, g = scan_with_grads(leaves, w, grads)
+            assert y.dtype == dtype and y.tobytes() == y_ref.tobytes(), (L, q)
+            for name in SCAN_NAMES:
+                assert (g[name] is None) == (name not in grads), (L, q, name)
+                if g[name] is None:
+                    continue
+                assert g[name].dtype == dtype
+                if name != "a":
+                    assert g[name].tobytes() == g_ref[name].tobytes(), (L, q, name)
+                elif dtype == np.float64:
+                    # a's gradient is a sum over L, taken block by block
+                    err = np.max(np.abs(g[name] - g_ref[name])) / np.max(np.abs(g_ref[name]))
+                    assert err <= 1e-12, (L, q, err)
+
+
+@pytest.mark.parametrize("grads", [set(SCAN_NAMES), {"u", "delta", "b", "c"}, {"a"}],
+                         ids=["all", "u-delta-b-c", "a"])
+def test_selective_scan_gradcheck_across_block_boundaries(monkeypatch, grads):
+    monkeypatch.setattr(ad, "SCAN_BLOCK_ROWS", 2)
+    r = np.random.default_rng(895)
+    leaves = dict(zip(SCAN_NAMES, scan_leaves(r, L=5)))
+    for name, t in leaves.items():
+        t.requires_grad = name in grads
+    w = r.normal(size=leaves["u"].shape)
+    check_op(lambda: scalarize(ad.selective_scan(*leaves.values()), w),
+             {name: leaves[name] for name in grads}, tol=2e-6)
 
 
 def test_selective_scan_float32_matches_float64():

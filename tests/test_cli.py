@@ -360,6 +360,23 @@ def test_preprocess_template_mask_of_another_shape_fails_before_reading_volumes(
     assert kinds == ["labels"]  # the template only, no subject volume
 
 
+def test_pretrain_bad_clip_norm_exits_2_before_reading_volumes(
+        pipeline, tmp_path, capsys, monkeypatch):
+    reads = []
+    monkeypatch.setattr(cli, "read_nifti", lambda path, kind="auto": reads.append(path))
+    rc = main(["--out-dir", str(tmp_path / "out"),
+               "--set", f"data.manifest={pipeline / 'prep' / 'manifest.csv'}",
+               "--set", f"data.patch_sets={pipeline / 'patches' / 'patch_sets.json'}",
+               "--set", "pretrain.clip_norm=-1",
+               *SMALL_MODEL,
+               "pretrain"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "pretrain" in err and "clip_norm" in err
+    assert reads == []
+    assert not (tmp_path / "out" / "model.ckpt").exists()
+
+
 def test_mask_artifact_loads(pipeline):
     tensor, spec = load_mask(pipeline / "mask" / "mask.bits")
     assert spec.strategy == "REGION_ANY"

@@ -66,6 +66,13 @@ def test_config_validation():
             ModelConfig(**bad)
 
 
+@pytest.mark.parametrize("ratio", [-2.0, 0.0, float("nan")])
+def test_mlp_ratio_must_be_positive(ratio):
+    # a ratio <= 0 used to build a 1-unit MLP silently
+    with pytest.raises(ValidationError, match="mlp_ratio"):
+        ModelConfig(mlp_ratio=ratio)
+
+
 def test_config_hash_distinguishes_configs(tmp_path):
     a = ModelConfig()
     b = ModelConfig(configuration=AM)

@@ -193,6 +193,21 @@ def test_run_config_validation():
     assert RunConfig(phase=FINETUNE).phase == FINETUNE
 
 
+@pytest.mark.parametrize("field,value", [
+    ("clip_norm", -1.0), ("clip_norm", 0.0), ("clip_norm", float("nan")),
+    ("weight_decay", -0.5), ("weight_decay", float("nan")), ("lr", float("nan")),
+])
+def test_run_config_rejects_bad_optimizer_settings(field, value):
+    # a negative clip_norm turns each clipped step into gradient ascent and
+    # 0 zeroes every step
+    with pytest.raises(ValidationError, match=field):
+        RunConfig(**{field: value})
+
+
+def test_run_config_accepts_an_unbounded_clip_norm():
+    assert RunConfig(clip_norm=float("inf")).clip_norm == float("inf")
+
+
 def test_metrics_csv_roundtrip(tmp_path):
     rows = [MetricsRow(0, "train", 0.5), MetricsRow(0, "val", 0.4, 0.9, 0.95)]
     path = tmp_path / "metrics.csv"
