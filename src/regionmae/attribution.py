@@ -46,8 +46,13 @@ class AttributionConfig:
             raise ValidationError(f"unknown baseline {self.baseline!r}")
         if self.sg_samples < 1:
             raise ValidationError("sg_samples must be >= 1")
-        if self.sg_noise_std < 0 or self.gauss_sigma < 0:
-            raise ValidationError("noise std and sigma must be non-negative")
+        # written as "not (x >= 0)" so that NaN fails too
+        if not self.sg_noise_std >= 0:
+            raise ValidationError(
+                f"sg_noise_std must be non-negative, got {self.sg_noise_std}")
+        if not self.gauss_sigma >= 0:
+            raise ValidationError(
+                f"gauss_sigma must be non-negative, got {self.gauss_sigma}")
         if not 0.0 < self.top_percentile < 100.0:
             raise ValidationError(
                 f"top_percentile must lie in (0, 100), got {self.top_percentile}")
@@ -74,28 +79,104 @@ class AttributionMap:
             raise ValidationError("attribution map must be non-negative")
 
 
-def _as_volume_array(vol) -> tuple[np.ndarray, np.dtype]:
-    """The volume in float64, and the dtype its classifier passes run at:
-    float32 for a float32 volume, float64 otherwise."""
+def _volume_data(vol) -> tuple[np.ndarray, np.dtype]:
+    """The volume's array as given, and the dtype its classifier passes run
+    at: float32 for a float32 volume, float64 otherwise."""
     data = vol.data if isinstance(vol, (Volume4D, Tensor)) else np.asarray(vol)
     if data.ndim != 4:
         raise ValidationError("attribution input must be a 4D volume")
-    dtype = np.dtype(np.float32 if data.dtype == np.float32 else np.float64)
-    return np.asarray(data, dtype=np.float64), dtype
+    return data, np.dtype(np.float32 if data.dtype == np.float32 else np.float64)
 
 
-def _baseline_array(x: np.ndarray, baseline) -> np.ndarray | None:
-    """The baseline as a float64 array, or None for the zero baseline."""
+def _baseline(data: np.ndarray, baseline) -> np.ndarray | None:
+    """The baseline in float64: None for ZERO, the 0-d mean for MEAN, else
+    an array of the input's shape."""
     if isinstance(baseline, str):
         if baseline == ZERO:
             return None
         if baseline == MEAN:
-            return np.full_like(x, x.mean())
+            # of a float64 copy: a float32 volume's mean(dtype=float64) sums
+            # in buffered chunks and can differ in the last bit
+            return np.float64(np.asarray(data, dtype=np.float64).mean())
         raise ValidationError(f"unknown baseline {baseline!r}")
-    b = np.asarray(baseline, dtype=x.dtype)
-    if b.shape != x.shape:
-        raise ValidationError(f"baseline shape {b.shape} != input {x.shape}")
+    b = np.asarray(baseline, dtype=np.float64)
+    if b.shape != data.shape:
+        raise ValidationError(f"baseline shape {b.shape} != input {data.shape}")
     return b
+
+
+def _pass_layout(model, shape):
+    """Where the passes run: ``(to_rows, to_voxels, rows_shape, classify)``.
+
+    A model with ``classify_tokens`` runs them on its [N, k] token rows:
+    ``to_rows`` sees a voxel-layout array in token order and ``to_voxels``
+    sees contiguous token-order data in voxel order, both as views, and
+    ``classify`` takes a tensor of rows. Any other model runs them on the
+    volume as it is, through ``forward_classify``.
+    """
+    if not hasattr(model, "classify_tokens"):
+        def same(a):
+            return a
+        return same, same, shape, model.forward_classify
+    dims = model.lattice_dims(shape[:3], shape[3])
+    return (lambda a: model.token_view(a)[0],
+            lambda rows: model.voxel_view(rows, dims),
+            model.rows_shape(dims),
+            lambda point: model.classify_tokens(point, dims))
+
+
+def _path(data: np.ndarray, x0, dtype, to_rows):
+    """The straight path ``start + alpha * span`` in token order.
+
+    ``span`` is ``x - x0``, taken in float64, permuted into contiguous rows
+    and rounded to the pass dtype in one go. ``start`` is ``x0`` in the pass
+    dtype seen through a token-order view (a 0-d value for the mean
+    baseline), or None for the zero baseline.
+    """
+    rows = to_rows(data)
+    if x0 is None:
+        return np.asarray(rows, dtype=dtype, order="C"), None
+    start = to_rows(x0) if x0.ndim else x0
+    span = np.empty(rows.shape, dtype=dtype)
+    np.subtract(rows, start, out=span, dtype=np.float64)
+    return span, start.astype(dtype, copy=False)
+
+
+def _gradient_sum(classify, rows_shape, steps: int, span, start) -> np.ndarray:
+    """Pairwise float64 sum of the input gradients at the midpoints
+    ``span * (k + 0.5)/steps (+ start)``, k = 0..steps-1, each point built
+    in ``span``'s dtype in one reused buffer."""
+    buf = np.empty_like(span)
+    # pairwise accumulation: for power-of-two step counts every combine is
+    # a doubling, so a constant gradient averages back to itself bit-exactly
+    partials: list[np.ndarray] = []
+    for k in range(steps):
+        np.multiply(span, (k + 0.5) / steps, out=buf)
+        if start is not None:
+            buf += start
+        point = Tensor(buf.reshape(rows_shape), requires_grad=True)
+        with Tape() as tape:
+            logit = classify(point)
+            tape.backward(logit)
+        if point.grad is None or not np.all(np.isfinite(point.grad)):
+            raise AttributionError(f"non-finite gradient at step {k}")
+        # the point is this loop's own, so a float64 gradient needs no copy,
+        # and every partial is summed into in place
+        node = point.grad.astype(np.float64, copy=False)
+        i = k + 1
+        while i % 2 == 0:
+            node = _add_into(partials.pop(), node)
+            i //= 2
+        partials.append(node)
+    grad_sum = partials.pop()
+    while partials:
+        grad_sum = _add_into(partials.pop(), grad_sum)
+    return grad_sum
+
+
+def _add_into(acc: np.ndarray, g: np.ndarray) -> np.ndarray:
+    acc += g
+    return acc
 
 
 def integrated_gradients(model, vol, baseline=ZERO, steps: int = 32) -> np.ndarray:
@@ -104,48 +185,40 @@ def integrated_gradients(model, vol, baseline=ZERO, steps: int = 32) -> np.ndarr
     Returns (x - x0) * mean of input gradients sampled at the midpoints
     x0 + (k + 0.5)/steps * (x - x0), k = 0..steps-1.
 
+    IG is elementwise along a straight path and patchify is a permutation,
+    so for a model with ``classify_tokens`` the whole integral runs on its
+    token rows: ``x - x0`` is permuted into contiguous rows once per call,
+    every point is built in that layout, the gradients are summed there,
+    and the sum is read back in voxel order once, for the product with
+    ``x - x0``. No pass permutes the volume, and the map is byte-identical
+    to running the passes on the volume. Any other model runs them on the
+    volume as given, through ``forward_classify``.
+
     Each pass runs at the input's precision: a float32 volume gives float32
-    path points, anything else float64; the points are built in that dtype
-    in one reused buffer. The baseline, the path difference, the gradient
-    sum and the result are float64 either way. With the zero baseline the
-    path difference is ``x`` itself and a point is ``x`` scaled, so no
-    baseline volume is built. The model's parameters are held constant
-    during the passes, so only the input gradient is computed and no
-    parameter ``.grad`` is touched.
+    path points, anything else float64. ``x - x0``, the gradient sum and
+    the result are float64 either way. The zero baseline builds no
+    baseline array, the mean baseline is one number, and an explicit
+    baseline is read through a token-order view, not copied. The model's
+    parameters are held constant during the passes, so only the input
+    gradient is computed and no parameter ``.grad`` is touched.
     """
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
-    x, dtype = _as_volume_array(vol)
-    x0 = _baseline_array(x, baseline)
-    delta = x if x0 is None else x - x0
-    start = None if x0 is None else x0.astype(dtype, copy=False)
-    span = delta.astype(dtype, copy=False)
-    buf = np.empty_like(span)
-
-    # pairwise accumulation: for power-of-two step counts every combine is
-    # a doubling, so a constant gradient averages back to itself bit-exactly
-    partials: list[np.ndarray] = []
+    data, dtype = _volume_data(vol)
+    x0 = _baseline(data, baseline)
+    to_rows, to_voxels, rows_shape, classify = _pass_layout(model, data.shape)
     with frozen(getattr(model, "params", {}).values()):
-        for k in range(steps):
-            np.multiply(span, (k + 0.5) / steps, out=buf)
-            if start is not None:
-                buf += start
-            point = Tensor(buf, requires_grad=True)
-            with Tape() as tape:
-                logit = model.forward_classify(point)
-                tape.backward(logit)
-            if point.grad is None or not np.all(np.isfinite(point.grad)):
-                raise AttributionError(f"non-finite gradient at step {k}")
-            node = point.grad.astype(np.float64, copy=True)
-            i = k + 1
-            while i % 2 == 0:
-                node = partials.pop() + node
-                i //= 2
-            partials.append(node)
-    grad_sum = partials.pop()
-    while partials:
-        grad_sum = partials.pop() + grad_sum
-    return delta * (grad_sum / steps)
+        grad_sum = _gradient_sum(classify, rows_shape, steps,
+                                 *_path(data, x0, dtype, to_rows))
+    grad_sum /= steps
+    mean_grad = to_voxels(grad_sum)
+    out = np.empty(data.shape)  # x - x0 in float64, then times the mean gradient
+    if x0 is None:
+        np.copyto(out, data)
+    else:
+        np.subtract(data, x0, out=out)
+    out.reshape(mean_grad.shape)[...] *= mean_grad
+    return out
 
 
 def smooth_per_timepoint(attr4d: np.ndarray, sigma: float) -> np.ndarray:
@@ -168,7 +241,8 @@ def ig_sq(model, vol, cfg: AttributionConfig, subject_id: str = "",
     cast back to the input's dtype, so the passes run at the input's
     precision (float32 for a float32 volume); accumulation is float64.
     """
-    x, dtype = _as_volume_array(vol)
+    data, dtype = _volume_data(vol)
+    x = np.asarray(data, dtype=np.float64)
     rng = np.random.default_rng(seed)
     scale = float(cfg.sg_noise_std) * float(x.std())
 

@@ -508,13 +508,17 @@ def gelu(x: Tensor) -> Tensor:
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax; -inf entries get exactly zero weight."""
     x = as_tensor(x)
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x.data - np.max(x.data, axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
     sx = x.slot
 
     def backward(g):
-        sx.accumulate_grad(y * (g - (g * y).sum(axis=axis, keepdims=True)))
+        # g is this closure's own (see the module docstring), so it is
+        # overwritten in place
+        g -= (g * y).sum(axis=axis, keepdims=True)
+        g *= y
+        sx.accumulate_grad(g)
 
     return _record(Tensor(y), (x,), backward)
 

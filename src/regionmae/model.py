@@ -47,6 +47,12 @@ CONFIGURATIONS = (MAMBA, ALTERNATE, AM, MA)
 ATT = "ATT"
 SSM = "SSM"
 
+# The [X, Y, Z, T] volume split as (nx, px, ny, py, nz, pz, nt, pt), permuted
+# by TOKEN_ORDER, is the token lattice (nz, ny, nx, nt) by the within-patch
+# axes (px, py, pz, pt); VOXEL_ORDER permutes back.
+TOKEN_ORDER = (4, 2, 0, 6, 1, 3, 5, 7)
+VOXEL_ORDER = tuple(TOKEN_ORDER.index(i) for i in range(8))
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -389,21 +395,65 @@ class HybridModel:
         """Token lattice axes (z, y, x, t), then within-patch axes (x, y, z, t)."""
         return (*dims, *self.config.patch_size, self.config.t_patch)
 
-    def patch_embed(self, vol) -> tuple[Tensor, tuple]:
-        """Voxel blocks -> D-dim tokens; row p*nt + t covers patch p, slab t."""
+    def _voxel_axes(self, dims) -> tuple[int, ...]:
+        """The [X, Y, Z, T] axes split as (nx, px, ny, py, nz, pz, nt, pt)."""
+        axes = self._patch_axes(dims)
+        return tuple(axes[i] for i in VOXEL_ORDER)
+
+    def rows_shape(self, dims) -> tuple[int, int]:
+        """[N, k] token rows: one per token, one column per voxel of its block."""
+        axes = self._patch_axes(dims)
+        return math.prod(axes[:4]), math.prod(axes[4:])
+
+    def _volume_shape(self, dims) -> tuple[int, int, int, int]:
+        nx, px, ny, py, nz, pz, nt, pt = self._voxel_axes(dims)
+        return nx * px, ny * py, nz * pz, nt * pt
+
+    def token_view(self, vol) -> tuple[np.ndarray, tuple]:
+        """A [X, Y, Z, T] array seen in token order without a copy, and its
+        lattice dims. The view has the ``_patch_axes`` shape, and its C-order
+        elements are the token rows of :meth:`patchify`."""
+        x = np.asarray(vol.data if isinstance(vol, (Volume4D, Tensor)) else vol)
+        if x.ndim != 4:
+            raise ValidationError("model input must be a 4D volume")
+        dims = self.lattice_dims(x.shape[:3], x.shape[3])
+        return x.reshape(self._voxel_axes(dims)).transpose(TOKEN_ORDER), dims
+
+    def voxel_view(self, rows: np.ndarray, dims) -> np.ndarray:
+        """C-contiguous token rows (any shape of N*k elements) seen in voxel
+        order without a copy: the (nx, px, ny, py, nz, pz, nt, pt) split of
+        the volume that :meth:`unpatchify` returns."""
+        return rows.reshape(self._patch_axes(dims)).transpose(VOXEL_ORDER)
+
+    def patchify(self, vol) -> tuple[np.ndarray, tuple]:
+        """[X, Y, Z, T] voxels -> a contiguous [N, k] copy of the token rows,
+        and the lattice dims; row p*nt + t covers patch p, slab t. Numpy only,
+        no tape."""
+        view, dims = self.token_view(vol)
+        return np.array(view, order="C").reshape(self.rows_shape(dims)), dims
+
+    def unpatchify(self, rows: np.ndarray, dims) -> np.ndarray:
+        """[N, k] token rows -> a contiguous [X, Y, Z, T] copy of the volume.
+        Numpy only, no tape."""
+        vox = np.array(self.voxel_view(rows, dims), order="C")
+        return vox.reshape(self._volume_shape(dims))
+
+    def _token_rows(self, vol) -> tuple[Tensor, tuple]:
+        """:meth:`patchify` on the tape; a Tensor input keeps its graph."""
         x = self._as_input(vol)
         dims = self.lattice_dims(x.shape[:3], x.shape[3])
-        nz, ny, nx, nt, px, py, pz, pt = self._patch_axes(dims)
-        blocks = ad.reshape(x, (nx, px, ny, py, nz, pz, nt, pt))
-        blocks = ad.transpose(blocks, (4, 2, 0, 6, 1, 3, 5, 7))
-        blocks = ad.reshape(blocks, (nz * ny * nx * nt, px * py * pz * pt))
-        return self._lin("embed", blocks), dims
+        blocks = ad.transpose(ad.reshape(x, self._voxel_axes(dims)), TOKEN_ORDER)
+        return ad.reshape(blocks, self.rows_shape(dims)), dims
+
+    def patch_embed(self, vol) -> tuple[Tensor, tuple]:
+        """Voxel blocks -> D-dim tokens; row p*nt + t covers patch p, slab t."""
+        rows, dims = self._token_rows(vol)
+        return self._lin("embed", rows), dims
 
     def _unpatchify(self, recon: Tensor, dims) -> Tensor:
-        """[N, k] token rows back to the [X, Y, Z, T] volume (inverse of patch_embed)."""
-        nz, ny, nx, nt, px, py, pz, pt = axes = self._patch_axes(dims)
-        vox = ad.transpose(ad.reshape(recon, axes), (2, 4, 1, 5, 0, 6, 3, 7))
-        return ad.reshape(vox, (nx * px, ny * py, nz * pz, nt * pt))
+        """:meth:`unpatchify` on the tape (inverse of patch_embed)."""
+        vox = ad.transpose(ad.reshape(recon, self._patch_axes(dims)), VOXEL_ORDER)
+        return ad.reshape(vox, self._volume_shape(dims))
 
     def _mask_flat(self, mask: MaskTensor, dims) -> np.ndarray:
         nz, ny, nx, nt = dims
@@ -449,12 +499,20 @@ class HybridModel:
         tokens = self._norm("head.norm", tokens)
         return self._unpatchify(self._lin("head", tokens), dims)
 
-    def forward_classify(self, vol) -> Tensor:
-        """Encoder + mean pool + linear head -> scalar logit."""
-        tokens, dims = self.patch_embed(vol)
-        tokens, _ = self.encode(tokens, dims)
+    def classify_tokens(self, rows, dims) -> Tensor:
+        """[N, k] token rows -> embed, encoder, mean pool, linear head -> scalar
+        logit. A Tensor input keeps its graph."""
+        rows = ad.as_tensor(rows)
+        if rows.shape != self.rows_shape(dims):
+            raise ValidationError(f"token rows {rows.shape} do not fit lattice {dims}: "
+                                  f"expected {self.rows_shape(dims)}")
+        tokens, _ = self.encode(self._lin("embed", rows), dims)
         pooled = ad.tmean(self._norm("cls.norm", tokens), axis=0)  # [D_top]
         logit = ad.add(ad.matmul(ad.reshape(pooled, (1, pooled.shape[0])),
                                  self.params["cls.w"]),
                        self.params["cls.b"])
         return ad.reshape(logit, ())
+
+    def forward_classify(self, vol) -> Tensor:
+        """:meth:`classify_tokens` of the volume's token rows."""
+        return self.classify_tokens(*self._token_rows(vol))

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from regionmae.errors import (
     DegenerateDataError,
     ValidationError,
 )
-from regionmae.model import MA, HybridModel, ModelConfig
+from regionmae.model import CONFIGURATIONS, MA, MAMBA, HybridModel, ModelConfig
 from regionmae.nifti import LabelVolume
 
 SHAPE = (6, 6, 6, 2)
@@ -77,6 +78,9 @@ def test_config_validation():
         AttributionConfig(sg_samples=0)
     with pytest.raises(ValidationError):
         AttributionConfig(sg_noise_std=-0.1)
+    for field in ("sg_noise_std", "gauss_sigma"):
+        with pytest.raises(ValidationError, match=field):
+            AttributionConfig(**{field: float("nan")})
     with pytest.raises(ValidationError):
         AttributionConfig(top_percentile=100.0)
     with pytest.raises(ValidationError):
@@ -159,13 +163,13 @@ def test_completeness_holds_for_the_real_model(rng):
 
 def test_float32_volume_runs_float32_passes(rng, monkeypatch):
     seen = []
-    real = HybridModel.forward_classify
+    real = HybridModel.classify_tokens
 
-    def spy(self, vol):
-        seen.append(vol.dtype)
-        return real(self, vol)
+    def spy(self, rows, dims):
+        seen.append(rows.dtype)
+        return real(self, rows, dims)
 
-    monkeypatch.setattr(HybridModel, "forward_classify", spy)
+    monkeypatch.setattr(HybridModel, "classify_tokens", spy)
     model = small_model()
     x = rng.normal(size=(12, 12, 12, 4)).astype(np.float32)
     integrated_gradients(model, x, ZERO, steps=2)
@@ -194,6 +198,76 @@ def test_zero_baseline_matches_an_explicit_zero_volume(rng):
         got = integrated_gradients(model, x, ZERO, steps=4)
         want = integrated_gradients(model, x, np.zeros(x.shape), steps=4)
         assert got.tobytes() == want.tobytes(), dtype
+
+
+class VoxelOnly:
+    """A model seen through ``forward_classify`` alone, so integrated
+    gradients runs its passes on the volume, not on token rows."""
+
+    def __init__(self, model):
+        self.model = model
+        self.params = model.params
+
+    def forward_classify(self, vol):
+        return self.model.forward_classify(vol)
+
+
+@pytest.mark.parametrize("conf", CONFIGURATIONS)
+def test_token_path_matches_voxel_path_bytewise(rng, conf):
+    # non-cubic patches, so a wrong axis order cannot pass by symmetry
+    model = HybridModel(ModelConfig(embed_dim=8, stage_depths=(1, 1), heads=2,
+                                    window=(4, 4, 4, 2), ssm_state_dim=4,
+                                    patch_size=(2, 3, 4), t_patch=2,
+                                    configuration=conf))
+    voxels = VoxelOnly(model)
+    for dtype in (np.float32, np.float64):
+        x = rng.normal(size=(16, 12, 16, 4)).astype(dtype)
+        for baseline in (ZERO, MEAN, rng.normal(size=x.shape),
+                         rng.normal(size=x.shape).astype(np.float32)):
+            got = integrated_gradients(model, x, baseline, steps=4)
+            want = integrated_gradients(voxels, x, baseline, steps=4)
+            assert got.flags.c_contiguous and got.dtype == np.float64
+            assert got.tobytes() == want.tobytes(), (dtype, baseline)
+        cfg = AttributionConfig(ig_steps=2, sg_samples=2, baseline=MEAN)
+        got = ig_sq(model, x, cfg, seed=5).map3d
+        assert got.tobytes() == ig_sq(voxels, x, cfg, seed=5).map3d.tobytes(), dtype
+
+
+def test_no_pass_permutes_the_volume(rng, monkeypatch):
+    sizes = []
+    real = ad.transpose
+
+    def spy(t, axes):
+        sizes.append(t.size)
+        return real(t, axes)
+
+    monkeypatch.setattr(ad, "transpose", spy)
+    model = small_model()  # MA: its attention blocks still transpose
+    x = rng.normal(size=(12, 12, 12, 4)).astype(np.float32)
+    integrated_gradients(model, x, ZERO, steps=2)
+    assert sizes and max(sizes) < x.size
+    sizes.clear()
+    integrated_gradients(VoxelOnly(model), x, ZERO, steps=2)
+    assert sizes.count(x.size) == 2  # the voxel path's patchify, once per pass
+
+
+def test_explicit_baseline_is_not_copied_into_token_order(rng):
+    # float64 passes on a float64 baseline: the path difference, the point
+    # buffer and the gradients take four volumes at 2 steps, plus a little
+    # for the model; a contiguous token-order copy of the baseline (or of
+    # any other volume) would take a fifth
+    model = HybridModel(ModelConfig(embed_dim=8, stage_depths=(1, 1),
+                                    ssm_state_dim=4, configuration=MAMBA))
+    x = rng.normal(size=(48, 48, 48, 4))
+    x0 = x + 0.1 * rng.normal(size=x.shape)
+    integrated_gradients(model, x, x0, steps=2)  # warm the model's caches
+    tracemalloc.start()
+    try:
+        integrated_gradients(model, x, x0, steps=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * x.nbytes, peak / x.nbytes
 
 
 def test_parameters_get_no_gradients(rng):

@@ -377,6 +377,26 @@ def test_pretrain_bad_clip_norm_exits_2_before_reading_volumes(
     assert not (tmp_path / "out" / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("field", ["gauss_sigma", "sg_noise_std"])
+def test_attribute_nan_exits_2_before_reading_volumes(
+        pipeline, tmp_path, capsys, monkeypatch, field):
+    reads = []
+    monkeypatch.setattr(cli, "read_nifti", lambda path, kind="auto": reads.append(path))
+    synth = pipeline / "synth"
+    rc = main(["--out-dir", str(tmp_path / "out"),
+               "--set", f"data.manifest={pipeline / 'prep' / 'manifest.csv'}",
+               "--set", f"data.checkpoint={pipeline / 'finetune' / 'model.ckpt'}",
+               "--set", f"data.atlas={synth / 'atlas.nii.gz'}",
+               "--set", f"data.region_map={synth / 'region_map.csv'}",
+               "--set", f"attribution.{field}=.nan",
+               *SMALL_MODEL,
+               "attribute"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "attribution" in err and field in err
+    assert reads == []
+
+
 def test_mask_artifact_loads(pipeline):
     tensor, spec = load_mask(pipeline / "mask" / "mask.bits")
     assert spec.strategy == "REGION_ANY"
