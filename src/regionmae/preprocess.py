@@ -279,16 +279,19 @@ def preprocess_volume(
     p99_thresh: float = DEFAULT_P99_THRESHOLD,
     subject_id: str = "",
 ):
-    """Full per-subject pipeline: resample in time, crop, standardize, QC.
+    """Full per-subject pipeline: crop, resample in time, standardize, QC.
 
-    The volume is resampled to ``target_tr`` along time only, then
-    center-cropped to ``fov``. The QC dice compares the estimated subject
-    mask against ``template_mask`` on the cropped grid; with no template the
-    dice gate trivially passes (dice = 1.0).
+    The volume is center-cropped to ``fov``, then resampled to ``target_tr``
+    along time only. Both act on each voxel's series alone and zero padding
+    resamples to exact zeros, so the result is byte-identical to resampling
+    first, at the cost of the cropped grid instead of the raw one. The QC
+    dice compares the estimated subject mask against ``template_mask`` on
+    the cropped grid; with no template the dice gate trivially passes
+    (dice = 1.0).
     """
+    vol = crop_fov(vol, fov)
     if vol.n_timepoints >= 2 and abs(vol.tr_seconds - target_tr) > 1e-12:
         vol = resample_temporal(vol, target_tr)
-    vol = crop_fov(vol, fov)
     mask = estimate_brain_mask(vol, fraction=mask_fraction)
     normalized, stats = zscore_clip(vol, mask, clip=clip)
     if template_mask is not None:

@@ -1,6 +1,7 @@
 import gzip
 import struct
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from regionmae.errors import (
 from regionmae.nifti import (
     LabelVolume,
     Volume4D,
+    _build_header_bytes,
     parse_header,
     read_nifti,
     write_nifti,
@@ -253,8 +255,6 @@ def test_unsupported_datatype_rejected(tmp_path):
 
 
 def test_oversized_axis_rejected():
-    from regionmae.nifti import _build_header_bytes
-
     with pytest.raises(ValidationError):
         _build_header_bytes((40000, 2, 2), np.dtype(np.float32), np.eye(4), 1.0)
 
@@ -266,3 +266,111 @@ def test_trailing_singleton_squeezed(tmp_path):
     p.write_bytes(raw)
     vol = read_nifti(p, kind="volume")
     assert vol.data.shape == (2, 2, 2, 1)
+
+
+def _written_cases(rng):
+    """(volume, stored dtype, payload) for each writer dtype, a non-cubic shape included."""
+    affine = np.diag([2.0, 3.0, 4.0, 1.0])
+    labels = rng.integers(0, 4, size=(7, 5, 3))
+    f32 = rng.normal(size=(5, 4, 3, 6)).astype(np.float32)
+    f32[:2] = 0.0  # a run of zeros, as outside the brain
+    f64 = rng.normal(size=(3, 3, 3, 2))
+    cases = [
+        (Volume4D(data=f32, affine=affine, tr_seconds=0.8), np.float32, f32),
+        (Volume4D(data=f64, affine=affine), np.float64, f64),
+        (Volume4D(data=f32[:, :, :1, :1], affine=affine), np.float32, f32[:, :, :1, :1]),
+    ]
+    for scale, dtype in ((1, np.uint8), (300, np.uint16), (70000, np.int32)):
+        lab = labels * scale
+        cases.append((LabelVolume(labels=lab, affine=affine), dtype, lab))
+    return cases
+
+
+def test_gzip_stream_is_header_plus_payload(tmp_path, rng):
+    for i, (vol, dtype, data) in enumerate(_written_cases(rng)):
+        path = tmp_path / f"v{i}.nii.gz"
+        write_nifti(vol, path)
+        raw = path.read_bytes()
+        # fixed: no name, mtime 0, XFL 2, OS 255
+        assert raw[:10] == bytes.fromhex("1f8b08000000000002ff")
+        tr = vol.tr_seconds if isinstance(vol, Volume4D) else 1.0
+        expect = (_build_header_bytes(data.shape, np.dtype(dtype), vol.affine, tr)
+                  + np.asarray(data, dtype=dtype).tobytes(order="F"))
+        assert gzip.decompress(raw) == expect
+        with gzip.open(path, "rb") as fh:
+            assert fh.read() == expect
+        assert struct.unpack("<h", expect[70:72])[0] == {
+            np.float32: 16, np.float64: 64, np.uint8: 2, np.uint16: 512, np.int32: 8,
+        }[dtype]
+
+
+def _failing_compressobj(real, fail_at, seen, directory):
+    class Failing:
+        def __init__(self, *args):
+            self.inner = real(*args)
+            self.calls = 0
+
+        def compress(self, data):
+            self.calls += 1
+            if self.calls == fail_at:
+                seen.extend(p.name for p in directory.iterdir())
+                raise RuntimeError("compressor failed")
+            return self.inner.compress(data)
+
+        def flush(self):
+            return self.inner.flush()
+
+    return Failing
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_failed_write_leaves_target_untouched(tmp_path, rng, monkeypatch, existing):
+    path = tmp_path / "v.nii.gz"
+    if existing:
+        path.write_bytes(b"old bytes")
+    vol = Volume4D(data=rng.normal(size=(6, 6, 6, 4)).astype(np.float32),
+                   affine=np.eye(4))
+    seen = []
+    monkeypatch.setattr(zlib, "compressobj",
+                        _failing_compressobj(zlib.compressobj, 3, seen, tmp_path))
+    with pytest.raises(RuntimeError, match="compressor failed"):
+        write_nifti(vol, path)
+    # the header and one slice went to a temporary file, never to the target
+    assert any(name.endswith(".tmp") for name in seen)
+    assert [p.name for p in tmp_path.iterdir()] == (["v.nii.gz"] if existing else [])
+    if existing:
+        assert path.read_bytes() == b"old bytes"
+
+
+def test_big_endian_float_volume_scaled(tmp_path, rng):
+    for code, dtype in ((16, np.float32), (64, np.float64)):
+        data = rng.normal(size=(3, 4, 2, 2)).astype(dtype)
+        p = tmp_path / f"be{code}.nii"
+        p.write_bytes(make_raw(">", data.shape, code, data, scl=(2.0, 1.0)))
+        vol = read_nifti(p, kind="volume")
+        assert vol.data.dtype == dtype and vol.data.flags.c_contiguous
+        np.testing.assert_array_equal(vol.data, data * dtype(2.0) + dtype(1.0))
+
+
+def test_truncated_gzip_names_file(tmp_path, rng):
+    path = tmp_path / "v.nii.gz"
+    write_nifti(Volume4D(data=rng.normal(size=(4, 4, 4, 2)), affine=np.eye(4)), path)
+    raw = path.read_bytes()
+    for cut in (len(raw) // 2, len(raw) - 4):  # inside the stream, inside the trailer
+        path.write_bytes(raw[:cut])
+        with pytest.raises(TruncatedFileError, match="v.nii.gz"):
+            read_nifti(path)
+
+
+def test_corrupt_gzip_names_file(tmp_path, rng):
+    path = tmp_path / "v.nii.gz"
+    write_nifti(Volume4D(data=rng.normal(size=(4, 4, 4, 2)), affine=np.eye(4)), path)
+    raw = bytearray(path.read_bytes())
+    corrupt = raw.copy()
+    corrupt[10] = 0xFF  # reserved deflate block type
+    crc = raw.copy()
+    crc[-8] ^= 0xFF  # CRC-32 mismatch
+    for bad in (corrupt, crc, b"not gzip at all"):
+        path.write_bytes(bytes(bad))
+        with pytest.raises(FormatError, match="v.nii.gz"):
+            read_nifti(path)

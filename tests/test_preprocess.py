@@ -268,6 +268,26 @@ def test_qc_csv_roundtrip(tmp_path):
     assert back[1]["reasons"].split(";") == ["DICE_FAIL", "P99_FAIL"]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("src, fov", [
+    ((9, 10, 11), (6, 6, 6)),  # crop every axis
+    ((4, 5, 3), (8, 8, 8)),  # zero-pad every axis
+    ((9, 4, 7), (6, 8, 7)),  # crop, pad and keep
+])
+def test_crop_commutes_with_temporal_resampling(rng, dtype, src, fov):
+    data = rng.normal(100.0, 20.0, size=src + (6,)).astype(dtype)
+    affine = np.diag([2.0, 2.5, 3.0, 1.0])
+    affine[:3, 3] = (-9.0, 4.0, 1.5)
+    vol = Volume4D(data=data, affine=affine, tr_seconds=1.2)
+    cropped_first = resample_temporal(crop_fov(vol, fov), 0.8)
+    resampled_first = crop_fov(resample_temporal(vol, 0.8), fov)
+    assert cropped_first.data.shape == fov + (8,)
+    assert cropped_first.data.dtype == resampled_first.data.dtype == dtype
+    assert cropped_first.data.tobytes() == resampled_first.data.tobytes()
+    assert cropped_first.affine.tobytes() == resampled_first.affine.tobytes()
+    assert cropped_first.tr_seconds == resampled_first.tr_seconds
+
+
 # -- end to end --------------------------------------------------------------
 
 def test_preprocess_volume_pipeline(rng):
