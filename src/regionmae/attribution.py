@@ -185,7 +185,7 @@ def integrated_gradients(model, vol, baseline=ZERO, steps: int = 32) -> np.ndarr
     Returns (x - x0) * mean of input gradients sampled at the midpoints
     x0 + (k + 0.5)/steps * (x - x0), k = 0..steps-1.
 
-    IG is elementwise along a straight path and patchify is a permutation,
+    IG is elementwise along a straight path and the token order is a permutation,
     so for a model with ``classify_tokens`` the whole integral runs on its
     token rows: ``x - x0`` is permuted into contiguous rows once per call,
     every point is built in that layout, the gradients are summed there,

@@ -11,7 +11,6 @@ configuration or validation, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import sys
@@ -25,7 +24,7 @@ from .atlas import PatchGrid, PatchSets, RegionMap, classify_patches, \
 from .attribution import AttributionConfig, aggregate_group, ig_sq, \
     threshold_and_project, write_roi_csv
 from .checkpoint import load_checkpoint, restore_params, save_checkpoint
-from .config import data_path, load_config, require_data_path, \
+from .config import CLI_ONLY, data_path, load_config, require_data_path, \
     write_input_hashes, write_snapshot
 from .errors import ConfigurationError, DegenerateDataError, GeometryError, \
     ValidationError
@@ -70,15 +69,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _kwargs(cfg: dict, section: str) -> dict:
+    """A type-checked config section as library keyword arguments: without
+    its CLI-only keys, lists as tuples."""
+    own = CLI_ONLY.get(section, {})
+    return {k: tuple(v) if isinstance(v, list) else v
+            for k, v in cfg[section].items() if k not in own}
+
+
 def _build(cls, cfg: dict, section: str, **extra):
-    """``cls`` from the fields it shares with a type-checked config section;
-    ``extra`` supplies or overrides fields."""
-    s = cfg[section]
-    kwargs = {f.name: tuple(s[f.name]) if isinstance(s[f.name], list)
-              else s[f.name]
-              for f in dataclasses.fields(cls) if f.name in s}
+    """``cls`` from a config section; ``extra`` supplies or overrides fields."""
     try:
-        return cls(**{**kwargs, **extra})
+        return cls(**{**_kwargs(cfg, section), **extra})
     except ValidationError as exc:
         raise ValidationError(f"{section}: {exc}") from exc
 
@@ -120,20 +122,13 @@ def cmd_preprocess(cfg: dict, args, out: Path) -> list:
                 f"preprocess.fov is {tuple(p['fov'])}")
         inputs.append(mask_path)
 
+    kwargs = _kwargs(cfg, "preprocess")
     reports, kept = [], []
     for rec in records:
         vol = read_nifti(rec.path, kind="volume")
         normalized, _, report = preprocess_volume(
-            vol,
-            target_tr=p["target_tr"],
-            fov=p["fov"],
-            template_mask=template_mask,
-            mask_fraction=p["mask_fraction"],
-            clip=p["clip"],
-            dice_thresh=p["dice_thresh"],
-            p99_thresh=p["p99_thresh"],
-            subject_id=rec.subject_id,
-        )
+            vol, template_mask=template_mask, subject_id=rec.subject_id,
+            **kwargs)
         reports.append(report)
         if report.excluded and p["drop_excluded"]:
             continue
@@ -160,12 +155,7 @@ def cmd_classify(cfg: dict, args, out: Path) -> list:
         grid = PatchGrid.for_shape(atlas.labels.shape, cfg["model"]["patch_size"])
     except GeometryError as exc:
         raise ConfigurationError(f"model.patch_size: {exc}") from exc
-    sets = classify_patches(
-        atlas, regions,
-        purity_threshold=cfg["atlas"]["purity_threshold"],
-        majority_threshold=cfg["atlas"]["majority_threshold"],
-        grid=grid,
-    )
+    sets = classify_patches(atlas, regions, grid=grid, **_kwargs(cfg, "atlas"))
     sets.save(out / "patch_sets.json")
     rows = patch_set_report(sets)
     with open(out / "patch_report.csv", "w") as fh:
@@ -216,19 +206,17 @@ def cmd_pretrain(cfg: dict, args, out: Path) -> list:
 def cmd_finetune(cfg: dict, args, out: Path) -> list:
     model_cfg = _build(ModelConfig, cfg, "model")
     run = _build(RunConfig, cfg, "finetune", phase=FINETUNE)
+    model = HybridModel(model_cfg)
+    ckpt = data_path(cfg, "finetune.init_from")
+    if ckpt is not None:
+        ckpt = require_data_path(cfg, "finetune.init_from")
+        arrays, _ = load_checkpoint(ckpt, model.config.config_hash())
+        restore_params(model.params, arrays)
     records, volumes, inputs = _load_labeled(cfg)
     if any(r.label is None for r in records):
         raise ConfigurationError("finetune needs a label for every subject "
                                  "in data.manifest")
-    model = HybridModel(model_cfg)
-    init_from = cfg["finetune"]["init_from"]
-    if init_from:
-        ckpt = Path(init_from)
-        if not ckpt.is_absolute():
-            ckpt = Path(cfg["data"]["root"]) / ckpt
-        arrays, _ = load_checkpoint(ckpt, model.config.config_hash())
-        restore_params(model.params, arrays)
-        inputs.append(ckpt)
+    inputs.append(ckpt)
 
     train, val, test = split_subjects(records, run.split,
                                       seed=cfg["run"]["seed"])
@@ -254,12 +242,11 @@ def cmd_attribute(cfg: dict, args, out: Path) -> list:
     ckpt_path = require_data_path(cfg, "checkpoint")
     atlas_path = require_data_path(cfg, "atlas")
     map_path = require_data_path(cfg, "region_map")
-    records, volumes, inputs = _load_labeled(cfg)
-    inputs += [ckpt_path, atlas_path, map_path]
-
     model = HybridModel(model_cfg)
     arrays, _ = load_checkpoint(ckpt_path, model.config.config_hash())
     restore_params(model.params, arrays)
+    records, volumes, inputs = _load_labeled(cfg)
+    inputs += [ckpt_path, atlas_path, map_path]
     atlas = read_nifti(atlas_path, kind="labels")
     regions = RegionMap.from_csv(map_path)
 
@@ -292,14 +279,7 @@ def cmd_attribute(cfg: dict, args, out: Path) -> list:
 
 
 def cmd_stats(cfg: dict, args, out: Path) -> list:
-    input_path = Path(cfg["stats"]["input"] or "")
-    if not cfg["stats"]["input"]:
-        raise ConfigurationError("config field stats.input is required")
-    if not input_path.is_absolute():
-        input_path = Path(cfg["data"]["root"]) / input_path
-    if not input_path.exists():
-        raise ConfigurationError(f"stats.input points at missing file "
-                                 f"{input_path}")
+    input_path = require_data_path(cfg, "stats.input")
     with open(input_path) as fh:
         header = fh.readline().strip().split(",")
         matrix = np.loadtxt(fh, delimiter=",", ndmin=2)

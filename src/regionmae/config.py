@@ -10,8 +10,8 @@ its outputs so a run can be reproduced from the snapshot alone.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import hashlib
+import inspect
 import json
 import os
 from pathlib import Path
@@ -29,21 +29,32 @@ from .training import RunConfig
 ENV_DATA_ROOT = "REGIONMAE_DATA_ROOT"
 
 
-def _fields(cls, skip=(), **extra) -> dict:
-    """A config section holding ``cls``'s field defaults (tuples as lists)
-    plus ``extra``, which adds CLI-only keys and overrides library defaults."""
+def _fields(fn, skip=(), **extra) -> dict:
+    """A config section holding the keyword defaults of ``fn``, a class or a
+    function (tuples as lists), plus ``extra``, which adds CLI-only keys and
+    overrides library defaults."""
     section = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in skip and f.default is not dataclasses.MISSING:
-            v = f.default
-            section[f.name] = list(v) if isinstance(v, tuple) else v
+    for name, p in inspect.signature(fn).parameters.items():
+        if name not in skip and p.default is not p.empty:
+            v = p.default
+            section[name] = list(v) if isinstance(v, tuple) else v
     section.update(extra)
     return section
 
 
-# The dataclass sections take their defaults from the library. Where the CLI
-# departs from the library it says so here: mask.strategy (no library
-# default), mask.region (library: None) and pretrain.lr (library: 5e-5).
+# Keys the CLI reads itself, with their defaults. Every other key of these
+# sections is a keyword argument of the library call the section feeds.
+CLI_ONLY: dict = {
+    "preprocess": {"drop_excluded": True},
+    "mask": {"t_patches": 2},
+    "finetune": {"init_from": ""},
+    "attribution": {"only_correct": True},
+}
+
+# Each section but run, data and stats takes its keys and defaults from the
+# library signature it feeds. Where the CLI departs from the library it says
+# so here: mask.strategy (no library default), mask.region (library: None)
+# and pretrain.lr (library: 5e-5).
 DEFAULTS: dict = {
     "run": {
         "seed": 0,
@@ -59,26 +70,18 @@ DEFAULTS: dict = {
         "checkpoint": "",
     },
     "synth": _fields(SynthConfig),
-    "preprocess": {
-        "fov": list(preprocess.DEFAULT_FOV),
-        "target_tr": preprocess.DEFAULT_TR,
-        "mask_fraction": preprocess.DEFAULT_MASK_FRACTION,
-        "clip": list(preprocess.DEFAULT_CLIP),
-        "dice_thresh": preprocess.DEFAULT_DICE_THRESHOLD,
-        "p99_thresh": preprocess.DEFAULT_P99_THRESHOLD,
-        "drop_excluded": True,
-    },
-    "atlas": {
-        "purity_threshold": atlas.DEFAULT_PURITY_THRESHOLD,
-        "majority_threshold": atlas.DEFAULT_MAJORITY_THRESHOLD,
-    },
+    "preprocess": _fields(preprocess.preprocess_volume,
+                          skip=("template_mask", "subject_id"),
+                          **CLI_ONLY["preprocess"]),
+    "atlas": _fields(atlas.classify_patches, skip=("grid",)),
     "mask": _fields(MaskSpec, strategy=REGION_ANY, region="frontal",
-                    t_patches=2),
+                    **CLI_ONLY["mask"]),
     "model": _fields(ModelConfig),
     "pretrain": _fields(RunConfig, skip=("phase", "mask_spec", "freeze_encoder"),
                         lr=1e-3),
-    "finetune": _fields(RunConfig, skip=("phase", "mask_spec"), init_from=""),
-    "attribution": _fields(AttributionConfig, only_correct=True),
+    "finetune": _fields(RunConfig, skip=("phase", "mask_spec"),
+                        **CLI_ONLY["finetune"]),
+    "attribution": _fields(AttributionConfig, **CLI_ONLY["attribution"]),
     "stats": {
         "input": "",
     },
@@ -203,8 +206,10 @@ def load_config(path=None, overrides=(), seed=None, out_dir=None) -> dict:
 
 
 def data_path(cfg: dict, key: str) -> Path | None:
-    """Resolve a data-section path against the data root; None when unset."""
-    raw = cfg["data"][key]
+    """Resolve a path key against the data root; None when unset. ``key`` is
+    a ``data`` key, or a dotted key of another section (``stats.input``)."""
+    section, _, name = key.rpartition(".")
+    raw = cfg[section or "data"][name]
     if not raw:
         return None
     p = Path(raw)
@@ -212,12 +217,13 @@ def data_path(cfg: dict, key: str) -> Path | None:
 
 
 def require_data_path(cfg: dict, key: str) -> Path:
+    dotted = key if "." in key else f"data.{key}"
     p = data_path(cfg, key)
     if p is None:
-        raise ConfigurationError(f"config field data.{key} is required "
+        raise ConfigurationError(f"config field {dotted} is required "
                                  f"for this command")
     if not p.exists():
-        raise ConfigurationError(f"data.{key} points at missing file {p}")
+        raise ConfigurationError(f"{dotted} points at missing file {p}")
     return p
 
 

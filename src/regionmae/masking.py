@@ -43,8 +43,10 @@ class MaskSpec:
     window_block: tuple[int, int, int] = (2, 2, 2)
 
     def __post_init__(self) -> None:
-        # an empty region means no region, as None does
+        # an empty region means no region, as None does; a window_block
+        # read back from JSON arrives as a list
         object.__setattr__(self, "region", self.region or None)
+        object.__setattr__(self, "window_block", tuple(self.window_block))
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"unknown strategy {self.strategy!r}")
         if not 0.0 < self.ratio <= 1.0:
@@ -56,21 +58,9 @@ class MaskSpec:
         if any(b < 1 for b in self.window_block):
             raise ValidationError("window_block entries must be >= 1")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["window_block"] = list(self.window_block)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MaskSpec":
-        d = dict(d)
-        if "window_block" in d:
-            d["window_block"] = tuple(d["window_block"])
-        return cls(**d)
-
     def digest(self) -> str:
         return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode()
+            json.dumps(asdict(self), sort_keys=True).encode()
         ).hexdigest()
 
 
@@ -219,7 +209,7 @@ def save_mask(tensor: MaskTensor, spec: MaskSpec, path) -> None:
         "masked_voxels": tensor.masked_voxels,
         "voxels_per_patch": tensor.voxels_per_patch,
         "t_patch_len": tensor.t_patch_len,
-        "spec": spec.to_dict(),
+        "spec": asdict(spec),
         "spec_hash": spec.digest(),
     }
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
@@ -228,7 +218,7 @@ def save_mask(tensor: MaskTensor, spec: MaskSpec, path) -> None:
 def load_mask(path) -> tuple[MaskTensor, MaskSpec]:
     path = Path(path)
     sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text())
-    spec = MaskSpec.from_dict(sidecar["spec"])
+    spec = MaskSpec(**sidecar["spec"])
     if spec.digest() != sidecar["spec_hash"]:
         raise ValidationError(f"spec hash mismatch in {path}")
     shape = tuple(sidecar["shape"])

@@ -412,7 +412,8 @@ class HybridModel:
     def token_view(self, vol) -> tuple[np.ndarray, tuple]:
         """A [X, Y, Z, T] array seen in token order without a copy, and its
         lattice dims. The view has the ``_patch_axes`` shape, and its C-order
-        elements are the token rows of :meth:`patchify`."""
+        elements are the [N, k] token rows (:meth:`rows_shape`); row
+        p*nt + t covers patch p, slab t."""
         x = np.asarray(vol.data if isinstance(vol, (Volume4D, Tensor)) else vol)
         if x.ndim != 4:
             raise ValidationError("model input must be a 4D volume")
@@ -422,24 +423,12 @@ class HybridModel:
     def voxel_view(self, rows: np.ndarray, dims) -> np.ndarray:
         """C-contiguous token rows (any shape of N*k elements) seen in voxel
         order without a copy: the (nx, px, ny, py, nz, pz, nt, pt) split of
-        the volume that :meth:`unpatchify` returns."""
+        the [X, Y, Z, T] volume."""
         return rows.reshape(self._patch_axes(dims)).transpose(VOXEL_ORDER)
 
-    def patchify(self, vol) -> tuple[np.ndarray, tuple]:
-        """[X, Y, Z, T] voxels -> a contiguous [N, k] copy of the token rows,
-        and the lattice dims; row p*nt + t covers patch p, slab t. Numpy only,
-        no tape."""
-        view, dims = self.token_view(vol)
-        return np.array(view, order="C").reshape(self.rows_shape(dims)), dims
-
-    def unpatchify(self, rows: np.ndarray, dims) -> np.ndarray:
-        """[N, k] token rows -> a contiguous [X, Y, Z, T] copy of the volume.
-        Numpy only, no tape."""
-        vox = np.array(self.voxel_view(rows, dims), order="C")
-        return vox.reshape(self._volume_shape(dims))
-
     def _token_rows(self, vol) -> tuple[Tensor, tuple]:
-        """:meth:`patchify` on the tape; a Tensor input keeps its graph."""
+        """:meth:`token_view` on the tape, as [N, k] rows; a Tensor input
+        keeps its graph."""
         x = self._as_input(vol)
         dims = self.lattice_dims(x.shape[:3], x.shape[3])
         blocks = ad.transpose(ad.reshape(x, self._voxel_axes(dims)), TOKEN_ORDER)
@@ -451,7 +440,8 @@ class HybridModel:
         return self._lin("embed", rows), dims
 
     def _unpatchify(self, recon: Tensor, dims) -> Tensor:
-        """:meth:`unpatchify` on the tape (inverse of patch_embed)."""
+        """:meth:`voxel_view` on the tape, as a [X, Y, Z, T] volume (inverse
+        of patch_embed)."""
         vox = ad.transpose(ad.reshape(recon, self._patch_axes(dims)), VOXEL_ORDER)
         return ad.reshape(vox, self._volume_shape(dims))
 

@@ -17,7 +17,7 @@ macroregion.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -190,15 +190,7 @@ def write_cohort(cfg: SynthConfig, out_dir) -> Path:
                 out / "brain_mask.nii.gz")
     cohort.regions.to_csv(out / "region_map.csv")
     with open(out / "synth_params.json", "w") as fh:
-        json.dump({"n_subjects": cfg.n_subjects, "shape": list(cfg.shape),
-                   "n_timepoints": cfg.n_timepoints,
-                   "tr_seconds": cfg.tr_seconds, "seed": cfg.seed,
-                   "signal_region": cfg.signal_region,
-                   "signal_amplitude": cfg.signal_amplitude,
-                   "noise_amplitude": cfg.noise_amplitude,
-                   "smooth_amplitude": cfg.smooth_amplitude,
-                   "temporal_amplitude": cfg.temporal_amplitude,
-                   "voxel_mm": cfg.voxel_mm}, fh, indent=2, sort_keys=True)
+        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
 
     manifest = out / "manifest.csv"
     write_manifest(cohort.records, manifest)

@@ -248,7 +248,7 @@ def test_no_pass_permutes_the_volume(rng, monkeypatch):
     assert sizes and max(sizes) < x.size
     sizes.clear()
     integrated_gradients(VoxelOnly(model), x, ZERO, steps=2)
-    assert sizes.count(x.size) == 2  # the voxel path's patchify, once per pass
+    assert sizes.count(x.size) == 2  # forward_classify's token permutation, once per pass
 
 
 def test_explicit_baseline_is_not_copied_into_token_order(rng):

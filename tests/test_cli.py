@@ -500,3 +500,47 @@ def test_stats_missing_input_exits_2(tmp_path, capsys):
     rc = main(["--out-dir", str(tmp_path / "o"), "stats"])
     assert rc == 2
     assert "stats.input" in capsys.readouterr().err
+
+
+def test_stats_input_missing_file_exits_2_relative_to_data_root(tmp_path, capsys):
+    rc = main(["--out-dir", str(tmp_path / "o"), "--set", f"data.root={tmp_path}",
+               "--set", "stats.input=nope.csv", "stats"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "stats.input" in err and str(tmp_path / "nope.csv") in err
+
+
+def test_finetune_missing_init_from_exits_2_before_reading_volumes(
+        pipeline, tmp_path, capsys, monkeypatch):
+    reads = []
+    monkeypatch.setattr(cli, "read_nifti", lambda path, kind="auto": reads.append(path))
+    rc = main(["--out-dir", str(tmp_path / "out"),
+               "--set", f"data.root={tmp_path}",
+               "--set", f"data.manifest={pipeline / 'prep' / 'manifest.csv'}",
+               "--set", "finetune.init_from=nope/model.ckpt",
+               *SMALL_MODEL, "finetune"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "finetune.init_from" in err and str(tmp_path / "nope" / "model.ckpt") in err
+    assert reads == []
+
+
+@pytest.mark.parametrize("command,key,ckpt", [
+    ("finetune", "finetune.init_from", "pretrain"),
+    ("attribute", "data.checkpoint", "finetune"),
+])
+def test_checkpoint_of_another_model_fails_before_reading_volumes(
+        pipeline, tmp_path, capsys, monkeypatch, command, key, ckpt):
+    reads = []
+    monkeypatch.setattr(cli, "read_nifti", lambda path, kind="auto": reads.append(path))
+    synth = pipeline / "synth"
+    # the checkpoints were written for SMALL_MODEL; this run keeps the defaults
+    rc = main(["--out-dir", str(tmp_path / "out"),
+               "--set", f"data.manifest={pipeline / 'prep' / 'manifest.csv'}",
+               "--set", f"{key}={pipeline / ckpt / 'model.ckpt'}",
+               "--set", f"data.atlas={synth / 'atlas.nii.gz'}",
+               "--set", f"data.region_map={synth / 'region_map.csv'}",
+               command])
+    assert rc == 1
+    assert "was written for config" in capsys.readouterr().err
+    assert reads == []

@@ -7,8 +7,11 @@ from dataclasses import asdict
 import pytest
 import yaml
 
+from regionmae import cli
 from regionmae.atlas import classify_patches
+from regionmae.attribution import AttributionConfig
 from regionmae.config import (
+    CLI_ONLY,
     DEFAULTS,
     ENV_DATA_ROOT,
     data_path,
@@ -20,8 +23,10 @@ from regionmae.config import (
     write_snapshot,
 )
 from regionmae.errors import ConfigurationError
+from regionmae.masking import MaskSpec
 from regionmae.model import ModelConfig
 from regionmae.preprocess import estimate_brain_mask, preprocess_volume
+from regionmae.synth import SynthConfig, write_cohort
 from regionmae.training import RunConfig
 
 
@@ -213,6 +218,73 @@ def test_defaults_come_from_the_library():
     stage = keyword_defaults(classify_patches)
     assert DEFAULTS["atlas"] == {k: stage[k] for k in (
         "purity_threshold", "majority_threshold")}
+
+
+# the library call each derived section feeds
+LIBRARY_CALLS = {
+    "synth": SynthConfig, "preprocess": preprocess_volume,
+    "atlas": classify_patches, "mask": MaskSpec, "model": ModelConfig,
+    "pretrain": RunConfig, "finetune": RunConfig,
+    "attribution": AttributionConfig,
+}
+
+
+def test_every_section_key_is_a_library_keyword_or_cli_only():
+    assert set(DEFAULTS) - set(LIBRARY_CALLS) == {"run", "data", "stats"}
+    extra, departs = set(), set()
+    for section, fn in LIBRARY_CALLS.items():
+        params = inspect.signature(fn).parameters
+        for key, value in DEFAULTS[section].items():
+            if key not in params:
+                extra.add(f"{section}.{key}")
+                continue
+            default = params[key].default
+            if isinstance(default, tuple):
+                default = list(default)
+            if value != default:
+                departs.add(f"{section}.{key}")
+    assert extra == {"preprocess.drop_excluded", "mask.t_patches",
+                     "finetune.init_from", "attribution.only_correct"}
+    assert {f"{s}.{k}" for s, keys in CLI_ONLY.items() for k in keys} == extra
+    assert all(DEFAULTS[s][k] == v for s, keys in CLI_ONLY.items()
+               for k, v in keys.items())
+    # the CLI's own defaults for library keys, as the README lists them
+    assert departs == {"mask.strategy", "mask.region", "pretrain.lr"}
+
+
+def test_section_values_reach_the_library_call(tmp_path, monkeypatch):
+    seen = {}
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def call(*args, **kwargs):
+            seen[name] = kwargs
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, call)
+
+    spy("preprocess_volume")
+    spy("classify_patches")
+    raw = tmp_path / "raw"
+    write_cohort(SynthConfig(n_subjects=1, shape=(12, 12, 12), n_timepoints=4),
+                 raw)
+    common = ["--set", f"data.root={raw}", "--set", "preprocess.fov=[12, 12, 12]",
+              "--set", "preprocess.clip=[-2.5, 2.5]",
+              "--set", "atlas.purity_threshold=0.75"]
+    assert cli.main(["--out-dir", str(tmp_path / "prep"), *common,
+                     "--set", "data.manifest=manifest.csv", "preprocess"]) == 0
+    assert cli.main(["--out-dir", str(tmp_path / "sets"), *common,
+                     "--set", "data.atlas=atlas.nii.gz",
+                     "--set", "data.region_map=region_map.csv",
+                     "classify-patches"]) == 0
+
+    kwargs = seen["preprocess_volume"]
+    assert kwargs["clip"] == (-2.5, 2.5) and kwargs["fov"] == (12, 12, 12)
+    assert set(kwargs) == (set(DEFAULTS["preprocess"]) - {"drop_excluded"}
+                           | {"template_mask", "subject_id"})
+    kwargs = seen["classify_patches"]
+    assert kwargs["purity_threshold"] == 0.75
+    assert set(kwargs) == set(DEFAULTS["atlas"]) | {"grid"}
 
 
 def test_input_hashes(tmp_path):

@@ -218,3 +218,63 @@ def test_mask_load_rejects_tampered_sidecar(tmp_path, sets):
     sidecar.write_text(text)
     with pytest.raises(ValidationError):
         load_mask(p)
+
+
+# Digests and a sidecar written by the format's first release: mask files
+# written then must keep loading, so these bytes may never change.
+PINNED_DIGESTS = [
+    (MaskSpec(strategy=REGION_ANY, region="frontal"),  # the CLI default
+     "718f69c93aa6cde8cec4091398e091c15318b141f68f309101a512f5014db316"),
+    (MaskSpec(strategy=WINDOW_RANDOM, window_block=(1, 2, 3)),
+     "364ec2395b3b6d9980a7ca503c506c8f2601dcf22b24e6b13e263533daa41d7d"),
+]
+
+PINNED_SIDECAR = """{
+  "shape": [
+    3,
+    2
+  ],
+  "masked_slots": 4,
+  "masked_voxels": 64,
+  "voxels_per_patch": 8,
+  "t_patch_len": 2,
+  "spec": {
+    "strategy": "WINDOW_RANDOM",
+    "region": null,
+    "ratio": 0.5,
+    "temporal_mode": "TUBE",
+    "seed": 4,
+    "window_block": [
+      1,
+      2,
+      3
+    ]
+  },
+  "spec_hash": "7765267a55bf798c3189b1b9c84867796dc7771bdad1ea3d95c81abb56c41ca4"
+}"""
+
+
+@pytest.mark.parametrize("spec,digest", PINNED_DIGESTS)
+def test_spec_digest_is_pinned(spec, digest):
+    assert spec.digest() == digest
+    # a block given as a list, as JSON reads it back, is the same spec
+    listed = MaskSpec(strategy=spec.strategy, region=spec.region,
+                      window_block=list(spec.window_block))
+    assert listed.window_block == spec.window_block
+    assert listed == spec and listed.digest() == digest
+
+
+def test_pinned_sidecar_still_loads(tmp_path):
+    p = tmp_path / "mask.bits"
+    p.write_bytes(bytes([0b10011100]))
+    p.with_suffix(".bits.json").write_text(PINNED_SIDECAR)
+    tensor, spec = load_mask(p)
+    assert spec == MaskSpec(strategy=WINDOW_RANDOM, ratio=0.5, seed=4,
+                            window_block=(1, 2, 3))
+    np.testing.assert_array_equal(tensor.mask, [[1, 0], [0, 1], [1, 1]])
+    assert (tensor.voxels_per_patch, tensor.t_patch_len) == (8, 2)
+    # the same tensor and spec are written back byte for byte
+    again = tmp_path / "again.bits"
+    save_mask(tensor, spec, again)
+    assert again.read_bytes() == p.read_bytes()
+    assert again.with_suffix(".bits.json").read_text() == PINNED_SIDECAR

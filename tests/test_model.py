@@ -442,23 +442,16 @@ def test_unpatchify_inverts_patch_embed():
     np.testing.assert_array_equal(back.data, vol)
 
 
-def test_numpy_patchify_roundtrips_in_the_taped_order():
+def test_token_views_roundtrip_in_the_taped_order():
     m = _identity_embedding()
     vol = np.arange(4 * 6 * 10 * 4, dtype=np.float64).reshape(4, 6, 10, 4)
-    rows, dims = m.patchify(vol)
+    view, dims = m.token_view(vol)
     assert dims == (5, 3, 2, 2)
-    assert rows.flags.c_contiguous and rows.dtype == vol.dtype
-    assert not np.shares_memory(rows, vol)
+    assert np.shares_memory(view, vol) and view.dtype == vol.dtype
+    assert m.rows_shape(dims) == (60, 16)
+    rows = view.reshape(m.rows_shape(dims))  # a copy: the view is strided
     np.testing.assert_array_equal(
         rows, vol.reshape(-1)[_patch_index_oracle(vol.shape, (2, 2, 2), 2)])
-    back = m.unpatchify(rows, dims)
-    assert back.flags.c_contiguous and not np.shares_memory(back, rows)
-    np.testing.assert_array_equal(back, vol)
-
-    # the views are the same orders without a copy
-    view, _ = m.token_view(vol)
-    assert np.shares_memory(view, vol)
-    np.testing.assert_array_equal(view.reshape(rows.shape), rows)
     seen = m.voxel_view(rows, dims)
     assert np.shares_memory(seen, rows)
     np.testing.assert_array_equal(seen.reshape(vol.shape), vol)
@@ -467,7 +460,10 @@ def test_numpy_patchify_roundtrips_in_the_taped_order():
 def test_classify_tokens_is_forward_classify_on_rows():
     m = HybridModel(tiny_config(stage_depths=(1, 1), configuration=ALTERNATE))
     vol = np.random.default_rng(6).normal(size=(24, 24, 24, 8)).astype(np.float32)
-    rows, dims = m.patchify(vol)
+    view, dims = m.token_view(vol)
+    rows = view.reshape(m.rows_shape(dims))
+    np.testing.assert_array_equal(
+        rows, vol.reshape(-1)[_patch_index_oracle(vol.shape, (6, 6, 6), 4)])
     got = m.classify_tokens(rows, dims).data
     assert got.tobytes() == m.forward_classify(vol).data.tobytes()
     with pytest.raises(ValidationError):
