@@ -1,6 +1,6 @@
 """Input attribution for the classifier: integrated gradients, squared
-SmoothGrad averaging, per-timepoint spatial smoothing, temporal collapse,
-cross-run aggregation, and ROI projection.
+SmoothGrad averaging, temporal collapse, spatial smoothing, cross-run
+aggregation, and ROI projection.
 
 The gradient path runs through the same autodiff tape as training; the
 volume is wrapped in a differentiable tensor and the scalar logit is
@@ -221,14 +221,16 @@ def integrated_gradients(model, vol, baseline=ZERO, steps: int = 32) -> np.ndarr
     return out
 
 
-def smooth_per_timepoint(attr4d: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian-smooth each timepoint independently (reflective boundaries)."""
+def smooth_per_timepoint(attr: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian-smooth each timepoint of a 4D volume on its own, or a 3D map
+    as a single timepoint (reflective boundaries)."""
+    if attr.ndim not in (3, 4):
+        raise ValidationError(f"cannot smooth a {attr.ndim}D array")
     if sigma == 0:
-        return attr4d.copy()
-    out = np.empty_like(attr4d)
-    for t in range(attr4d.shape[3]):
-        out[..., t] = gaussian_filter(attr4d[..., t], sigma=sigma, mode="reflect")
-    return out
+        return attr.copy()
+    # sigma 0 leaves the time axis unfiltered
+    return gaussian_filter(attr, sigma=(sigma,) * 3 + (0,) * (attr.ndim - 3),
+                           mode="reflect")
 
 
 def ig_sq(model, vol, cfg: AttributionConfig, subject_id: str = "",
@@ -236,26 +238,38 @@ def ig_sq(model, vol, cfg: AttributionConfig, subject_id: str = "",
     """Squared integrated gradients averaged over noisy resamples.
 
     Noise is drawn per sample at sg_noise_std * std(input); the squared
-    attributions are averaged, smoothed per timepoint, then collapsed by a
-    temporal mean into a single non-negative 3D map. Each noisy resample is
-    cast back to the input's dtype, so the passes run at the input's
-    precision (float32 for a float32 volume); accumulation is float64.
+    attributions are averaged, collapsed by a temporal mean and then
+    smoothed once into a single non-negative 3D map. Smoothing acts on each
+    timepoint alone and is linear, so this equals smoothing each timepoint
+    before the mean, up to rounding. Each noisy resample is cast back to
+    the input's dtype, so the passes run at the input's precision (float32
+    for a float32 volume); accumulation is float64. With no noise (a zero
+    sg_noise_std or a constant volume) every resample is the input itself,
+    so integrated gradients runs once.
     """
     data, dtype = _volume_data(vol)
-    x = np.asarray(data, dtype=np.float64)
+    scale = float(cfg.sg_noise_std) * float(np.asarray(data, dtype=np.float64).std())
+    samples = cfg.sg_samples if scale else 1
     rng = np.random.default_rng(seed)
-    scale = float(cfg.sg_noise_std) * float(x.std())
 
-    acc = np.zeros_like(x)
-    for _ in range(cfg.sg_samples):
-        noisy = x if scale == 0 else x + rng.normal(0.0, scale, size=x.shape)
-        attr = integrated_gradients(model, noisy.astype(dtype, copy=False),
-                                    cfg.baseline, cfg.ig_steps)
-        acc += attr ** 2
-    acc /= cfg.sg_samples
+    acc = None
+    for _ in range(samples):
+        noisy = data
+        if scale:
+            # noise + x is x + noise bytewise, with no float64 copy of x
+            noisy = rng.normal(0.0, scale, size=data.shape)
+            noisy += data
+        noisy = noisy.astype(dtype, copy=False)
+        attr = integrated_gradients(model, noisy, cfg.baseline, cfg.ig_steps)
+        del noisy
+        attr *= attr
+        acc = attr if acc is None else _add_into(acc, attr)  # 0 + a**2 is a**2
+    acc /= samples
 
-    acc = smooth_per_timepoint(acc, cfg.gauss_sigma)
-    return AttributionMap(map3d=acc.mean(axis=3), subject_id=subject_id, seed=seed)
+    mean = acc.mean(axis=3)
+    del acc
+    return AttributionMap(map3d=smooth_per_timepoint(mean, cfg.gauss_sigma),
+                          subject_id=subject_id, seed=seed)
 
 
 def aggregate_group(maps) -> AttributionMap:

@@ -222,8 +222,9 @@ def require_data_path(cfg: dict, key: str) -> Path:
     if p is None:
         raise ConfigurationError(f"config field {dotted} is required "
                                  f"for this command")
-    if not p.exists():
-        raise ConfigurationError(f"{dotted} points at missing file {p}")
+    if not p.is_file():  # every data key names a file, checkpoints included
+        what = "directory" if p.is_dir() else "missing file"
+        raise ConfigurationError(f"{dotted} points at {what} {p}")
     return p
 
 

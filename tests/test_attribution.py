@@ -3,7 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
+from regionmae import attribution
 from regionmae import autodiff as ad
 from regionmae.attribution import (
     MEAN,
@@ -26,7 +28,14 @@ from regionmae.errors import (
     DegenerateDataError,
     ValidationError,
 )
-from regionmae.model import CONFIGURATIONS, MA, MAMBA, HybridModel, ModelConfig
+from regionmae.model import (
+    ALTERNATE,
+    CONFIGURATIONS,
+    MA,
+    MAMBA,
+    HybridModel,
+    ModelConfig,
+)
 from regionmae.nifti import LabelVolume
 
 SHAPE = (6, 6, 6, 2)
@@ -335,6 +344,97 @@ def test_smoothing_preserves_mass_and_sigma_zero_is_identity(rng):
         np.testing.assert_allclose(smoothed[..., t].sum(), field[..., t].sum(),
                                    rtol=1e-6)
     np.testing.assert_array_equal(smooth_per_timepoint(field, 0.0), field)
+
+
+def spy_on_ig(monkeypatch):
+    """Copies of what each integrated_gradients call returns (ig_sq squares
+    the returned array in place)."""
+    calls = []
+    real = attribution.integrated_gradients
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(out.copy())
+        return out
+
+    monkeypatch.setattr(attribution, "integrated_gradients", spy)
+    return calls
+
+
+def smooth_then_mean(attrs, sigma):
+    """The map in the order of the definition: average the squares, smooth
+    each timepoint, then take the temporal mean."""
+    acc = np.zeros_like(attrs[0])
+    for a in attrs:
+        acc += a ** 2
+    acc /= len(attrs)
+    if sigma:
+        for t in range(acc.shape[3]):
+            acc[..., t] = gaussian_filter(acc[..., t], sigma=sigma, mode="reflect")
+    return acc.mean(axis=3)
+
+
+def test_smoothing_matches_a_per_timepoint_loop(rng):
+    field = rng.uniform(0.0, 1.0, size=(11, 8, 6, 3))  # non-cubic
+    want = np.empty_like(field)
+    for t in range(field.shape[3]):
+        want[..., t] = gaussian_filter(field[..., t], sigma=1.5, mode="reflect")
+    assert smooth_per_timepoint(field, 1.5).tobytes() == want.tobytes()
+    plane = field[..., 0].copy()
+    want3d = gaussian_filter(plane, sigma=1.5, mode="reflect")
+    assert smooth_per_timepoint(plane, 1.5).tobytes() == want3d.tobytes()
+    with pytest.raises(ValidationError):
+        smooth_per_timepoint(plane[..., 0], 1.5)
+
+
+def test_igsq_smooths_once_after_the_temporal_mean(rng, monkeypatch):
+    # smoothing is linear and per timepoint, so one smoothing of the mean
+    # equals the mean of the smoothed timepoints up to rounding
+    calls = spy_on_ig(monkeypatch)
+    model = small_model()
+    x = rng.normal(size=(12, 12, 12, 4)).astype(np.float32)
+    for sigma in (1.0, 0.0):
+        calls.clear()
+        cfg = AttributionConfig(ig_steps=2, sg_samples=3, gauss_sigma=sigma)
+        got = ig_sq(model, x, cfg, seed=3).map3d
+        assert len(calls) == 3
+        want = smooth_then_mean(calls, sigma)
+        if sigma:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        else:
+            assert got.tobytes() == want.tobytes()
+
+
+def test_igsq_without_noise_runs_integrated_gradients_once(rng, monkeypatch):
+    calls = spy_on_ig(monkeypatch)
+    model = TwoLayerModel(seed=5)
+    x = rng.normal(size=SHAPE)
+    cfg = AttributionConfig(ig_steps=4, sg_samples=3, sg_noise_std=0.0)
+    amap = ig_sq(model, x, cfg)
+    assert len(calls) == 1
+    ig = integrated_gradients(model, x, ZERO, steps=4)
+    want = gaussian_filter((ig ** 2).mean(axis=3), sigma=1.0, mode="reflect")
+    np.testing.assert_allclose(amap.map3d, want, rtol=1e-12)
+
+
+def test_igsq_holds_no_float64_copies_of_the_volume(rng):
+    # float32 passes at 2 x 2: one integrated_gradients call peaks at 3.5
+    # float64 volumes; ig_sq adds only the float64 accumulator and the
+    # float32 resample, not a float64 copy of the input, a float64 noisy
+    # resample and a zeroed accumulator beside them (8 volumes)
+    model = HybridModel(ModelConfig(embed_dim=8, stage_depths=(1, 1), heads=2,
+                                    ssm_state_dim=4, configuration=ALTERNATE))
+    x = rng.normal(size=(48, 48, 48, 4)).astype(np.float32)
+    cfg = AttributionConfig(ig_steps=2, sg_samples=2)
+    ig_sq(model, x, cfg)  # warm the model's caches
+    tracemalloc.start()
+    try:
+        ig_sq(model, x, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    volume64 = x.size * 8
+    assert peak <= 6 * volume64, peak / volume64
 
 
 # aggregation ----------------------------------------------------------------------

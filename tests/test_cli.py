@@ -510,6 +510,14 @@ def test_stats_input_missing_file_exits_2_relative_to_data_root(tmp_path, capsys
     assert "stats.input" in err and str(tmp_path / "nope.csv") in err
 
 
+def test_stats_input_directory_exits_2(tmp_path, capsys):
+    rc = main(["--out-dir", str(tmp_path / "o"), "--set", f"stats.input={tmp_path}",
+               "stats"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "stats.input" in err and f"directory {tmp_path}" in err
+
+
 def test_finetune_missing_init_from_exits_2_before_reading_volumes(
         pipeline, tmp_path, capsys, monkeypatch):
     reads = []
