@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .errors import ConfigurationError, GeometryError, ValidationError
 from .nifti import LabelVolume
 
@@ -139,10 +140,8 @@ class RegionMap:
             raise type(exc)(f"{path}: {exc}") from exc
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("label,macroregion\n")
-            for label in sorted(self.mapping):
-                fh.write(f"{label},{self.mapping[label]}\n")
+        artifacts.write_csv(path, ["label", "macroregion"],
+                            sorted(self.mapping.items()), lineterminator="\n")
 
 
 @dataclass
@@ -208,7 +207,7 @@ class PatchSets:
         )
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict()))
+        artifacts.write_text(path, json.dumps(self.to_json_dict()))
 
     @classmethod
     def load(cls, path) -> "PatchSets":

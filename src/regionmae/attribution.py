@@ -9,12 +9,12 @@ backpropagated to the voxels, with the model's parameters held constant.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
+from . import artifacts
 from .autodiff import Tape, Tensor, frozen
 from .errors import (
     AttributionError,
@@ -273,24 +273,23 @@ def ig_sq(model, vol, cfg: AttributionConfig, subject_id: str = "",
 
 
 def aggregate_group(maps) -> AttributionMap:
-    """L1-normalize each map, then average across the group."""
-    maps = list(maps)
-    if not maps:
-        raise ValidationError("aggregate_group needs at least one map")
-    arrays = [m.map3d if isinstance(m, AttributionMap) else
-              np.asarray(m, dtype=np.float64) for m in maps]
-    shape = arrays[0].shape
-    if any(a.shape != shape for a in arrays):
-        raise ValidationError("attribution maps live on different grids")
-
-    acc = np.zeros(shape, dtype=np.float64)
-    for i, a in enumerate(arrays):
+    """L1-normalize each map, then average across the group. Maps are summed
+    as they arrive, so a generator of maps is never held whole."""
+    acc = None
+    for n, m in enumerate(maps, start=1):
+        a = m.map3d if isinstance(m, AttributionMap) else \
+            np.asarray(m, dtype=np.float64)
+        if acc is None:
+            acc = np.zeros(a.shape, dtype=np.float64)
+        elif a.shape != acc.shape:
+            raise ValidationError("attribution maps live on different grids")
         total = a.sum()
         if total <= 0:
-            raise DegenerateDataError(f"map {i} sums to {total}; cannot normalize")
+            raise DegenerateDataError(f"map {n - 1} sums to {total}; cannot normalize")
         acc += a / total
-    return AttributionMap(map3d=acc / len(arrays), subject_id="group",
-                          normalized=True)
+    if acc is None:
+        raise ValidationError("aggregate_group needs at least one map")
+    return AttributionMap(map3d=acc / n, subject_id="group", normalized=True)
 
 
 @dataclass
@@ -350,9 +349,6 @@ def threshold_and_project(group_map, atlas: LabelVolume, cfg: AttributionConfig,
 
 
 def write_roi_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["roi_label", "roi_name", "voxels", "mean_attr", "rank"])
-        for r in rows:
-            writer.writerow([r.roi_label, r.roi_name, r.voxels,
-                             f"{r.mean_attr:.10g}", r.rank])
+    artifacts.write_csv(path, ["roi_label", "roi_name", "voxels", "mean_attr", "rank"],
+                        ([r.roi_label, r.roi_name, r.voxels, f"{r.mean_attr:.10g}", r.rank]
+                         for r in rows))

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .autodiff import Tensor
 from .errors import CheckpointError
 
@@ -33,16 +34,12 @@ def save_checkpoint(arrays: dict[str, np.ndarray], path, config_hash: str,
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
         chunks.append(arr.tobytes())  # C order regardless of input layout
         offset += arr.nbytes
-    path.write_bytes(b"".join(chunks))
-    manifest = {
-        "config_hash": config_hash,
-        "total_bytes": offset,
-        "dtype": "float32",
-        "params": entries,
-    }
+    artifacts.write_bytes(path, b"".join(chunks))
+    manifest = {"config_hash": config_hash, "total_bytes": offset,
+                "dtype": "float32", "params": entries}
     if extra:
         manifest["extra"] = extra
-    manifest_path(path).write_text(json.dumps(manifest, indent=2))
+    artifacts.write_text(manifest_path(path), json.dumps(manifest, indent=2))
 
 
 def load_checkpoint(path, config_hash: str | None = None) -> tuple[dict[str, np.ndarray], dict]:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from . import stats as st
 from .atlas import PatchGrid, PatchSets, RegionMap, classify_patches, \
     patch_set_report, render_report
@@ -85,10 +86,15 @@ def _build(cls, cfg: dict, section: str, **extra):
         raise ValidationError(f"{section}: {exc}") from exc
 
 
-def _load_labeled(cfg: dict):
+def _manifest(cfg: dict):
+    """The manifest's records, and the input files they name."""
     manifest = require_data_path(cfg, "manifest")
     records = read_manifest(manifest)
-    inputs = [manifest] + [Path(r.path) for r in records]
+    return records, [manifest] + [Path(r.path) for r in records]
+
+
+def _load_labeled(cfg: dict):
+    records, inputs = _manifest(cfg)
     volumes = {r.subject_id: read_nifti(r.path, kind="volume") for r in records}
     return records, volumes, inputs
 
@@ -108,9 +114,7 @@ def cmd_synth(cfg: dict, args, out: Path) -> list:
 
 def cmd_preprocess(cfg: dict, args, out: Path) -> list:
     p = cfg["preprocess"]
-    manifest = require_data_path(cfg, "manifest")
-    records = read_manifest(manifest)
-    inputs = [manifest] + [Path(r.path) for r in records]
+    records, inputs = _manifest(cfg)
 
     template_mask = None
     if data_path(cfg, "template_mask") is not None:
@@ -158,11 +162,9 @@ def cmd_classify(cfg: dict, args, out: Path) -> list:
     sets = classify_patches(atlas, regions, grid=grid, **_kwargs(cfg, "atlas"))
     sets.save(out / "patch_sets.json")
     rows = patch_set_report(sets)
-    with open(out / "patch_report.csv", "w") as fh:
-        fh.write("region,criterion,n_patches,n_voxels\n")
-        for r in rows:
-            fh.write(f"{r['region']},{r['criterion']},"
-                     f"{r['n_patches']},{r['n_voxels']}\n")
+    header = ["region", "criterion", "n_patches", "n_voxels"]
+    artifacts.write_csv(out / "patch_report.csv", header,
+                        ([r[k] for k in header] for r in rows), lineterminator="\n")
     print(render_report(rows))
     return [atlas_path, map_path]
 
@@ -181,6 +183,9 @@ def cmd_build_mask(cfg: dict, args, out: Path) -> list:
 
 def cmd_pretrain(cfg: dict, args, out: Path) -> list:
     model_cfg = _build(ModelConfig, cfg, "model")
+    if len(set(model_cfg.patch_size)) != 1:  # the masked loss expands cubic patches
+        raise ConfigurationError(f"model.patch_size: pretrain needs a cubic "
+                                 f"patch, got {list(model_cfg.patch_size)}")
     run = _build(RunConfig, cfg, "pretrain", phase=PRETRAIN,
                  mask_spec=_build(MaskSpec, cfg, "mask"))
     sets_path = require_data_path(cfg, "patch_sets")
@@ -229,7 +234,7 @@ def cmd_finetune(cfg: dict, args, out: Path) -> list:
                     extra={"phase": "finetune", "best_epoch": result.best_epoch})
     summary = {"test_acc": result.test_acc, "test_auroc": result.test_auroc,
                "test_loss": result.test_loss, "best_epoch": result.best_epoch}
-    (out / "test_metrics.json").write_text(json.dumps(summary, indent=2))
+    artifacts.write_text(out / "test_metrics.json", json.dumps(summary, indent=2))
     auc = ("n/a" if result.test_auroc is None
            else f"{result.test_auroc:.3f}")
     print(f"finetune done: test acc {result.test_acc:.3f} auroc {auc}")
@@ -245,25 +250,28 @@ def cmd_attribute(cfg: dict, args, out: Path) -> list:
     model = HybridModel(model_cfg)
     arrays, _ = load_checkpoint(ckpt_path, model.config.config_hash())
     restore_params(model.params, arrays)
-    records, volumes, inputs = _load_labeled(cfg)
+    records, inputs = _manifest(cfg)
     inputs += [ckpt_path, atlas_path, map_path]
     atlas = read_nifti(atlas_path, kind="labels")
     regions = RegionMap.from_csv(map_path)
+    attributed = []
 
-    maps = []
-    for rec in records:
-        vol = volumes[rec.subject_id]
-        if cfg["attribution"]["only_correct"] and rec.label is not None:
-            logit = float(model.forward_classify(vol.data).data)
-            if int(logit > 0) != int(rec.label):
-                continue
-        maps.append(ig_sq(model, vol.data, acfg, subject_id=rec.subject_id,
-                          seed=cfg["run"]["seed"]))
-    if not maps:
-        raise DegenerateDataError("no subjects left to attribute "
-                                  "(all misclassified?)")
+    def subject_maps():
+        """Read, attribute and drop one subject at a time."""
+        for rec in records:
+            data = read_nifti(rec.path, kind="volume").data
+            if cfg["attribution"]["only_correct"] and rec.label is not None:
+                logit = float(model.forward_classify(data).data)
+                if int(logit > 0) != int(rec.label):
+                    continue
+            attributed.append(rec.subject_id)
+            yield ig_sq(model, data, acfg, subject_id=rec.subject_id,
+                        seed=cfg["run"]["seed"])
+        if not attributed:
+            raise DegenerateDataError("no subjects left to attribute "
+                                      "(all misclassified?)")
 
-    group = aggregate_group(maps)
+    group = aggregate_group(subject_maps())
     names = {label: f"{regions.mapping[label]}_{label}"
              for label in regions.mapping}
     rows, displayed = threshold_and_project(group, atlas, acfg, names)
@@ -273,7 +281,7 @@ def cmd_attribute(cfg: dict, args, out: Path) -> list:
     write_nifti(Volume4D(data=displayed.astype(np.float32)[..., None],
                          affine=atlas.affine), out / "thresholded_map.nii.gz")
     write_roi_csv(out / "roi_table.csv", rows)
-    print(f"attributed {len(maps)} subjects; top ROI: "
+    print(f"attributed {len(attributed)} subjects; top ROI: "
           f"{rows[0].roi_name} ({rows[0].mean_attr:.3e})")
     return inputs
 
@@ -293,7 +301,7 @@ def cmd_stats(cfg: dict, args, out: Path) -> list:
         raw[f"{header[i]}_vs_{header[j]}"] = p
     rows = st.correct_and_tier(raw)
     st.write_stats_csv(out / "stats.csv", rows)
-    (out / "friedman.json").write_text(json.dumps(
+    artifacts.write_text(out / "friedman.json", json.dumps(
         {"statistic": fr_stat, "p_value": fr_p, "conditions": header,
          "n_rows": int(matrix.shape[0])}, indent=2))
     print(f"Friedman chi2 {fr_stat:.4f} (p {fr_p:.4g}); "

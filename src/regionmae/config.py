@@ -18,7 +18,7 @@ from pathlib import Path
 
 import yaml
 
-from . import atlas, preprocess
+from . import artifacts, atlas, preprocess
 from .attribution import AttributionConfig
 from .errors import ConfigurationError
 from .masking import REGION_ANY, MaskSpec
@@ -163,22 +163,6 @@ def parse_override(item: str) -> tuple[list[str], object]:
     return parts, value
 
 
-def apply_override(cfg: dict, parts: list[str], value) -> None:
-    node = cfg
-    for i, part in enumerate(parts[:-1]):
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigurationError(
-                f"unknown config key {'.'.join(parts[:i + 1])!r}")
-        node = node[part]
-    leaf = parts[-1]
-    if leaf not in node:
-        raise ConfigurationError(f"unknown config key {'.'.join(parts)!r}")
-    if isinstance(node[leaf], dict):
-        raise ConfigurationError(
-            f"config key {'.'.join(parts)!r} is a section, not a value")
-    node[leaf] = value
-
-
 def load_config(path=None, overrides=(), seed=None, out_dir=None) -> dict:
     cfg = copy.deepcopy(DEFAULTS)
     if path:
@@ -190,9 +174,11 @@ def load_config(path=None, overrides=(), seed=None, out_dir=None) -> dict:
         if not isinstance(loaded, dict):
             raise ConfigurationError(f"config {path} must be a mapping")
         _merge(cfg, loaded)
-    for item in overrides:
+    for item in overrides:  # a.b=v merges as {a: {b: v}}
         parts, value = parse_override(item)
-        apply_override(cfg, parts, value)
+        for part in reversed(parts):
+            value = {part: value}
+        _merge(cfg, value)
     if seed is not None:
         cfg["run"]["seed"] = int(seed)
     if out_dir is not None:
@@ -229,10 +215,8 @@ def require_data_path(cfg: dict, key: str) -> Path:
 
 
 def write_snapshot(cfg: dict, out_dir) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "resolved_config.yaml"
-    path.write_text(yaml.safe_dump(cfg, sort_keys=True))
+    path = Path(out_dir) / "resolved_config.yaml"
+    artifacts.write_text(path, yaml.safe_dump(cfg, sort_keys=True))
     return path
 
 
@@ -246,15 +230,8 @@ def hash_file(path) -> str:
 
 def write_input_hashes(paths, out_dir) -> Path:
     """Manifest of sha256 digests for every input file the run consumed."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    digests = {}
-    for p in paths:
-        if p is None:
-            continue
-        p = Path(p)
-        if p.exists() and p.is_file():
-            digests[str(p)] = hash_file(p)
-    path = out / "inputs.json"
-    path.write_text(json.dumps(digests, indent=2, sort_keys=True))
+    digests = {str(p): hash_file(p) for p in map(Path, filter(None, paths))
+               if p.is_file()}
+    path = Path(out_dir) / "inputs.json"
+    artifacts.write_text(path, json.dumps(digests, indent=2, sort_keys=True))
     return path

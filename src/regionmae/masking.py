@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .atlas import PatchSets
 from .errors import ConfigurationError, ValidationError
 
@@ -202,7 +203,7 @@ def save_mask(tensor: MaskTensor, spec: MaskSpec, path) -> None:
     """Write the mask as a packed bitset plus a JSON sidecar."""
     path = Path(path)
     bits = np.packbits(tensor.mask.reshape(-1))
-    path.write_bytes(bits.tobytes())
+    artifacts.write_bytes(path, bits.tobytes())
     sidecar = {
         "shape": list(tensor.mask.shape),
         "masked_slots": tensor.masked_slots,
@@ -212,7 +213,8 @@ def save_mask(tensor: MaskTensor, spec: MaskSpec, path) -> None:
         "spec": asdict(spec),
         "spec_hash": spec.digest(),
     }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2))
+    artifacts.write_text(path.with_suffix(path.suffix + ".json"),
+                         json.dumps(sidecar, indent=2))
 
 
 def load_mask(path) -> tuple[MaskTensor, MaskSpec]:

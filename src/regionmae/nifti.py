@@ -17,17 +17,15 @@ preprocessed 96^3 x 8 float32 volume took 0.32 CPU s for 11.60 MB instead
 of 1.12 s for 11.64 MB, and of a raw 108^3 x 6 one 0.31 s for 8.11 MB
 instead of 0.98 s for 8.16 MB. Label volumes compress worse this way (the
 synthetic 96^3 atlas grows from 21 to 42 kB), but they are written once.
-Any gzip reader decompresses these files. Writes go to a temporary file
-beside the target, which replaces the target only once it is complete.
+Any gzip reader decompresses these files. Writes go through
+``artifacts.replace_on_success``: a temporary file beside the target
+replaces the target only once it is complete.
 """
 
 from __future__ import annotations
 
-import contextlib
 import gzip
 import itertools
-import os
-import secrets
 import struct
 import zlib
 from dataclasses import dataclass
@@ -35,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import replace_on_success
 from .errors import (
     FormatError,
     TruncatedFileError,
@@ -111,9 +110,7 @@ class NiftiHeader:
         """Voxel-to-mm affine: sform if set, else qform, else pixdim diagonal."""
         if self.sform_code > 0:
             aff = np.eye(4)
-            aff[0, :] = self.srow[0:4]
-            aff[1, :] = self.srow[4:8]
-            aff[2, :] = self.srow[8:12]
+            aff[:3] = np.reshape(self.srow, (3, 4))
             return aff
         if self.qform_code > 0:
             return _quaternion_affine(self.quatern, self.qoffset, self.pixdim)
@@ -420,25 +417,6 @@ def _write_gzip(fh, chunks) -> None:
     fh.write(struct.pack("<II", crc, size & 0xFFFFFFFF))
 
 
-@contextlib.contextmanager
-def _replace_on_success(path: Path):
-    """Yield a file beside ``path`` that replaces ``path`` once the block succeeds.
-
-    On any exception the temporary file is removed and ``path`` is untouched.
-    ``open`` applies the umask as a direct write would (``mkstemp`` would
-    make the file owner-only).
-    """
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
-    fh = open(tmp, "xb")
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def write_nifti(vol: Volume4D | LabelVolume, path) -> None:
     """Write a volume as a single-file NIfTI-1, gzip-compressed for .gz paths.
 
@@ -459,7 +437,7 @@ def write_nifti(vol: Volume4D | LabelVolume, path) -> None:
         raise ValidationError(f"cannot write object of type {type(vol).__name__}")
     header = _build_header_bytes(data.shape, dtype, vol.affine, tr)
     chunks = itertools.chain([header], _payload_chunks(data, dtype))
-    with _replace_on_success(path) as fh:
+    with replace_on_success(path) as fh:
         if path.suffix == ".gz":
             _write_gzip(fh, chunks)
         else:

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import artifacts
 from .errors import DegenerateDataError, GeometryError, ValidationError
 from .nifti import Volume4D
 
@@ -95,11 +96,9 @@ def read_manifest(path) -> list[SubjectRecord]:
 
 
 def write_manifest(records, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "path", "label"])
-        for rec in records:
-            writer.writerow([rec.subject_id, rec.path, "" if rec.label is None else rec.label])
+    artifacts.write_csv(path, ["subject_id", "path", "label"],
+                        ([rec.subject_id, rec.path, "" if rec.label is None else rec.label]
+                         for rec in records))
 
 
 # ---------------------------------------------------------------------------
@@ -255,17 +254,10 @@ def qc_gate(
 
 
 def write_qc_csv(reports, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["subject_id", "dice", "p99", "excluded", "reasons"])
-        for rep in reports:
-            writer.writerow([
-                rep.subject_id,
-                f"{rep.dice:.6f}",
-                f"{rep.p99:.6f}",
-                str(rep.excluded).lower(),
-                ";".join(rep.reasons),
-            ])
+    artifacts.write_csv(path, ["subject_id", "dice", "p99", "excluded", "reasons"],
+                        ([rep.subject_id, f"{rep.dice:.6f}", f"{rep.p99:.6f}",
+                          str(rep.excluded).lower(), ";".join(rep.reasons)]
+                         for rep in reports))
 
 
 def preprocess_volume(

@@ -9,7 +9,6 @@ normal approximation otherwise.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import chi2
 
+from . import artifacts
 from .errors import DegenerateDataError, MetricError, ValidationError
 
 EXACT_WILCOXON_MAX_N = 12
@@ -167,8 +167,6 @@ def correct_and_tier(raw: dict[str, float], m: int | None = None) -> list[Compar
 
 
 def write_stats_csv(path, rows: list[ComparisonRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["comparison", "raw_p", "corrected_p", "tier"])
-        for r in rows:
-            writer.writerow([r.name, f"{r.raw_p:.10g}", f"{r.corrected_p:.10g}", r.tier])
+    artifacts.write_csv(path, ["comparison", "raw_p", "corrected_p", "tier"],
+                        ([r.name, f"{r.raw_p:.10g}", f"{r.corrected_p:.10g}", r.tier]
+                         for r in rows))

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .atlas import MACROREGIONS, RegionMap
 from .errors import ValidationError
 from .nifti import LabelVolume, Volume4D, write_nifti
@@ -189,8 +190,8 @@ def write_cohort(cfg: SynthConfig, out_dir) -> Path:
                             affine=cohort.atlas.affine),
                 out / "brain_mask.nii.gz")
     cohort.regions.to_csv(out / "region_map.csv")
-    with open(out / "synth_params.json", "w") as fh:
-        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
+    artifacts.write_text(out / "synth_params.json",
+                         json.dumps(asdict(cfg), indent=2, sort_keys=True))
 
     manifest = out / "manifest.csv"
     write_manifest(cohort.records, manifest)

@@ -15,13 +15,13 @@ norm first.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import artifacts
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, frozen
 from .errors import ConfigurationError, TrainingError, ValidationError
@@ -73,15 +73,10 @@ class MetricsRow:
 
 
 def write_metrics_csv(path, rows: Sequence[MetricsRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "split", "loss", "acc", "auroc"])
-        for r in rows:
-            writer.writerow([
-                r.epoch, r.split, f"{r.loss:.10g}",
-                "" if r.acc is None else f"{r.acc:.10g}",
-                "" if r.auroc is None else f"{r.auroc:.10g}",
-            ])
+    fmt = lambda v: "" if v is None else f"{v:.10g}"
+    artifacts.write_csv(path, ["epoch", "split", "loss", "acc", "auroc"],
+                        ([r.epoch, r.split, fmt(r.loss), fmt(r.acc), fmt(r.auroc)]
+                         for r in rows))
 
 
 # ---------------------------------------------------------------------------

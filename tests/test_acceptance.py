@@ -708,13 +708,16 @@ def _run_pipeline(root):
                      "--set", f"finetune.init_from={pre / 'model.ckpt'}",
                      "--set", "finetune.epochs=2", *SMALL_MODEL,
                      "finetune"]) == 0
-    return {
-        "mask.bits": (maskdir / "mask.bits").read_bytes(),
-        "mask.bits.json": (maskdir / "mask.bits.json").read_bytes(),
-        "pretrain_metrics.csv": (pre / "metrics.csv").read_bytes(),
-        "finetune_metrics.csv": (ft / "metrics.csv").read_bytes(),
-        "test_metrics.json": (ft / "test_metrics.json").read_bytes(),
-    }
+    # inputs.json and resolved_config.yaml hold the run's own directory
+    compared = [maskdir / "mask.bits", maskdir / "mask.bits.json",
+                patches / "patch_sets.json", prep / "qc.csv",
+                *sorted(prep.glob("*_preproc.nii.gz")),
+                ft / "test_metrics.json"]
+    for stage in (pre, ft):
+        compared += [stage / "metrics.csv", stage / "model.ckpt",
+                     stage / "model.ckpt.manifest.json"]
+    assert len(compared) == 14 + 11
+    return {str(p.relative_to(root)): p.read_bytes() for p in compared}
 
 
 def test_criterion_13_pipeline_determinism(tmp_path):

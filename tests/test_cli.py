@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,8 @@ from regionmae import cli
 from regionmae.cli import main
 from regionmae.config import DEFAULTS, hash_file
 from regionmae.masking import load_mask
-from regionmae.nifti import LabelVolume, write_nifti
-from regionmae.preprocess import read_manifest
+from regionmae.nifti import LabelVolume, read_nifti, write_nifti
+from regionmae.preprocess import read_manifest, write_manifest
 
 SMALL_MODEL = [
     "--set", "model.embed_dim=8",
@@ -375,6 +376,55 @@ def test_pretrain_bad_clip_norm_exits_2_before_reading_volumes(
     assert "pretrain" in err and "clip_norm" in err
     assert reads == []
     assert not (tmp_path / "out" / "model.ckpt").exists()
+
+
+def test_pretrain_non_cubic_patch_exits_2_before_reading_volumes(
+        pipeline, tmp_path, capsys, monkeypatch):
+    synth = pipeline / "synth"
+    # classify-patches takes the same size
+    assert main(["--out-dir", str(tmp_path / "patches"),
+                 "--set", f"data.atlas={synth / 'atlas.nii.gz'}",
+                 "--set", f"data.region_map={synth / 'region_map.csv'}",
+                 "--set", "model.patch_size=[4, 6, 6]", "classify-patches"]) == 0
+    reads = []
+    monkeypatch.setattr(cli, "read_nifti", lambda path, kind="auto": reads.append(path))
+    rc = main(["--out-dir", str(tmp_path / "out"),
+               "--set", f"data.manifest={pipeline / 'prep' / 'manifest.csv'}",
+               "--set", f"data.patch_sets={tmp_path / 'patches' / 'patch_sets.json'}",
+               *SMALL_MODEL, "--set", "model.patch_size=[4, 6, 6]", "pretrain"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "model.patch_size" in err and "cubic" in err
+    assert reads == []
+
+
+def test_attribute_holds_one_volume_at_a_time(pipeline, tmp_path):
+    records = read_manifest(pipeline / "prep" / "manifest.csv")
+    volume_bytes = read_nifti(records[0].path, kind="volume").data.nbytes
+    synth = pipeline / "synth"
+
+    def attribute(n):
+        write_manifest(records[:n], tmp_path / f"manifest{n}.csv")
+        assert main(["--out-dir", str(tmp_path / f"attr{n}"),
+                     "--set", f"data.manifest={tmp_path / f'manifest{n}.csv'}",
+                     "--set", f"data.checkpoint={pipeline / 'finetune' / 'model.ckpt'}",
+                     "--set", f"data.atlas={synth / 'atlas.nii.gz'}",
+                     "--set", f"data.region_map={synth / 'region_map.csv'}",
+                     "--set", "attribution.ig_steps=2",
+                     "--set", "attribution.sg_samples=1",
+                     "--set", "attribution.only_correct=false",
+                     *SMALL_MODEL, "attribute"]) == 0
+
+    attribute(2)  # warm-up: first-call allocations stay out of the peaks
+    peaks = {}
+    for n in (2, 6):
+        tracemalloc.start()
+        try:
+            attribute(n)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[6] - peaks[2] < volume_bytes, (peaks, volume_bytes)
 
 
 @pytest.mark.parametrize("field", ["gauss_sigma", "sg_noise_std"])
