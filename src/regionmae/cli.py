@@ -290,9 +290,15 @@ def cmd_stats(cfg: dict, args, out: Path) -> list:
     input_path = require_data_path(cfg, "stats.input")
     with open(input_path) as fh:
         header = fh.readline().strip().split(",")
-        matrix = np.loadtxt(fh, delimiter=",", ndmin=2)
+        rows = [line for line in fh if line.strip()]
+    if not rows:
+        raise ValidationError(f"stats.input {input_path} has no rows under its header")
+    try:
+        matrix = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(f"stats.input {input_path}: {exc}") from exc
     if matrix.shape[1] != len(header):
-        raise ValidationError("stats.input rows do not match its header")
+        raise ValidationError(f"stats.input {input_path}: rows do not match its header")
 
     fr_stat, fr_p = st.friedman_test(matrix)
     raw = {}

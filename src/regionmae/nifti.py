@@ -2,10 +2,14 @@
 
 Implements the single-file variant of the format: a 348-byte binary header,
 an optional extension block, and a Fortran-ordered voxel payload starting at
-``vox_offset``. Both byte orders are accepted on read (detected from the
-plausibility of ``dim[0]``); files are always written little-endian.
-The reader skips extension blocks without interpreting them, and the writer
-writes none.
+``vox_offset``. One table, ``_FIELDS``, gives the offset and format of every
+header field read or written. Both byte orders are accepted on read
+(detected from the plausibility of ``dim[0]``); files are always written
+little-endian. The reader skips extension blocks without interpreting them,
+and the writer writes none. ``read_nifti`` returns the type its required
+``kind`` names. It rejects ``ni1`` headers (``.hdr/.img`` pairs) and a
+``vox_offset`` inside the header, and every error about a file's content
+names the file.
 
 ``.nii.gz`` files are written as one gzip member (RFC 1952) with a fixed
 10-byte header (no name, mtime 0), so the bytes depend only on the volume.
@@ -30,6 +34,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -67,43 +72,51 @@ _CODE_FOR_DTYPE = {v: k for k, v in _DTYPE_FOR_CODE.items()}
 # Temporal-unit codes from the xyzt_units bitfield (bits 3-5).
 _TIME_UNIT_SCALE = {0: 1.0, 8: 1.0, 16: 1e-3, 24: 1e-6}
 
-_HDR_FMT = "<i10s18sihcB8h3f4h8f3fhBB4f2i80s24s2h6f4f4f4f16s4s"
+# Every header field this module reads or writes: name -> (byte offset,
+# struct format without the byte-order prefix). All others are written as
+# zeros and ignored on read.
+_FIELDS = {
+    "sizeof_hdr": (0, "i"),
+    "regular": (38, "c"),
+    "dim": (40, "8h"),  # dim[0] is the rank, then per-axis sizes
+    "datatype": (70, "h"),
+    "bitpix": (72, "h"),
+    "pixdim": (76, "8f"),  # pixdim[0] is qfac, then grid spacings
+    "vox_offset": (108, "f"),
+    "scl": (112, "2f"),  # scl_slope, scl_inter
+    "xyzt_units": (123, "B"),
+    "qform_code": (252, "h"),
+    "sform_code": (254, "h"),
+    "quatern": (256, "3f"),  # quatern_b, quatern_c, quatern_d
+    "qoffset": (268, "3f"),
+    "srow": (280, "12f"),  # srow_x, srow_y, srow_z
+    "magic": (344, "4s"),
+}
 
 # gzip member header: magic, deflate, no flags, mtime 0, XFL 2 (maximum
 # compression), OS 255 (unknown).
 _GZIP_HEADER = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\xff"
 
 
-@dataclass
-class NiftiHeader:
-    """Parsed view of the fixed 348-byte NIfTI-1 header."""
+class NiftiHeader(SimpleNamespace):
+    """Parsed view of the fixed 348-byte NIfTI-1 header.
 
-    dims: tuple[int, ...]  # dim[0..7]: rank then per-axis sizes
-    datatype_code: int
-    pixdim: tuple[float, ...]  # pixdim[0..7]: qfac then grid spacings
-    vox_offset: int
-    scl_slope: float = 0.0
-    scl_inter: float = 0.0
-    qform_code: int = 0
-    sform_code: int = 0
-    quatern: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    qoffset: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    srow: tuple[float, ...] = (0.0,) * 12  # srow_x, srow_y, srow_z flattened
-    xyzt_units: int = 0
-    magic: bytes = MAGIC_SINGLE
-    byte_order: str = "<"
+    Holds one attribute per ``_FIELDS`` entry (a value for single-value
+    formats, a tuple otherwise) and ``byte_order``, the file's ``struct``
+    byte-order prefix.
+    """
 
     @property
     def rank(self) -> int:
-        return self.dims[0]
+        return self.dim[0]
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(self.dims[1 : 1 + self.rank])
+        return tuple(self.dim[1 : 1 + self.rank])
 
     def tr_seconds(self) -> float:
         """Repetition time in seconds; 1.0 when the header carries none."""
-        tr = float(self.pixdim[4]) * _TIME_UNIT_SCALE.get(self.xyzt_units & 0x38, 1.0)
+        tr = self.pixdim[4] * _TIME_UNIT_SCALE.get(self.xyzt_units & 0x38, 1.0)
         return tr if tr > 0 else 1.0
 
     def affine(self) -> np.ndarray:
@@ -198,69 +211,46 @@ def _read_file(path: Path) -> bytes:
 
 
 def parse_header(raw: bytes) -> NiftiHeader:
-    """Parse the fixed header from the first 348 bytes of a file."""
+    """Parse the fixed header from the first 348 bytes of a single-file NIfTI-1."""
     if len(raw) < HEADER_SIZE:
         raise TruncatedFileError(f"file shorter than the {HEADER_SIZE}-byte header")
-    magic = raw[344:348]
-    if magic[:3] not in (b"n+1", b"ni1"):
-        raise FormatError(f"malformed magic {magic!r}")
-
-    byte_order = None
-    for order in ("<", ">"):
-        (dim0,) = struct.unpack(order + "h", raw[40:42])
-        if 1 <= dim0 <= 7:
-            byte_order = order
+    for byte_order in "<>":
+        fields = {}
+        for name, (offset, fmt) in _FIELDS.items():
+            values = struct.unpack_from(byte_order + fmt, raw, offset)
+            fields[name] = values[0] if len(values) == 1 else values
+        if 1 <= fields["dim"][0] <= 7:
             break
-    if byte_order is None:
+    header = NiftiHeader(byte_order=byte_order, **fields)
+    if header.magic[:3] == b"ni1":
+        raise FormatError("magic 'ni1' marks a .hdr/.img pair, which is not supported")
+    if header.magic[:3] != b"n+1":
+        raise FormatError(f"malformed magic {header.magic!r}")
+    if not 1 <= header.rank <= 7:
         raise FormatError("dim[0] implausible in either byte order")
-
-    fields = struct.unpack(byte_order + _HDR_FMT[1:], raw[:HEADER_SIZE])
-    # Field indices follow the struct layout; unused legacy fields are skipped.
-    dims = tuple(int(v) for v in fields[7:15])
-    intent_code, datatype, bitpix, slice_start = fields[18:22]
-    pixdim = tuple(float(v) for v in fields[22:30])
-    vox_offset, scl_slope, scl_inter = fields[30:33]
-    xyzt_units = fields[35]
-    qform_code, sform_code = fields[44:46]
-    quatern = tuple(float(v) for v in fields[46:49])
-    qoffset = tuple(float(v) for v in fields[49:52])
-    srow = tuple(float(v) for v in fields[52:64])
-
-    if any(s <= 0 for s in dims[1 : 1 + dims[0]]):
-        raise FormatError(f"non-positive axis size in dim={dims}")
-    return NiftiHeader(
-        dims=dims,
-        datatype_code=int(datatype),
-        pixdim=pixdim,
-        vox_offset=int(round(vox_offset)),
-        scl_slope=float(scl_slope),
-        scl_inter=float(scl_inter),
-        qform_code=int(qform_code),
-        sform_code=int(sform_code),
-        quatern=quatern,
-        qoffset=qoffset,
-        srow=srow,
-        xyzt_units=int(xyzt_units),
-        magic=magic,
-        byte_order=byte_order,
-    )
+    if any(s <= 0 for s in header.shape):
+        raise FormatError(f"non-positive axis size in dim={header.dim}")
+    if not header.vox_offset >= HEADER_SIZE:
+        raise FormatError(f"vox_offset {header.vox_offset:g} lies inside the "
+                          f"{HEADER_SIZE}-byte header")
+    return header
 
 
 def _payload_view(raw: bytes, header: NiftiHeader) -> np.ndarray:
     """The voxel payload as a read-only Fortran-order view in the file's byte order."""
-    code = header.datatype_code
+    code = header.datatype
     if code not in _DTYPE_FOR_CODE:
         raise UnsupportedDatatypeError(f"datatype code {code} not supported")
     dtype = _DTYPE_FOR_CODE[code].newbyteorder(header.byte_order)
     shape = header.shape
     count = int(np.prod(shape))
-    offset = header.vox_offset
+    offset = np.rint(header.vox_offset)  # stays a float, so an infinite offset is truncation
     if len(raw) < offset + count * dtype.itemsize:
         raise TruncatedFileError(
-            f"payload truncated: need {count * dtype.itemsize} bytes at offset {offset}, "
-            f"file has {len(raw) - offset}"
+            f"payload truncated: need {count * dtype.itemsize} bytes at offset {offset:g}, "
+            f"file has {len(raw) - offset:g}"
         )
-    flat = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
+    flat = np.frombuffer(raw, dtype=dtype, count=count, offset=int(offset))
     return flat.reshape(shape, order="F")
 
 
@@ -272,28 +262,31 @@ def _squeeze_to_rank(data: np.ndarray, max_rank: int) -> np.ndarray:
     return data
 
 
-def read_nifti(path, kind: str = "auto") -> Volume4D | LabelVolume:
-    """Read a NIfTI-1 file.
+def read_nifti(path, kind: str) -> Volume4D | LabelVolume:
+    """Read a single-file NIfTI-1 (.nii or .nii.gz).
 
-    ``kind`` selects the returned type: "volume" forces :class:`Volume4D`,
-    "labels" forces :class:`LabelVolume`, and "auto" returns labels for
-    unscaled 3D integer data and a volume otherwise. Voxel values are scaled
-    by scl_slope/scl_inter when the slope is non-zero.
+    ``kind`` is "volume" for a :class:`Volume4D` or "labels" for a
+    :class:`LabelVolume`. Voxel values are scaled by scl_slope/scl_inter
+    when the slope is non-zero. Every error about the file's content names
+    the file.
     """
-    if kind not in ("auto", "volume", "labels"):
+    if kind not in ("volume", "labels"):
         raise ValidationError(f"unknown kind {kind!r}")
     path = Path(path)
     raw = _read_file(path)
+    try:
+        return _decode(raw, kind)
+    except (FormatError, TruncatedFileError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _decode(raw: bytes, kind: str) -> Volume4D | LabelVolume:
     header = parse_header(raw)
     data = _payload_view(raw, header)
 
-    slope, inter = header.scl_slope, header.scl_inter
+    slope, inter = header.scl
     scaled = np.isfinite(slope) and slope != 0.0 and not (slope == 1.0 and inter == 0.0)
     affine = header.affine()
-
-    is_integer = np.issubdtype(data.dtype, np.integer)
-    if kind == "auto":
-        kind = "labels" if (header.rank == 3 and is_integer and not scaled) else "volume"
 
     if kind == "labels":
         data = _squeeze_to_rank(data, 3)
@@ -341,57 +334,25 @@ def _build_header_bytes(
         raise ValidationError("at most 7 axes supported")
     dims = [len(shape)] + list(shape) + [1] * (7 - len(shape))
     zooms = np.sqrt((np.asarray(affine)[:3, :3] ** 2).sum(axis=0))
-    pixdim = [1.0, float(zooms[0]), float(zooms[1]), float(zooms[2]), float(tr_seconds)]
-    pixdim += [1.0] * (8 - len(pixdim))
-    vox_offset = HEADER_SIZE + 4  # header, then an extender with no extensions
-    srow = np.asarray(affine, dtype=np.float64)[:3, :].reshape(-1)
+    hdr = bytearray(HEADER_SIZE + 4)  # header, then an extender with no extensions
 
-    hdr = struct.pack(
-        _HDR_FMT,
-        HEADER_SIZE,  # sizeof_hdr
-        b"",  # data_type (legacy)
-        b"",  # db_name (legacy)
-        0,  # extents
-        0,  # session_error
-        b"r",  # regular
-        0,  # dim_info
-        *dims,
-        0.0,
-        0.0,
-        0.0,  # intent_p1..3
-        0,  # intent_code
-        _CODE_FOR_DTYPE[dtype],  # datatype
-        dtype.itemsize * 8,  # bitpix
-        0,  # slice_start
-        *pixdim,
-        float(vox_offset),
-        0.0,  # scl_slope: zero means "no scaling"
-        0.0,  # scl_inter
-        0,  # slice_end
-        0,  # slice_code
-        2 | 8,  # xyzt_units: mm + sec
-        0.0,
-        0.0,
-        0.0,
-        0.0,  # cal_max, cal_min, slice_duration, toffset
-        0,
-        0,  # glmax, glmin
-        b"",  # descrip
-        b"",  # aux_file
-        0,  # qform_code
-        2,  # sform_code: aligned
-        0.0,
-        0.0,
-        0.0,  # quatern_b,c,d
-        0.0,
-        0.0,
-        0.0,  # qoffset_x,y,z
-        *srow.tolist(),
-        b"",  # intent_name
-        MAGIC_SINGLE,
-    )
-    assert len(hdr) == HEADER_SIZE
-    return hdr + b"\x00\x00\x00\x00"
+    def put(name, *values):
+        offset, fmt = _FIELDS[name]
+        struct.pack_into("<" + fmt, hdr, offset, *values)
+
+    # scl, qform_code, quatern and qoffset stay zero: no scaling, no qform
+    put("sizeof_hdr", HEADER_SIZE)
+    put("regular", b"r")
+    put("dim", *dims)
+    put("datatype", _CODE_FOR_DTYPE[dtype])
+    put("bitpix", dtype.itemsize * 8)
+    put("pixdim", 1.0, *zooms, float(tr_seconds), 1.0, 1.0, 1.0)
+    put("vox_offset", len(hdr))
+    put("xyzt_units", 2 | 8)  # mm + sec
+    put("sform_code", 2)  # aligned
+    put("srow", *np.asarray(affine, dtype=np.float64)[:3].ravel())
+    put("magic", MAGIC_SINGLE)
+    return bytes(hdr)
 
 
 def _payload_chunks(data: np.ndarray, dtype: np.dtype):

@@ -1,6 +1,7 @@
 import csv
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -544,6 +545,20 @@ def test_stats_command(tmp_path):
     fried = json.loads((out / "friedman.json").read_text())
     assert 0.0 <= fried["p_value"] <= 1.0
     assert fried["conditions"] == ["mamba", "alternate", "am"]
+
+
+@pytest.mark.parametrize("text", ["a,b,c\n1,2,x\n", "a,b,c\n", "a,b,c\n\n\n",
+                                  "a,b,c\n1,2\n3,4\n"],
+                         ids=["non_numeric", "header_only", "blank_rows", "narrow_rows"])
+def test_stats_unreadable_input_exits_2_naming_key(tmp_path, capsys, text):
+    src = tmp_path / "scores.csv"
+    src.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["--out-dir", str(tmp_path / "o"), "--set", f"stats.input={src}",
+                   "stats"])
+    assert rc == 2
+    assert f"stats.input {src}" in capsys.readouterr().err
 
 
 def test_stats_missing_input_exits_2(tmp_path, capsys):

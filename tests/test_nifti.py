@@ -81,8 +81,8 @@ def test_gzip_transparency(tmp_path, rng):
     write_nifti(vol, plain)
     write_nifti(vol, packed)
     assert plain.read_bytes() == gzip.decompress(packed.read_bytes())
-    a = read_nifti(plain)
-    b = read_nifti(packed)
+    a = read_nifti(plain, kind="volume")
+    b = read_nifti(packed, kind="volume")
     np.testing.assert_array_equal(a.data, b.data)
     np.testing.assert_array_equal(a.affine, b.affine)
 
@@ -109,7 +109,7 @@ def test_label_roundtrip_smallest_dtype(tmp_path):
     raw = p.read_bytes()
     (datatype,) = struct.unpack("<h", raw[70:72])
     assert datatype == 2  # fits in uint8
-    back = read_nifti(p)
+    back = read_nifti(p, kind="labels")
     assert isinstance(back, LabelVolume)
     np.testing.assert_array_equal(back.labels, labels)
 
@@ -125,8 +125,7 @@ def test_scl_scaling_applied(tmp_path):
     raw = make_raw("<", data.shape, 4, data, scl=(2.0, 1.0))
     p = tmp_path / "scaled.nii"
     p.write_bytes(raw)
-    vol = read_nifti(p)
-    assert isinstance(vol, Volume4D)  # scaling forces the float path
+    vol = read_nifti(p, kind="volume")
     expect = data.astype(np.float32) * 2.0 + 1.0
     np.testing.assert_array_equal(vol.data[..., 0], expect)
 
@@ -145,7 +144,7 @@ def test_big_endian_detected(tmp_path):
     raw = make_raw(">", data.shape, 4, data)
     p = tmp_path / "be.nii"
     p.write_bytes(raw)
-    out = read_nifti(p)
+    out = read_nifti(p, kind="labels")
     assert isinstance(out, LabelVolume)
     np.testing.assert_array_equal(out.labels, data)
 
@@ -157,7 +156,7 @@ def test_affine_priority_sform_over_qform(tmp_path):
                    quatern=(0.0, 0.0, 0.0, 9.0, 9.0, 9.0))
     p = tmp_path / "s.nii"
     p.write_bytes(raw)
-    out = read_nifti(p)
+    out = read_nifti(p, kind="labels")
     np.testing.assert_allclose(out.affine, sform, atol=1e-6)
 
 
@@ -203,7 +202,7 @@ def test_tr_unit_conversion(tmp_path):
                    pixdim=[1, 1, 1, 1, 2000.0, 0, 0, 0], xyzt_units=2 | 16)
     p = tmp_path / "ms.nii"
     p.write_bytes(raw)
-    vol = read_nifti(p)
+    vol = read_nifti(p, kind="volume")
     assert vol.tr_seconds == pytest.approx(2.0)
 
 
@@ -215,7 +214,7 @@ def test_extensions_preserved(tmp_path, rng):
     raw[352:352 + len(ext)] = ext
     p = tmp_path / "ext.nii"
     p.write_bytes(bytes(raw))
-    back = read_nifti(p)
+    back = read_nifti(p, kind="volume")
     np.testing.assert_array_equal(back.data, data)
 
 
@@ -230,7 +229,7 @@ def test_bad_magic_rejected(tmp_path):
     p = tmp_path / "bad.nii"
     p.write_bytes(raw)
     with pytest.raises(FormatError):
-        read_nifti(p)
+        read_nifti(p, kind="labels")
 
 
 def test_truncated_rejected(tmp_path):
@@ -239,10 +238,44 @@ def test_truncated_rejected(tmp_path):
     p = tmp_path / "trunc.nii"
     p.write_bytes(raw[:400])
     with pytest.raises(TruncatedFileError):
-        read_nifti(p)
+        read_nifti(p, kind="labels")
     p.write_bytes(raw[:100])
     with pytest.raises(TruncatedFileError):
-        read_nifti(p)
+        read_nifti(p, kind="labels")
+
+
+@pytest.mark.parametrize("magic, vox_offset, match", [
+    (b"ni1\x00", 0, r"\.hdr/\.img pair"),
+    (b"n+1\x00", 100, "vox_offset 100 lies inside"),
+], ids=["two_file_magic", "offset_inside_header"])
+def test_payload_inside_header_rejected(tmp_path, magic, vox_offset, match):
+    # read as given, both would return header bytes as voxels
+    data = np.arange(16, dtype=np.float32).reshape(2, 2, 2, 2)
+    p = tmp_path / "v.nii"
+    p.write_bytes(make_raw("<", data.shape, 16, data, vox_offset=vox_offset, magic=magic))
+    with pytest.raises(FormatError, match=match):
+        read_nifti(p, kind="volume")
+
+
+def test_read_errors_name_file(tmp_path):
+    data = np.ones((4, 4, 4), dtype=np.int16)
+    raw = make_raw("<", data.shape, 4, data)
+    cases = {
+        "magic.nii": (make_raw("<", data.shape, 4, data, magic=b"xxx\x00"), FormatError),
+        "short.nii": (raw[:100], TruncatedFileError),
+        "payload.nii": (raw[:400], TruncatedFileError),
+        "offset.nii": (raw[:108] + struct.pack("<f", np.inf) + raw[112:],
+                       TruncatedFileError),
+        "complex.nii": (make_raw("<", (2, 2, 2), 32, np.ones((2, 2, 2))),
+                        UnsupportedDatatypeError),
+    }
+    for name, (content, error) in cases.items():
+        p = tmp_path / name
+        p.write_bytes(content)
+        with pytest.raises(error) as info:
+            read_nifti(p, kind="volume")
+        assert type(info.value) is error
+        assert str(info.value).startswith(f"{p}: ")
 
 
 def test_unsupported_datatype_rejected(tmp_path):
@@ -251,7 +284,7 @@ def test_unsupported_datatype_rejected(tmp_path):
     p = tmp_path / "cplx.nii"
     p.write_bytes(raw)
     with pytest.raises(UnsupportedDatatypeError):
-        read_nifti(p)
+        read_nifti(p, kind="volume")
 
 
 def test_oversized_axis_rejected():
@@ -302,6 +335,21 @@ def test_gzip_stream_is_header_plus_payload(tmp_path, rng):
         assert struct.unpack("<h", expect[70:72])[0] == {
             np.float32: 16, np.float64: 64, np.uint8: 2, np.uint16: 512, np.int32: 8,
         }[dtype]
+
+
+def test_written_file_matches_hand_layout(tmp_path, rng):
+    codes = {np.float32: 16, np.float64: 64, np.uint8: 2, np.uint16: 512, np.int32: 8}
+    for i, (vol, dtype, data) in enumerate(_written_cases(rng)):
+        data = np.asarray(data, dtype=dtype)
+        tr = vol.tr_seconds if isinstance(vol, Volume4D) else 1.0
+        zooms = np.sqrt((vol.affine[:3, :3] ** 2).sum(axis=0))
+        expect = bytearray(make_raw("<", data.shape, codes[dtype], data,
+                                    pixdim=[1.0, *zooms, tr, 1.0, 1.0, 1.0],
+                                    sform=vol.affine))
+        expect[38:39] = b"r"  # regular
+        path = tmp_path / f"v{i}.nii"
+        write_nifti(vol, path)
+        assert path.read_bytes() == expect
 
 
 def _failing_compressobj(real, fail_at, seen, directory):
@@ -359,7 +407,7 @@ def test_truncated_gzip_names_file(tmp_path, rng):
     for cut in (len(raw) // 2, len(raw) - 4):  # inside the stream, inside the trailer
         path.write_bytes(raw[:cut])
         with pytest.raises(TruncatedFileError, match="v.nii.gz"):
-            read_nifti(path)
+            read_nifti(path, kind="volume")
 
 
 def test_corrupt_gzip_names_file(tmp_path, rng):
@@ -373,4 +421,4 @@ def test_corrupt_gzip_names_file(tmp_path, rng):
     for bad in (corrupt, crc, b"not gzip at all"):
         path.write_bytes(bytes(bad))
         with pytest.raises(FormatError, match="v.nii.gz"):
-            read_nifti(path)
+            read_nifti(path, kind="volume")

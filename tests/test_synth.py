@@ -115,7 +115,7 @@ def test_write_cohort_roundtrip(tmp_path):
 
     cohort = synth_cohort(cfg)
     for rec, vol in zip(records, cohort.volumes):
-        back = read_nifti(rec.path)
+        back = read_nifti(rec.path, kind="volume")
         np.testing.assert_allclose(back.data, vol.data, rtol=1e-6)
         np.testing.assert_allclose(back.affine, vol.affine, atol=1e-5)
     atlas = read_nifti(tmp_path / "atlas.nii.gz", kind="labels")
