@@ -2,9 +2,11 @@
 SmoothGrad averaging, temporal collapse, spatial smoothing, cross-run
 aggregation, and ROI projection.
 
-The gradient path runs through the same autodiff tape as training; the
-volume is wrapped in a differentiable tensor and the scalar logit is
-backpropagated to the voxels, with the model's parameters held constant.
+The gradient path runs through the same autodiff tape as training; each
+path point is wrapped in a differentiable tensor (the model's token
+embeddings, or the volume for a model seen only through
+``forward_classify``) and the scalar logit is backpropagated to it, with
+the model's parameters held constant.
 """
 
 from __future__ import annotations
@@ -105,44 +107,56 @@ def _baseline(data: np.ndarray, baseline) -> np.ndarray | None:
     return b
 
 
-def _pass_layout(model, shape):
-    """Where the passes run: ``(to_rows, to_voxels, rows_shape, classify)``.
+def _volume_path(model, data: np.ndarray, x0, dtype):
+    """The path on the volume as given, for a model seen only through
+    ``forward_classify``: ``(span, start, classify, to_voxels)``.
 
-    A model with ``classify_tokens`` runs them on its [N, k] token rows:
-    ``to_rows`` sees a voxel-layout array in token order and ``to_voxels``
-    sees contiguous token-order data in voxel order, both as views, and
-    ``classify`` takes a tensor of rows. Any other model runs them on the
-    volume as it is, through ``forward_classify``.
+    ``span`` is ``x - x0``, taken in float64 and rounded to the pass dtype;
+    ``start`` is ``x0`` in the pass dtype (a 0-d value for the mean
+    baseline), or None for the zero baseline. The gradients are in voxel
+    order already.
     """
-    if not hasattr(model, "classify_tokens"):
-        def same(a):
-            return a
-        return same, same, shape, model.forward_classify
-    dims = model.lattice_dims(shape[:3], shape[3])
-    return (lambda a: model.token_view(a)[0],
-            lambda rows: model.voxel_view(rows, dims),
-            model.rows_shape(dims),
-            lambda point: model.classify_tokens(point, dims))
-
-
-def _path(data: np.ndarray, x0, dtype, to_rows):
-    """The straight path ``start + alpha * span`` in token order.
-
-    ``span`` is ``x - x0``, taken in float64, permuted into contiguous rows
-    and rounded to the pass dtype in one go. ``start`` is ``x0`` in the pass
-    dtype seen through a token-order view (a 0-d value for the mean
-    baseline), or None for the zero baseline.
-    """
-    rows = to_rows(data)
     if x0 is None:
-        return np.asarray(rows, dtype=dtype, order="C"), None
-    start = to_rows(x0) if x0.ndim else x0
-    span = np.empty(rows.shape, dtype=dtype)
-    np.subtract(rows, start, out=span, dtype=np.float64)
-    return span, start.astype(dtype, copy=False)
+        span, start = np.asarray(data, dtype=dtype, order="C"), None
+    else:
+        span = np.empty(data.shape, dtype=dtype)
+        np.subtract(data, x0, out=span, dtype=np.float64)
+        start = x0.astype(dtype, copy=False)
+    return span, start, model.forward_classify, lambda grad: grad
 
 
-def _gradient_sum(classify, rows_shape, steps: int, span, start) -> np.ndarray:
+def _embedding_path(model, data: np.ndarray, x0, dtype):
+    """The path at the token embedding: ``(span, start, classify, to_voxels)``.
+
+    The model's first layer is the affine ``embed``, ``rows @ W + b``, so
+    the straight path from ``x0`` to ``x`` is the straight path from
+    ``x0_rows @ W + b`` to ``x_rows @ W + b`` in its [N, D0] embeddings:
+    ``span`` is ``(x - x0)_rows @ W`` and ``start`` is ``x0_rows @ W + b``
+    (``b`` for the zero baseline), both in the pass dtype. The token rows
+    are gathered into one buffer per call, first of ``x0``, then of
+    ``x - x0`` (taken in float64, rounded to the pass dtype). ``to_voxels``
+    turns an embedding gradient into the row gradient ``g @ W^T`` in
+    float64, seen in voxel order.
+    """
+    view, dims = model.token_view(data)
+    w, b = model.params["embed.w"].data, model.params["embed.b"].data
+    rows = np.empty(model.rows_shape(dims), dtype=dtype)
+    tokens = rows.reshape(view.shape)
+    if x0 is None:
+        np.copyto(tokens, view)
+        start = b
+    else:
+        x0_view = model.token_view(x0)[0] if x0.ndim else x0
+        np.copyto(tokens, x0_view)
+        start = rows @ w + b
+        np.subtract(view, x0_view, out=tokens, dtype=np.float64)
+    span = rows @ w
+    w_t = w.astype(np.float64).T
+    return (span, start, lambda point: model.classify_embedded(point, dims),
+            lambda grad: model.voxel_view(grad @ w_t, dims))
+
+
+def _gradient_sum(classify, steps: int, span: np.ndarray, start) -> np.ndarray:
     """Pairwise float64 sum of the input gradients at the midpoints
     ``span * (k + 0.5)/steps (+ start)``, k = 0..steps-1, each point built
     in ``span``'s dtype in one reused buffer."""
@@ -154,7 +168,7 @@ def _gradient_sum(classify, rows_shape, steps: int, span, start) -> np.ndarray:
         np.multiply(span, (k + 0.5) / steps, out=buf)
         if start is not None:
             buf += start
-        point = Tensor(buf.reshape(rows_shape), requires_grad=True)
+        point = Tensor(buf, requires_grad=True)
         with Tape() as tape:
             logit = classify(point)
             tape.backward(logit)
@@ -185,20 +199,20 @@ def integrated_gradients(model, vol, baseline=ZERO, steps: int = 32) -> np.ndarr
     Returns (x - x0) * mean of input gradients sampled at the midpoints
     x0 + (k + 0.5)/steps * (x - x0), k = 0..steps-1.
 
-    IG is elementwise along a straight path and the token order is a permutation,
-    so for a model with ``classify_tokens`` the whole integral runs on its
-    token rows: ``x - x0`` is permuted into contiguous rows once per call,
-    every point is built in that layout, the gradients are summed there,
-    and the sum is read back in voxel order once, for the product with
-    ``x - x0``. No pass permutes the volume, and the map is byte-identical
-    to running the passes on the volume. Any other model runs them on the
+    For a model with ``classify_embedded`` the passes run at the token
+    embedding. Its first layer is affine, so a straight path in voxel space
+    is a straight path in its [N, D0] embeddings, and the row gradient is
+    the embedding gradient times ``W^T``. Every pass runs on an embedding
+    point, the embedding gradients are summed, and ``W^T`` is applied to
+    their mean once per call, in float64; IG is invariant under this
+    rewrite (Sundararajan et al. 2017), so the map equals running the
+    passes on the volume up to rounding. Any other model runs them on the
     volume as given, through ``forward_classify``.
 
     Each pass runs at the input's precision: a float32 volume gives float32
     path points, anything else float64. ``x - x0``, the gradient sum and
     the result are float64 either way. The zero baseline builds no
-    baseline array, the mean baseline is one number, and an explicit
-    baseline is read through a token-order view, not copied. The model's
+    baseline array and the mean baseline is one number. The model's
     parameters are held constant during the passes, so only the input
     gradient is computed and no parameter ``.grad`` is touched.
     """
@@ -206,10 +220,11 @@ def integrated_gradients(model, vol, baseline=ZERO, steps: int = 32) -> np.ndarr
         raise ValidationError(f"steps must be >= 1, got {steps}")
     data, dtype = _volume_data(vol)
     x0 = _baseline(data, baseline)
-    to_rows, to_voxels, rows_shape, classify = _pass_layout(model, data.shape)
+    path = _embedding_path if hasattr(model, "classify_embedded") else _volume_path
+    span, start, classify, to_voxels = path(model, data, x0, dtype)
     with frozen(getattr(model, "params", {}).values()):
-        grad_sum = _gradient_sum(classify, rows_shape, steps,
-                                 *_path(data, x0, dtype, to_rows))
+        grad_sum = _gradient_sum(classify, steps, span, start)
+    del span, start
     grad_sum /= steps
     mean_grad = to_voxels(grad_sum)
     out = np.empty(data.shape)  # x - x0 in float64, then times the mean gradient

@@ -290,15 +290,21 @@ def cmd_stats(cfg: dict, args, out: Path) -> list:
     input_path = require_data_path(cfg, "stats.input")
     with open(input_path) as fh:
         header = fh.readline().strip().split(",")
-        rows = [line for line in fh if line.strip()]
+        # the file's own line numbers, the header being line 1
+        rows = [(n, line.strip().split(",")) for n, line in enumerate(fh, start=2)
+                if line.strip()]
     if not rows:
         raise ValidationError(f"stats.input {input_path} has no rows under its header")
-    try:
-        matrix = np.loadtxt(rows, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise ValidationError(f"stats.input {input_path}: {exc}") from exc
-    if matrix.shape[1] != len(header):
-        raise ValidationError(f"stats.input {input_path}: rows do not match its header")
+    values = []
+    for n, cells in rows:
+        if len(cells) != len(header):
+            raise ValidationError(f"stats.input {input_path}:{n}: {len(cells)} values "
+                                  f"under a header of {len(header)}")
+        try:
+            values.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise ValidationError(f"stats.input {input_path}:{n}: {exc}") from exc
+    matrix = np.array(values)
 
     fr_stat, fr_p = st.friedman_test(matrix)
     raw = {}

@@ -490,13 +490,24 @@ class HybridModel:
         return self._unpatchify(self._lin("head", tokens), dims)
 
     def classify_tokens(self, rows, dims) -> Tensor:
-        """[N, k] token rows -> embed, encoder, mean pool, linear head -> scalar
-        logit. A Tensor input keeps its graph."""
+        """[N, k] token rows -> embed, then :meth:`classify_embedded`. A
+        Tensor input keeps its graph."""
         rows = ad.as_tensor(rows)
         if rows.shape != self.rows_shape(dims):
             raise ValidationError(f"token rows {rows.shape} do not fit lattice {dims}: "
                                   f"expected {self.rows_shape(dims)}")
-        tokens, _ = self.encode(self._lin("embed", rows), dims)
+        return self.classify_embedded(self._lin("embed", rows), dims)
+
+    def classify_embedded(self, tokens, dims) -> Tensor:
+        """[N, D0] embedded tokens -> encoder, mean pool, linear head ->
+        scalar logit. A Tensor input keeps its graph."""
+        tokens = ad.as_tensor(tokens)
+        n_rows = self.rows_shape(dims)[0]
+        if tokens.shape != (n_rows, self.config.embed_dim):
+            raise ValidationError(
+                f"embedded tokens {tokens.shape} do not fit lattice {dims}: "
+                f"expected {(n_rows, self.config.embed_dim)}")
+        tokens, _ = self.encode(tokens, dims)
         pooled = ad.tmean(self._norm("cls.norm", tokens), axis=0)  # [D_top]
         logit = ad.add(ad.matmul(ad.reshape(pooled, (1, pooled.shape[0])),
                                  self.params["cls.w"]),

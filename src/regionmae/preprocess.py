@@ -127,8 +127,12 @@ def resample_temporal(vol: Volume4D, target_tr: float) -> Volume4D:
     i0 = np.minimum(np.floor(pos).astype(np.int64), n_t - 2)
     w = np.clip(pos - i0, 0.0, 1.0).astype(vol.data.dtype if vol.data.dtype == np.float64 else np.float32)
     lo = vol.data[..., i0]
-    # lo + w (hi - lo) keeps constant series bit-exact (the delta vanishes)
-    data = lo + w * (vol.data[..., i0 + 1] - lo)
+    # lo + w (hi - lo) keeps constant series bit-exact (the delta vanishes);
+    # built in place in the gathered copy of hi
+    data = vol.data[..., i0 + 1]
+    data -= lo
+    data = np.multiply(w, data, out=data if data.dtype == w.dtype else None)
+    data += lo
     return Volume4D(data=data, affine=vol.affine, tr_seconds=target_tr,
                     brain_mask=vol.brain_mask)
 
@@ -204,10 +208,11 @@ def zscore_clip(vol: Volume4D, mask: np.ndarray, clip=DEFAULT_CLIP):
         raise DegenerateDataError("constant volume: sigma is zero")
 
     dtype = np.float64 if vol.data.dtype == np.float64 else np.float32
-    z = (vol.data - np.asarray(mu, dtype=dtype)) / np.asarray(sigma, dtype=dtype)
+    z = np.subtract(vol.data, np.asarray(mu, dtype=dtype), dtype=dtype)
+    z /= np.asarray(sigma, dtype=dtype)
     np.clip(z, lo, hi, out=z)
     z[~mask] = 0
-    out = Volume4D(data=z.astype(dtype), affine=vol.affine, tr_seconds=vol.tr_seconds,
+    out = Volume4D(data=z, affine=vol.affine, tr_seconds=vol.tr_seconds,
                    brain_mask=mask)
     return out, NormStats(mu=mu, sigma=sigma, clip_lo=lo, clip_hi=hi)
 

@@ -12,6 +12,10 @@ fully learnable, but leaves the gated upper tail untouched.
 
 The atlas carves the ellipsoid into 14 angular-wedge ROIs, two per
 macroregion.
+
+:func:`synth_cohort` returns a cohort in memory; :func:`write_cohort`
+streams one to disk, holding one subject at a time. Both draw the subjects
+from the same per-subject loop, so they give the same volumes.
 """
 
 from __future__ import annotations
@@ -134,10 +138,16 @@ def synth_subject(cfg: SynthConfig, rng: np.random.Generator, label: int,
         2 * np.pi * t / max(n_t, 2) + rng.uniform(0, 2 * np.pi))
 
     data = base[..., None] + temporal[None, None, None, :]
+    del base
     # arcsine noise on (-a, a): bounded with mass at the edges, so the
-    # z-scored 99th percentile lands near 1.5, far from the 1.8862 gate
+    # z-scored 99th percentile lands near 1.5, far from the 1.8862 gate;
+    # -a * cos(pi * u) is built in the draw's own buffer
     u = rng.uniform(0.0, 1.0, size=(*shape, n_t))
-    data += -cfg.noise_amplitude * np.cos(np.pi * u)
+    u *= np.pi
+    np.cos(u, out=u)
+    u *= -cfg.noise_amplitude
+    data += u
+    del u
     data[~mask] = 0.0
     return Volume4D(data=data.astype(np.float32), affine=default_affine(cfg),
                     tr_seconds=cfg.tr_seconds)
@@ -157,42 +167,58 @@ class SynthCohort:
                 for r, v in zip(self.records, self.volumes)]
 
 
-def synth_cohort(cfg: SynthConfig) -> SynthCohort:
-    """Generate the full in-memory cohort; labels alternate 0/1."""
+def _subjects(cfg: SynthConfig, atlas: LabelVolume, regions: RegionMap):
+    """Yield each subject's record and volume in turn; labels alternate 0/1.
+
+    Every subject draws from one generator seeded with ``cfg.seed``, so a
+    caller that drops each volume before asking for the next gets the same
+    volumes as one that keeps them all.
+    """
     rng = np.random.default_rng(cfg.seed)
-    atlas, regions = wedge_atlas(cfg)
-    mask = atlas.labels > 0
-    records, volumes = [], []
     for i in range(cfg.n_subjects):
         label = i % 2
-        sid = f"sub-{i:03d}"
-        volumes.append(synth_subject(cfg, rng, label, atlas, regions))
-        records.append(SubjectRecord(subject_id=sid, path="", label=label))
-    return SynthCohort(cfg, atlas, regions, mask, records, volumes)
+        yield (SubjectRecord(subject_id=f"sub-{i:03d}", path="", label=label),
+               synth_subject(cfg, rng, label, atlas, regions))
+
+
+def synth_cohort(cfg: SynthConfig) -> SynthCohort:
+    """Generate the full in-memory cohort; labels alternate 0/1."""
+    atlas, regions = wedge_atlas(cfg)
+    records, volumes = [], []
+    for rec, vol in _subjects(cfg, atlas, regions):
+        records.append(rec)
+        volumes.append(vol)
+    return SynthCohort(cfg, atlas, regions, atlas.labels > 0, records, volumes)
 
 
 def write_cohort(cfg: SynthConfig, out_dir) -> Path:
     """Write volumes, atlas, mask, region map, params, and the manifest.
 
-    Returns the manifest path; record paths point at the written NIfTIs.
+    The cohort is streamed: each subject is synthesised, written and
+    dropped before the next is drawn, so one volume is held at a time. The
+    files equal those of :func:`synth_cohort`'s volumes. Returns the
+    manifest path; record paths point at the written NIfTIs.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cohort = synth_cohort(cfg)
+    atlas, regions = wedge_atlas(cfg)
 
-    for rec, vol in zip(cohort.records, cohort.volumes):
+    records = []
+    for rec, vol in _subjects(cfg, atlas, regions):
         path = out / f"{rec.subject_id}_bold.nii.gz"
         write_nifti(vol, path)
+        del vol  # before the next subject is drawn
         rec.path = str(path)
+        records.append(rec)
 
-    write_nifti(cohort.atlas, out / "atlas.nii.gz")
-    write_nifti(LabelVolume(labels=cohort.brain_mask.astype(np.int32),
-                            affine=cohort.atlas.affine),
+    write_nifti(atlas, out / "atlas.nii.gz")
+    write_nifti(LabelVolume(labels=(atlas.labels > 0).astype(np.int32),
+                            affine=atlas.affine),
                 out / "brain_mask.nii.gz")
-    cohort.regions.to_csv(out / "region_map.csv")
+    regions.to_csv(out / "region_map.csv")
     artifacts.write_text(out / "synth_params.json",
                          json.dumps(asdict(cfg), indent=2, sort_keys=True))
 
     manifest = out / "manifest.csv"
-    write_manifest(cohort.records, manifest)
+    write_manifest(records, manifest)
     return manifest

@@ -172,13 +172,13 @@ def test_completeness_holds_for_the_real_model(rng):
 
 def test_float32_volume_runs_float32_passes(rng, monkeypatch):
     seen = []
-    real = HybridModel.classify_tokens
+    real = HybridModel.classify_embedded
 
-    def spy(self, rows, dims):
-        seen.append(rows.dtype)
-        return real(self, rows, dims)
+    def spy(self, tokens, dims):
+        seen.append(tokens.dtype)
+        return real(self, tokens, dims)
 
-    monkeypatch.setattr(HybridModel, "classify_tokens", spy)
+    monkeypatch.setattr(HybridModel, "classify_embedded", spy)
     model = small_model()
     x = rng.normal(size=(12, 12, 12, 4)).astype(np.float32)
     integrated_gradients(model, x, ZERO, steps=2)
@@ -211,7 +211,7 @@ def test_zero_baseline_matches_an_explicit_zero_volume(rng):
 
 class VoxelOnly:
     """A model seen through ``forward_classify`` alone, so integrated
-    gradients runs its passes on the volume, not on token rows."""
+    gradients runs its passes on the volume, not at the token embedding."""
 
     def __init__(self, model):
         self.model = model
@@ -221,25 +221,34 @@ class VoxelOnly:
         return self.model.forward_classify(vol)
 
 
+# the embedding path moves maps by rounding only, and no further
+EMBEDDING_TOLERANCE = {np.float32: 1e-6, np.float64: 1e-12}
+
+
 @pytest.mark.parametrize("conf", CONFIGURATIONS)
 def test_token_path_matches_voxel_path_bytewise(rng, conf):
-    # non-cubic patches, so a wrong axis order cannot pass by symmetry
+    # passes at the token embedding give the voxel path's map up to
+    # rounding; they no longer match it bytewise. Non-cubic patches, so a
+    # wrong axis order cannot pass by symmetry
     model = HybridModel(ModelConfig(embed_dim=8, stage_depths=(1, 1), heads=2,
                                     window=(4, 4, 4, 2), ssm_state_dim=4,
                                     patch_size=(2, 3, 4), t_patch=2,
                                     configuration=conf))
     voxels = VoxelOnly(model)
-    for dtype in (np.float32, np.float64):
+    for dtype, tol in EMBEDDING_TOLERANCE.items():
         x = rng.normal(size=(16, 12, 16, 4)).astype(dtype)
         for baseline in (ZERO, MEAN, rng.normal(size=x.shape),
                          rng.normal(size=x.shape).astype(np.float32)):
             got = integrated_gradients(model, x, baseline, steps=4)
             want = integrated_gradients(voxels, x, baseline, steps=4)
             assert got.flags.c_contiguous and got.dtype == np.float64
-            assert got.tobytes() == want.tobytes(), (dtype, baseline)
+            err = np.abs(got - want).max() / np.abs(want).max()
+            assert err <= tol, (dtype, baseline, err)
         cfg = AttributionConfig(ig_steps=2, sg_samples=2, baseline=MEAN)
         got = ig_sq(model, x, cfg, seed=5).map3d
-        assert got.tobytes() == ig_sq(voxels, x, cfg, seed=5).map3d.tobytes(), dtype
+        want = ig_sq(voxels, x, cfg, seed=5).map3d
+        # squared maps: twice the relative error of the maps
+        assert np.abs(got - want).max() <= 2 * tol * np.abs(want).max(), dtype
 
 
 def test_no_pass_permutes_the_volume(rng, monkeypatch):
@@ -261,10 +270,11 @@ def test_no_pass_permutes_the_volume(rng, monkeypatch):
 
 
 def test_explicit_baseline_is_not_copied_into_token_order(rng):
-    # float64 passes on a float64 baseline: the path difference, the point
-    # buffer and the gradients take four volumes at 2 steps, plus a little
-    # for the model; a contiguous token-order copy of the baseline (or of
-    # any other volume) would take a fifth
+    # float64 passes on a float64 baseline: the token rows (of x0, then of
+    # x - x0) take one volume and are dropped before the passes, which run
+    # on [N, D0] embeddings; the mean row gradient and the result take two
+    # volumes at the end. Any other volume held beside them would take a
+    # third
     model = HybridModel(ModelConfig(embed_dim=8, stage_depths=(1, 1),
                                     ssm_state_dim=4, configuration=MAMBA))
     x = rng.normal(size=(48, 48, 48, 4))
@@ -276,7 +286,7 @@ def test_explicit_baseline_is_not_copied_into_token_order(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * x.nbytes, peak / x.nbytes
+    assert peak <= 2.5 * x.nbytes, peak / x.nbytes
 
 
 def test_parameters_get_no_gradients(rng):
@@ -418,10 +428,11 @@ def test_igsq_without_noise_runs_integrated_gradients_once(rng, monkeypatch):
 
 
 def test_igsq_holds_no_float64_copies_of_the_volume(rng):
-    # float32 passes at 2 x 2: one integrated_gradients call peaks at 3.5
-    # float64 volumes; ig_sq adds only the float64 accumulator and the
-    # float32 resample, not a float64 copy of the input, a float64 noisy
-    # resample and a zeroed accumulator beside them (8 volumes)
+    # float32 passes at 2 x 2: one integrated_gradients call peaks at 2
+    # float64 volumes (the mean row gradient and the result); ig_sq adds
+    # only the float64 accumulator and the float32 resample (3.5 in all),
+    # not a float64 copy of the input, a float64 noisy resample and a
+    # zeroed accumulator beside them
     model = HybridModel(ModelConfig(embed_dim=8, stage_depths=(1, 1), heads=2,
                                     ssm_state_dim=4, configuration=ALTERNATE))
     x = rng.normal(size=(48, 48, 48, 4)).astype(np.float32)
@@ -434,7 +445,7 @@ def test_igsq_holds_no_float64_copies_of_the_volume(rng):
     finally:
         tracemalloc.stop()
     volume64 = x.size * 8
-    assert peak <= 6 * volume64, peak / volume64
+    assert peak <= 4 * volume64, peak / volume64
 
 
 # aggregation ----------------------------------------------------------------------

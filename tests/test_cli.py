@@ -345,7 +345,7 @@ def test_preprocess_template_mask_of_another_shape_fails_before_reading_volumes(
     kinds = []
     real = cli.read_nifti
 
-    def spy(path, kind="auto"):
+    def spy(path, kind):
         kinds.append(kind)
         return real(path, kind=kind)
 
@@ -365,7 +365,7 @@ def test_preprocess_template_mask_of_another_shape_fails_before_reading_volumes(
 def test_pretrain_bad_clip_norm_exits_2_before_reading_volumes(
         pipeline, tmp_path, capsys, monkeypatch):
     reads = []
-    monkeypatch.setattr(cli, "read_nifti", lambda path, kind="auto": reads.append(path))
+    monkeypatch.setattr(cli, "read_nifti", lambda path, kind: reads.append(path))
     rc = main(["--out-dir", str(tmp_path / "out"),
                "--set", f"data.manifest={pipeline / 'prep' / 'manifest.csv'}",
                "--set", f"data.patch_sets={pipeline / 'patches' / 'patch_sets.json'}",
@@ -388,7 +388,7 @@ def test_pretrain_non_cubic_patch_exits_2_before_reading_volumes(
                  "--set", f"data.region_map={synth / 'region_map.csv'}",
                  "--set", "model.patch_size=[4, 6, 6]", "classify-patches"]) == 0
     reads = []
-    monkeypatch.setattr(cli, "read_nifti", lambda path, kind="auto": reads.append(path))
+    monkeypatch.setattr(cli, "read_nifti", lambda path, kind: reads.append(path))
     rc = main(["--out-dir", str(tmp_path / "out"),
                "--set", f"data.manifest={pipeline / 'prep' / 'manifest.csv'}",
                "--set", f"data.patch_sets={tmp_path / 'patches' / 'patch_sets.json'}",
@@ -432,7 +432,7 @@ def test_attribute_holds_one_volume_at_a_time(pipeline, tmp_path):
 def test_attribute_nan_exits_2_before_reading_volumes(
         pipeline, tmp_path, capsys, monkeypatch, field):
     reads = []
-    monkeypatch.setattr(cli, "read_nifti", lambda path, kind="auto": reads.append(path))
+    monkeypatch.setattr(cli, "read_nifti", lambda path, kind: reads.append(path))
     synth = pipeline / "synth"
     rc = main(["--out-dir", str(tmp_path / "out"),
                "--set", f"data.manifest={pipeline / 'prep' / 'manifest.csv'}",
@@ -561,6 +561,20 @@ def test_stats_unreadable_input_exits_2_naming_key(tmp_path, capsys, text):
     assert f"stats.input {src}" in capsys.readouterr().err
 
 
+def test_stats_non_numeric_cell_names_its_line(tmp_path, capsys):
+    src = tmp_path / "scores.csv"
+    src.write_text("a,b,c\n\n1,2,3\n4,5,x\n")
+    rc = main(["--out-dir", str(tmp_path / "o"), "--set", f"stats.input={src}",
+               "stats"])
+    assert rc == 2
+    assert f"stats.input {src}:4: could not convert string to float: 'x'" \
+        in capsys.readouterr().err
+    src.write_text("a,b,c\n1,2,x\n")
+    assert main(["--out-dir", str(tmp_path / "o"), "--set", f"stats.input={src}",
+                 "stats"]) == 2
+    assert f"stats.input {src}:2: " in capsys.readouterr().err
+
+
 def test_stats_missing_input_exits_2(tmp_path, capsys):
     rc = main(["--out-dir", str(tmp_path / "o"), "stats"])
     assert rc == 2
@@ -586,7 +600,7 @@ def test_stats_input_directory_exits_2(tmp_path, capsys):
 def test_finetune_missing_init_from_exits_2_before_reading_volumes(
         pipeline, tmp_path, capsys, monkeypatch):
     reads = []
-    monkeypatch.setattr(cli, "read_nifti", lambda path, kind="auto": reads.append(path))
+    monkeypatch.setattr(cli, "read_nifti", lambda path, kind: reads.append(path))
     rc = main(["--out-dir", str(tmp_path / "out"),
                "--set", f"data.root={tmp_path}",
                "--set", f"data.manifest={pipeline / 'prep' / 'manifest.csv'}",
@@ -605,7 +619,7 @@ def test_finetune_missing_init_from_exits_2_before_reading_volumes(
 def test_checkpoint_of_another_model_fails_before_reading_volumes(
         pipeline, tmp_path, capsys, monkeypatch, command, key, ckpt):
     reads = []
-    monkeypatch.setattr(cli, "read_nifti", lambda path, kind="auto": reads.append(path))
+    monkeypatch.setattr(cli, "read_nifti", lambda path, kind: reads.append(path))
     synth = pipeline / "synth"
     # the checkpoints were written for SMALL_MODEL; this run keeps the defaults
     rc = main(["--out-dir", str(tmp_path / "out"),

@@ -470,6 +470,19 @@ def test_classify_tokens_is_forward_classify_on_rows():
         m.classify_tokens(rows[:-1], dims)
 
 
+def test_classify_embedded_is_classify_tokens_after_embed():
+    m = HybridModel(tiny_config(stage_depths=(1, 1), configuration=ALTERNATE))
+    vol = np.random.default_rng(7).normal(size=(24, 24, 24, 8)).astype(np.float32)
+    view, dims = m.token_view(vol)
+    rows = view.reshape(m.rows_shape(dims))
+    tokens = rows @ m.params["embed.w"].data + m.params["embed.b"].data
+    got = m.classify_embedded(tokens, dims).data
+    assert got.tobytes() == m.classify_tokens(rows, dims).data.tobytes()
+    for bad in (tokens[:-1], tokens[:, :-1]):
+        with pytest.raises(ValidationError, match="embedded tokens"):
+            m.classify_embedded(bad, dims)
+
+
 def test_masked_tokens_ignore_their_input_voxels():
     cfg = tiny_config(stage_depths=(1, 1), configuration=ALTERNATE)
     m = HybridModel(cfg)

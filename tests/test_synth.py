@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from regionmae.synth import (
     SynthConfig,
     brain_ellipsoid,
     synth_cohort,
+    synth_subject,
     wedge_atlas,
     write_cohort,
 )
@@ -116,10 +119,42 @@ def test_write_cohort_roundtrip(tmp_path):
     cohort = synth_cohort(cfg)
     for rec, vol in zip(records, cohort.volumes):
         back = read_nifti(rec.path, kind="volume")
-        np.testing.assert_allclose(back.data, vol.data, rtol=1e-6)
+        assert back.data.dtype == vol.data.dtype
+        assert back.data.tobytes() == vol.data.tobytes()
         np.testing.assert_allclose(back.affine, vol.affine, atol=1e-5)
     atlas = read_nifti(tmp_path / "atlas.nii.gz", kind="labels")
     np.testing.assert_array_equal(atlas.labels, cohort.atlas.labels)
     assert (tmp_path / "region_map.csv").exists()
     assert (tmp_path / "brain_mask.nii.gz").exists()
     assert (tmp_path / "synth_params.json").exists()
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_cohort_holds_one_subject_at_a_time(tmp_path):
+    cfg = SynthConfig(n_subjects=1, shape=(32, 32, 32), n_timepoints=4, seed=6)
+    write_cohort(cfg, tmp_path / "warm")
+    one = traced_peak(write_cohort, cfg, tmp_path / "one")
+    four = traced_peak(write_cohort, SynthConfig(
+        n_subjects=4, shape=cfg.shape, n_timepoints=4, seed=6), tmp_path / "four")
+    volume = 32 ** 3 * 4 * 4  # one float32 subject as written
+    assert four - one < volume, (four - one) / volume
+
+
+def test_synth_subject_builds_the_noise_in_place():
+    # the float64 volume and the noise draw, and no full-size temporary
+    # for -a * cos(pi * u) beside them
+    cfg = SynthConfig(shape=(32, 32, 32), n_timepoints=4, seed=7)
+    atlas, regions = wedge_atlas(cfg)
+    rng = np.random.default_rng(0)
+    synth_subject(cfg, rng, 1, atlas, regions)  # warm
+    peak = traced_peak(synth_subject, cfg, rng, 1, atlas, regions)
+    volume64 = 32 ** 3 * 4 * 8
+    assert peak <= 2.5 * volume64, peak / volume64
