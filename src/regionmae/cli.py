@@ -133,13 +133,14 @@ def cmd_preprocess(cfg: dict, args, out: Path) -> list:
         normalized, _, report = preprocess_volume(
             vol, template_mask=template_mask, subject_id=rec.subject_id,
             **kwargs)
+        del vol  # the raw volume, before the output is written
         reports.append(report)
-        if report.excluded and p["drop_excluded"]:
-            continue
-        out_path = out / f"{rec.subject_id}_preproc.nii.gz"
-        write_nifti(normalized, out_path)
-        rec.path = str(out_path)
-        kept.append(rec)
+        if not (report.excluded and p["drop_excluded"]):
+            out_path = out / f"{rec.subject_id}_preproc.nii.gz"
+            write_nifti(normalized, out_path)
+            rec.path = str(out_path)
+            kept.append(rec)
+        del normalized  # nothing of this subject is alive at the next read
 
     write_qc_csv(reports, out / "qc.csv")
     if not kept:

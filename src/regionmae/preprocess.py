@@ -1,8 +1,10 @@
 """Temporal resampling, FOV cropping, intensity standardization, and QC gating.
 
 All operations are pure functions over :class:`~regionmae.nifti.Volume4D`
-and boolean masks; a driver can process subjects in parallel without
-coordination.
+and boolean masks: none writes into its input, so a caller can process
+subjects in parallel without coordination. Outputs may share memory with
+inputs, though: a pure crop in :func:`crop_fov` returns a view of the
+input's data, not a copy.
 """
 
 from __future__ import annotations
@@ -140,6 +142,10 @@ def resample_temporal(vol: Volume4D, target_tr: float) -> Volume4D:
 def crop_fov(vol: Volume4D, target=DEFAULT_FOV) -> Volume4D:
     """Center-crop (or symmetrically zero-pad) to a fixed field of view.
 
+    A pure crop (no axis of ``vol`` shorter than ``target``'s) returns a
+    view of the input's data, so it copies nothing and shares memory with
+    ``vol``; once any axis needs padding the result is a fresh zero-filled
+    array.
     The affine translation is updated so every retained voxel keeps its
     original mm coordinate.
     """
@@ -151,14 +157,17 @@ def crop_fov(vol: Volume4D, target=DEFAULT_FOV) -> Volume4D:
     src = data.shape[:3]
     start = [(s - t) // 2 for s, t in zip(src, target)]
 
-    out = np.zeros(target + (data.shape[3],), dtype=data.dtype)
-    src_lo = [max(st, 0) for st in start]
-    src_hi = [min(st + t, s) for st, t, s in zip(start, target, src)]
-    dst_lo = [sl - st for sl, st in zip(src_lo, start)]
-    dst_hi = [sh - st for sh, st in zip(src_hi, start)]
-    out[dst_lo[0]:dst_hi[0], dst_lo[1]:dst_hi[1], dst_lo[2]:dst_hi[2]] = (
-        data[src_lo[0]:src_hi[0], src_lo[1]:src_hi[1], src_lo[2]:src_hi[2]]
-    )
+    if min(start) >= 0:
+        out = data[tuple(slice(st, st + t) for st, t in zip(start, target))]
+    else:
+        out = np.zeros(target + (data.shape[3],), dtype=data.dtype)
+        src_lo = [max(st, 0) for st in start]
+        src_hi = [min(st + t, s) for st, t, s in zip(start, target, src)]
+        dst_lo = [sl - st for sl, st in zip(src_lo, start)]
+        dst_hi = [sh - st for sh, st in zip(src_hi, start)]
+        out[dst_lo[0]:dst_hi[0], dst_lo[1]:dst_hi[1], dst_lo[2]:dst_hi[2]] = (
+            data[src_lo[0]:src_hi[0], src_lo[1]:src_hi[1], src_lo[2]:src_hi[2]]
+        )
 
     affine = np.asarray(vol.affine, dtype=np.float64).copy()
     affine[:3, 3] = (vol.affine @ np.array([start[0], start[1], start[2], 1.0]))[:3]
@@ -204,6 +213,7 @@ def zscore_clip(vol: Volume4D, mask: np.ndarray, clip=DEFAULT_CLIP):
     values = vol.data[mask]  # [n_mask, T]
     mu = float(values.mean(dtype=np.float64))
     sigma = float(values.std(dtype=np.float64))
+    del values  # before the output is allocated
     if sigma == 0.0:
         raise DegenerateDataError("constant volume: sigma is zero")
 
@@ -211,7 +221,7 @@ def zscore_clip(vol: Volume4D, mask: np.ndarray, clip=DEFAULT_CLIP):
     z = np.subtract(vol.data, np.asarray(mu, dtype=dtype), dtype=dtype)
     z /= np.asarray(sigma, dtype=dtype)
     np.clip(z, lo, hi, out=z)
-    z[~mask] = 0
+    np.copyto(z, 0, where=~mask[..., None])
     out = Volume4D(data=z, affine=vol.affine, tr_seconds=vol.tr_seconds,
                    brain_mask=mask)
     return out, NormStats(mu=mu, sigma=sigma, clip_lo=lo, clip_hi=hi)
@@ -291,6 +301,7 @@ def preprocess_volume(
         vol = resample_temporal(vol, target_tr)
     mask = estimate_brain_mask(vol, fraction=mask_fraction)
     normalized, stats = zscore_clip(vol, mask, clip=clip)
+    del vol  # the cropped and resampled input, before the QC percentile
     if template_mask is not None:
         template_mask = np.asarray(template_mask, dtype=bool)
         dice_value = dice(mask, template_mask)

@@ -65,6 +65,10 @@ class SynthConfig:
                 raise ValidationError(f"{name} must be non-negative")
 
 
+# x-planes per slab in :func:`synth_subject`
+SLAB = 8
+
+
 def default_affine(cfg: SynthConfig) -> np.ndarray:
     aff = np.diag([cfg.voxel_mm] * 3 + [1.0])
     aff[:3, 3] = -0.5 * cfg.voxel_mm * (np.asarray(cfg.shape) - 1)
@@ -76,7 +80,7 @@ def brain_ellipsoid(shape) -> np.ndarray:
     center = (np.asarray(shape, dtype=np.float64) - 1) / 2.0
     radii = 0.42 * np.asarray(shape, dtype=np.float64)
     grids = np.meshgrid(*[np.arange(s, dtype=np.float64) for s in shape],
-                        indexing="ij")
+                        indexing="ij", sparse=True)
     r2 = sum(((g - c) / r) ** 2 for g, c, r in zip(grids, center, radii))
     return r2 <= 1.0
 
@@ -91,7 +95,7 @@ def wedge_atlas(cfg: SynthConfig) -> tuple[LabelVolume, RegionMap]:
     mask = brain_ellipsoid(shape)
     center = (np.asarray(shape, dtype=np.float64) - 1) / 2.0
     xs, ys, zs = np.meshgrid(*[np.arange(s, dtype=np.float64) for s in shape],
-                             indexing="ij")
+                             indexing="ij", sparse=True)
     phi = np.arctan2(ys - center[1], xs - center[0])  # [-pi, pi]
     sector = np.floor((phi + np.pi) / (2 * np.pi) * len(MACROREGIONS))
     sector = np.clip(sector, 0, len(MACROREGIONS) - 1).astype(np.int32)
@@ -104,52 +108,69 @@ def wedge_atlas(cfg: SynthConfig) -> tuple[LabelVolume, RegionMap]:
 
 
 def _smooth_field(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
-    """Bounded low-frequency field: a normalized mix of random cosines."""
+    """Bounded low-frequency field: a normalized mix of random cosines.
+
+    The grids are sparse and each cosine is built in place, so about two
+    3D float64 volumes are held at a time.
+    """
     shape = cfg.shape
     grids = np.meshgrid(*[np.arange(s, dtype=np.float64) / s for s in shape],
-                        indexing="ij")
+                        indexing="ij", sparse=True)
     field = np.zeros(shape, dtype=np.float64)
     weights = rng.uniform(0.5, 1.0, size=3)
     for j in range(3):
         k = rng.integers(1, 4, size=3)  # cycles per side
         phase = rng.uniform(0, 2 * np.pi)
-        arg = 2 * np.pi * sum(int(k[i]) * grids[i] for i in range(3)) + phase
-        field += weights[j] * np.cos(arg)
-    return cfg.smooth_amplitude * field / weights.sum()
+        arg = sum(int(k[i]) * grids[i] for i in range(3))
+        arg *= 2 * np.pi
+        arg += phase
+        np.cos(arg, out=arg)
+        arg *= weights[j]
+        field += arg
+        del arg  # before the next cosine is built
+    field *= cfg.smooth_amplitude
+    field /= weights.sum()
+    return field
 
 
 def synth_subject(cfg: SynthConfig, rng: np.random.Generator, label: int,
                   atlas: LabelVolume, regions: RegionMap) -> Volume4D:
-    """One bounded, smooth, noisy 4D volume with the planted class signal."""
+    """One bounded, smooth, noisy 4D volume with the planted class signal.
+
+    The float64 sum is formed and cast to float32 one x-slab of ``SLAB``
+    planes at a time, so no 4D float64 array is held whole. The slabs draw
+    their noise in order, and a chunked draw equals one whole draw, so the
+    volume does not depend on the slab size.
+    """
     shape, n_t = cfg.shape, cfg.n_timepoints
     mask = atlas.labels > 0
 
-    signal_labels = regions.labels_for(cfg.signal_region)
-    in_signal = np.isin(atlas.labels, signal_labels)
-
-    base = np.ones(shape, dtype=np.float64)
-    base += _smooth_field(cfg, rng)
+    base = _smooth_field(cfg, rng)
+    base += 1.0
     if label:
         # negative shift: learnable, but keeps the QC'd upper tail intact
+        in_signal = np.isin(atlas.labels, regions.labels_for(cfg.signal_region))
         base -= cfg.signal_amplitude * in_signal
 
     t = np.arange(n_t, dtype=np.float64)
     temporal = cfg.temporal_amplitude * np.sin(
         2 * np.pi * t / max(n_t, 2) + rng.uniform(0, 2 * np.pi))
 
-    data = base[..., None] + temporal[None, None, None, :]
-    del base
-    # arcsine noise on (-a, a): bounded with mass at the edges, so the
-    # z-scored 99th percentile lands near 1.5, far from the 1.8862 gate;
-    # -a * cos(pi * u) is built in the draw's own buffer
-    u = rng.uniform(0.0, 1.0, size=(*shape, n_t))
-    u *= np.pi
-    np.cos(u, out=u)
-    u *= -cfg.noise_amplitude
-    data += u
-    del u
-    data[~mask] = 0.0
-    return Volume4D(data=data.astype(np.float32), affine=default_affine(cfg),
+    data = np.empty((*shape, n_t), dtype=np.float32)
+    for x0 in range(0, shape[0], SLAB):
+        xs = slice(x0, min(x0 + SLAB, shape[0]))
+        # arcsine noise on (-a, a): bounded with mass at the edges, so the
+        # z-scored 99th percentile lands near 1.5, far from the 1.8862
+        # gate; -a * cos(pi * u) is built in the draw's own buffer
+        u = rng.uniform(0.0, 1.0, size=(xs.stop - x0, *shape[1:], n_t))
+        u *= np.pi
+        np.cos(u, out=u)
+        u *= -cfg.noise_amplitude
+        slab = base[xs, ..., None] + temporal
+        slab += u
+        slab[~mask[xs]] = 0.0
+        data[xs] = slab
+    return Volume4D(data=data, affine=default_affine(cfg),
                     tr_seconds=cfg.tr_seconds)
 
 

@@ -14,6 +14,7 @@ from regionmae.config import DEFAULTS, hash_file
 from regionmae.masking import load_mask
 from regionmae.nifti import LabelVolume, read_nifti, write_nifti
 from regionmae.preprocess import read_manifest, write_manifest
+from regionmae.synth import SynthConfig, write_cohort
 
 SMALL_MODEL = [
     "--set", "model.embed_dim=8",
@@ -426,6 +427,35 @@ def test_attribute_holds_one_volume_at_a_time(pipeline, tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[6] - peaks[2] < volume_bytes, (peaks, volume_bytes)
+
+
+def test_preprocess_holds_one_subject_at_a_time(tmp_path):
+    # raw 40^3 x 6 at TR 1.2 s: every subject is cropped and resampled
+    manifest = write_cohort(SynthConfig(n_subjects=4, shape=(40, 40, 40),
+                                        n_timepoints=6, tr_seconds=1.2, seed=9),
+                            tmp_path / "raw")
+    records = read_manifest(manifest)
+    raw_bytes = read_nifti(records[0].path, kind="volume").data.nbytes
+
+    def preprocess(n):
+        write_manifest(records[:n], tmp_path / f"manifest{n}.csv")
+        assert main(["--out-dir", str(tmp_path / f"prep{n}"),
+                     "--set", f"data.manifest={tmp_path / f'manifest{n}.csv'}",
+                     "--set", "preprocess.fov=[32, 32, 32]",
+                     "preprocess"]) == 0
+
+    preprocess(1)  # warm-up: first-call allocations stay out of the peaks
+    peaks = {}
+    for n in (1, 4):
+        tracemalloc.start()
+        try:
+            preprocess(n)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # against one subject alone, so a subject's arrays kept alive while the
+    # next one is read count as much as arrays kept for the whole cohort
+    assert peaks[4] - peaks[1] < raw_bytes, (peaks, raw_bytes)
 
 
 @pytest.mark.parametrize("field", ["gauss_sigma", "sg_noise_std"])

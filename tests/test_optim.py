@@ -1,9 +1,14 @@
+import hashlib
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from regionmae.autodiff import Tensor
 from regionmae.checkpoint import (
     load_checkpoint,
+    manifest_path,
     restore_params,
     save_checkpoint,
 )
@@ -162,3 +167,63 @@ def test_restore_rejects_name_and_shape_mismatch(tmp_path, rng):
                  "b": params["b"]}
     with pytest.raises(CheckpointError):
         restore_params(misshaped, arrays)
+
+
+def test_checkpoint_manifest_records_blob_sha256(tmp_path, rng):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(arrays_of(make_params(rng)), path, config_hash="h")
+    manifest = json.loads(manifest_path(path).read_text())
+    assert manifest["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_checkpoint_flipped_byte_rejected(tmp_path, rng):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(arrays_of(make_params(rng)), path, config_hash="h")
+    blob = bytearray(path.read_bytes())
+    blob[5] ^= 0x01  # same size, so only the checksum can tell
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="sha256") as exc:
+        load_checkpoint(path, "h")
+    assert str(path) in str(exc.value)
+
+
+def test_checkpoint_manifest_without_sha256_loads(tmp_path, rng):
+    # written before the field existed: the size check alone still applies
+    params = make_params(rng)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(arrays_of(params), path, config_hash="h")
+    mpath = manifest_path(path)
+    manifest = json.loads(mpath.read_text())
+    del manifest["sha256"]
+    mpath.write_text(json.dumps(manifest))
+    arrays, _ = load_checkpoint(path, "h")
+    for name, p in params.items():
+        np.testing.assert_array_equal(arrays[name], p.data)
+    path.write_bytes(path.read_bytes()[:-4])
+    with pytest.raises(CheckpointError, match="bytes"):
+        load_checkpoint(path, "h")
+
+
+def test_checkpoint_load_copies_each_parameter_once(tmp_path, rng):
+    arrays = {"big": rng.normal(size=(512, 512)).astype(np.float32),
+              "small": rng.normal(size=(3,)).astype(np.float32)}
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(arrays, path, config_hash="h")
+    params = {"big": Tensor(np.zeros((512, 512), dtype=np.float32)),
+              "small": Tensor(np.zeros(3, dtype=np.float64))}
+    blob_bytes = arrays["big"].nbytes + arrays["small"].nbytes
+
+    tracemalloc.start()
+    try:
+        loaded, _ = load_checkpoint(path, "h")
+        restore_params(params, loaded)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the blob and one copy of each parameter; the old path held three
+    assert peak < 2.5 * blob_bytes, peak / blob_bytes
+    for name, p in params.items():
+        assert not np.shares_memory(p.data, loaded[name])
+        np.testing.assert_array_equal(p.data, arrays[name])
+    assert params["big"].data.dtype == np.float32
+    assert params["small"].data.dtype == np.float64

@@ -98,6 +98,31 @@ def test_crop_pads_small_input(rng):
     np.testing.assert_allclose(out.affine @ [2, 2, 2, 1], np.eye(4) @ [0, 0, 0, 1])
 
 
+def test_pure_crop_is_a_view(rng):
+    data = rng.normal(size=(10, 9, 8, 2)).astype(np.float32)
+    for fov in [(6, 6, 6), (10, 9, 8)]:
+        assert np.shares_memory(crop_fov(vol_of(data), fov).data, data)
+
+
+@pytest.mark.parametrize("fov", [(12, 12, 12), (6, 12, 6)])
+def test_padded_crop_is_a_copy(rng, fov):
+    data = rng.normal(size=(10, 9, 8, 2)).astype(np.float32)
+    out = crop_fov(vol_of(data), fov)
+    assert out.data.shape == fov + (2,)
+    assert not np.shares_memory(out.data, data)
+
+
+@pytest.mark.parametrize("tr", [0.8, 1.2])
+def test_preprocess_volume_leaves_its_input_alone(rng, tr):
+    # the crop is a view of the input, so nothing after it may write there
+    data = np.zeros((12, 12, 12, 6), dtype=np.float32)
+    data[2:10, 2:10, 2:10] = rng.uniform(50, 150, size=(8, 8, 8, 6))
+    before = data.copy()
+    out, _, _ = preprocess_volume(vol_of(data, tr=tr), fov=(10, 10, 10))
+    assert not np.shares_memory(out.data, data)
+    assert data.tobytes() == before.tobytes()
+
+
 # -- standardization ---------------------------------------------------------
 
 def test_zscore_hand_case():
@@ -118,6 +143,25 @@ def test_zscore_outside_mask_zero(rng):
     out, _ = zscore_clip(vol_of(data), mask)
     assert np.all(out.data[~mask] == 0)
     assert np.any(out.data[mask] != 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_zscore_matches_direct_formula(rng, dtype):
+    # far below the in-mask mean, so a zeroing that kept the sign of the
+    # z-score would leave -0.0 outside the mask
+    data = rng.normal(100.0, 10.0, size=(9, 8, 7, 4)).astype(dtype)
+    mask = rng.uniform(size=(9, 8, 7)) < 0.6
+    data[~mask] = -50.0
+    out, stats = zscore_clip(Volume4D(data=data, affine=np.eye(4)), mask,
+                             clip=(-2.0, 2.0))
+    values = data[mask]
+    mu, sigma = values.mean(dtype=np.float64), values.std(dtype=np.float64)
+    want = ((data - dtype(mu)) / dtype(sigma)).clip(-2.0, 2.0).astype(dtype)
+    want[~mask] = 0
+    assert (stats.mu, stats.sigma) == (float(mu), float(sigma))
+    assert out.data.dtype == dtype
+    assert out.data.tobytes() == want.tobytes()
+    assert not np.signbit(out.data[~mask]).any()
 
 
 def test_zscore_clips_extremes():

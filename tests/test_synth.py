@@ -8,6 +8,7 @@ from regionmae.errors import ValidationError
 from regionmae.nifti import read_nifti
 from regionmae.preprocess import preprocess_volume, read_manifest
 from regionmae.synth import (
+    SLAB,
     SynthConfig,
     brain_ellipsoid,
     synth_cohort,
@@ -149,12 +150,67 @@ def test_write_cohort_holds_one_subject_at_a_time(tmp_path):
 
 
 def test_synth_subject_builds_the_noise_in_place():
-    # the float64 volume and the noise draw, and no full-size temporary
-    # for -a * cos(pi * u) beside them
+    # the float32 output and float64 slabs; a whole float64 volume and a
+    # whole noise draw beside it would be two volumes
     cfg = SynthConfig(shape=(32, 32, 32), n_timepoints=4, seed=7)
     atlas, regions = wedge_atlas(cfg)
     rng = np.random.default_rng(0)
     synth_subject(cfg, rng, 1, atlas, regions)  # warm
     peak = traced_peak(synth_subject, cfg, rng, 1, atlas, regions)
     volume64 = 32 ** 3 * 4 * 8
-    assert peak <= 2.5 * volume64, peak / volume64
+    assert peak < 2 * volume64, peak / volume64
+
+
+def dense_grids(shape, scale=False):
+    return np.meshgrid(*[np.arange(s, dtype=np.float64) / (s if scale else 1)
+                         for s in shape], indexing="ij")
+
+
+def whole_volume_subject(cfg, rng, label, atlas, regions):
+    """A subject built the direct way: dense grids, one float64 volume."""
+    grids = dense_grids(cfg.shape, scale=True)
+    field = np.zeros(cfg.shape)
+    weights = rng.uniform(0.5, 1.0, size=3)
+    for j in range(3):
+        k = rng.integers(1, 4, size=3)
+        phase = rng.uniform(0, 2 * np.pi)
+        arg = 2 * np.pi * sum(int(k[i]) * grids[i] for i in range(3)) + phase
+        field += weights[j] * np.cos(arg)
+    base = 1.0 + cfg.smooth_amplitude * field / weights.sum()
+    if label:
+        in_signal = np.isin(atlas.labels, regions.labels_for(cfg.signal_region))
+        base -= cfg.signal_amplitude * in_signal
+    t = np.arange(cfg.n_timepoints, dtype=np.float64)
+    temporal = cfg.temporal_amplitude * np.sin(
+        2 * np.pi * t / max(cfg.n_timepoints, 2) + rng.uniform(0, 2 * np.pi))
+    u = rng.uniform(0.0, 1.0, size=(*cfg.shape, cfg.n_timepoints))
+    data = base[..., None] + temporal + -cfg.noise_amplitude * np.cos(np.pi * u)
+    data[atlas.labels == 0] = 0.0
+    return data.astype(np.float32)
+
+
+@pytest.mark.parametrize("label", [0, 1])
+def test_synth_subject_equals_a_whole_volume_build(label):
+    cfg = SynthConfig(shape=(2 * SLAB + 5, 20, 14), n_timepoints=5, seed=8)
+    assert cfg.shape[0] % SLAB  # a short last slab
+    atlas, regions = wedge_atlas(cfg)
+    vol = synth_subject(cfg, np.random.default_rng(3), label, atlas, regions)
+    want = whole_volume_subject(cfg, np.random.default_rng(3), label, atlas, regions)
+    assert vol.data.dtype == np.float32
+    assert vol.data.tobytes() == want.tobytes()
+
+
+def test_atlas_equals_a_dense_grid_build():
+    cfg = SynthConfig(shape=(21, 16, 13))
+    xs, ys, zs = dense_grids(cfg.shape)
+    center = (np.asarray(cfg.shape, dtype=np.float64) - 1) / 2.0
+    radii = 0.42 * np.asarray(cfg.shape, dtype=np.float64)
+    r2 = sum(((g - c) / r) ** 2 for g, c, r in zip((xs, ys, zs), center, radii))
+    phi = np.arctan2(ys - center[1], xs - center[0])
+    sector = np.clip(np.floor((phi + np.pi) / (2 * np.pi) * len(MACROREGIONS)),
+                     0, len(MACROREGIONS) - 1).astype(np.int32)
+    want = np.where(r2 <= 1.0, 1 + 2 * sector + (zs > center[2]), 0)
+    np.testing.assert_array_equal(brain_ellipsoid(cfg.shape), r2 <= 1.0)
+    atlas, _ = wedge_atlas(cfg)
+    assert atlas.labels.dtype == np.int32
+    np.testing.assert_array_equal(atlas.labels, want)
