@@ -93,12 +93,6 @@ def _manifest(cfg: dict):
     return records, [manifest] + [Path(r.path) for r in records]
 
 
-def _load_labeled(cfg: dict):
-    records, inputs = _manifest(cfg)
-    volumes = {r.subject_id: read_nifti(r.path, kind="volume") for r in records}
-    return records, volumes, inputs
-
-
 def cmd_synth(cfg: dict, args, out: Path) -> list:
     s = cfg["synth"]
     if args.subjects is not None:
@@ -191,14 +185,15 @@ def cmd_pretrain(cfg: dict, args, out: Path) -> list:
                  mask_spec=_build(MaskSpec, cfg, "mask"))
     sets_path = require_data_path(cfg, "patch_sets")
     sets = PatchSets.load(sets_path)
-    records, volumes, inputs = _load_labeled(cfg)
+    records, inputs = _manifest(cfg)
     inputs.append(sets_path)
+    # split before any volume is read; the test split is not read at all
+    train, val, _ = split_subjects(records, run.split, seed=cfg["run"]["seed"])
+    pairs = lambda recs: [(r.subject_id, read_nifti(r.path, kind="volume").data)
+                          for r in recs]
 
     model = HybridModel(model_cfg)
-    train, val, _ = split_subjects(records, run.split, seed=cfg["run"]["seed"])
-    as_pairs = lambda recs: [(r.subject_id, volumes[r.subject_id].data)
-                             for r in recs]
-    result = pretrain(model, as_pairs(train), as_pairs(val), run, sets)
+    result = pretrain(model, pairs(train), pairs(val), run, sets)
 
     write_metrics_csv(out / "metrics.csv", result.metrics)
     save_checkpoint(result.best_state, out / "model.ckpt", model.config.config_hash(),
@@ -218,17 +213,16 @@ def cmd_finetune(cfg: dict, args, out: Path) -> list:
         ckpt = require_data_path(cfg, "finetune.init_from")
         arrays, _ = load_checkpoint(ckpt, model.config.config_hash())
         restore_params(model.params, arrays)
-    records, volumes, inputs = _load_labeled(cfg)
+    records, inputs = _manifest(cfg)
     if any(r.label is None for r in records):
         raise ConfigurationError("finetune needs a label for every subject "
                                  "in data.manifest")
     inputs.append(ckpt)
-
-    train, val, test = split_subjects(records, run.split,
-                                      seed=cfg["run"]["seed"])
-    triple = lambda recs: [(r.subject_id, volumes[r.subject_id].data,
-                            int(r.label)) for r in recs]
-    result = finetune(model, triple(train), triple(val), triple(test), run)
+    # split before any volume is read
+    train, val, test = split_subjects(records, run.split, seed=cfg["run"]["seed"])
+    triples = lambda recs: [(r.subject_id, read_nifti(r.path, kind="volume").data,
+                             int(r.label)) for r in recs]
+    result = finetune(model, triples(train), triples(val), triples(test), run)
 
     write_metrics_csv(out / "metrics.csv", result.metrics)
     save_checkpoint(result.best_state, out / "model.ckpt", model.config.config_hash(),

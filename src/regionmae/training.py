@@ -3,14 +3,15 @@
 Pretraining minimizes mean squared error over masked voxels only; a fresh
 mask is sampled every step (at ratio 1.0 the candidate set is exhausted, so
 the realized mask is the same fixed set each step). Fine-tuning trains the
-classification head (optionally end-to-end) with binary cross-entropy and
-tracks accuracy/AUROC, keeping the parameters with the best validation AUROC
-for the final test evaluation.
+classification head (optionally end-to-end) with binary cross-entropy.
 
-Both drivers run the same epoch loop, ``_train_epoch``, with their own
-per-sample loss: it accumulates per-sample gradients across a batch, then
-steps a decoupled-weight-decay Adam optimizer that clips the global gradient
-norm first.
+Both drivers run one fit loop, ``_fit``, with their own per-sample loss and
+validation score: it accumulates per-sample gradients across a batch, steps a
+decoupled-weight-decay Adam optimizer that clips the global gradient norm
+first, and keeps the parameters of the best-scoring epoch (lowest val loss,
+highest val AUROC). A fine-tuning train row takes its accuracy/AUROC from the
+epoch's own taped logits; only val and test get extra forwards. ``finetune``
+loads the best state for its test evaluation, ``pretrain`` returns it.
 """
 
 from __future__ import annotations
@@ -144,12 +145,9 @@ def split_subjects(records: Sequence, ratios=(8.0, 1.0, 1.0), seed: int = 0):
         raise ConfigurationError("ratios must be three positive numbers")
     ratios = ratios / ratios.sum()
 
-    def label_of(rec):
-        return getattr(rec, "label", None)
-
     groups: dict = {}
     for rec in records:
-        groups.setdefault(label_of(rec), []).append(rec)
+        groups.setdefault(getattr(rec, "label", None), []).append(rec)
 
     rng = np.random.default_rng(seed)
     splits: tuple[list, list, list] = ([], [], [])
@@ -164,48 +162,61 @@ def split_subjects(records: Sequence, ratios=(8.0, 1.0, 1.0), seed: int = 0):
             base[i] += 1
         start = 0
         for si in range(3):
-            for j in order[start:start + base[si]]:
-                splits[si].append(group[j])
+            splits[si].extend(group[j] for j in order[start:start + base[si]])
             start += base[si]
     return splits
 
 
 # ---------------------------------------------------------------------------
-# The batch loop shared by both drivers
+# The fit loop shared by both drivers
 
 
 def _snapshot(model) -> dict[str, np.ndarray]:
     return {k: v.data.copy() for k, v in model.params.items()}
 
 
-def _train_epoch(opt: AdamW, rng, samples: Sequence, batch_size: int, epoch: int,
-                 sample_loss) -> float:
-    """One pass over ``samples`` in a fresh random order; returns the mean
-    batch loss.
+def _fit(model, run: RunConfig, rng, params: dict, samples: Sequence, sample_loss,
+         train_row, validate, score):
+    """Train ``params``, the rest of ``model.params`` frozen; returns the
+    metrics rows and the best score, its epoch and its parameters.
 
-    ``sample_loss(sample)`` returns a sample's scalar loss tensor and runs
-    inside the tape scope. Each batch accumulates the gradients of its
-    samples' losses over the batch size, then ``opt.step()`` clips and
-    updates. ``samples[i][0]`` is the subject ID a non-finite loss names.
+    Each epoch visits ``samples`` in an order drawn from ``rng``; a batch
+    accumulates the gradients of ``sample_loss(sample)`` over its size, then
+    ``AdamW.step()`` clips and updates. ``train_row(epoch, mean batch loss)``
+    and ``validate(epoch)`` (None without a val split) make the epoch's rows.
+    The best val row has the highest ``score``; without validation the last
+    epoch is the best, scored on its train row.
     """
-    order = rng.permutation(len(samples))
-    batch_losses = []
-    for start in range(0, len(order), batch_size):
-        batch = order[start:start + batch_size]
-        opt.zero_grad()
-        batch_loss = 0.0
-        for j in batch:
-            with Tape() as tape:
-                loss = sample_loss(samples[j])
-                tape.backward(ad.mul(loss, 1.0 / len(batch)))
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise TrainingError(f"non-finite loss ({value}) at epoch {epoch}, "
-                                    f"subject {samples[j][0]}")
-            batch_loss += value / len(batch)
-        opt.step()
-        batch_losses.append(batch_loss)
-    return float(np.mean(batch_losses))
+    opt = AdamW(params, lr=run.lr, weight_decay=run.weight_decay, clip_norm=run.clip_norm)
+    metrics: list[MetricsRow] = []
+    best_score, best_epoch, best_state = -np.inf, -1, _snapshot(model)
+    # parameters left out of the optimizer get no gradients at all
+    with frozen(v for k, v in model.params.items() if k not in params):
+        for epoch in range(run.epochs):
+            order = rng.permutation(len(samples))
+            batch_losses = []
+            for start in range(0, len(order), run.batch_size):
+                batch = order[start:start + run.batch_size]
+                opt.zero_grad()
+                batch_loss = 0.0
+                for j in batch:
+                    with Tape() as tape:
+                        loss = sample_loss(samples[j])
+                        tape.backward(ad.mul(loss, 1.0 / len(batch)))
+                    value = float(loss.data)
+                    if not np.isfinite(value):
+                        raise TrainingError(f"non-finite loss ({value}) at epoch "
+                                            f"{epoch}, subject {samples[j][0]}")
+                    batch_loss += value / len(batch)
+                opt.step()
+                batch_losses.append(batch_loss)
+            metrics.append(train_row(epoch, float(np.mean(batch_losses))))
+            if validate is not None:
+                metrics.append(validate(epoch))
+            if (score(metrics[-1]) > best_score if validate is not None
+                    else epoch == run.epochs - 1):
+                best_score, best_epoch, best_state = score(metrics[-1]), epoch, _snapshot(model)
+    return metrics, best_score, best_epoch, best_state
 
 
 @dataclass
@@ -222,23 +233,30 @@ def pretrain(model, train_vols: Sequence[tuple[str, np.ndarray]],
     """Masked-reconstruction training loop.
 
     ``train_vols``/``val_vols`` are (subject_id, [X,Y,Z,T] float array) pairs,
-    already preprocessed. ``sets`` is the PatchSets object the mask spec draws
-    candidates from. ``run.seed`` seeds the batch order, every step's mask
-    and the fixed validation mask.
+    already preprocessed; each must span ``sets.grid.volume_shape`` and the
+    same number of timepoints, a multiple of the model's ``t_patch``.
+    ``sets`` is the PatchSets object the mask spec draws candidates from.
+    ``run.seed`` seeds the batch order, every step's mask and the fixed
+    validation mask. The best state is returned, not loaded.
     """
+    if run.phase != PRETRAIN:
+        raise ConfigurationError(f"pretrain needs phase {PRETRAIN}, got {run.phase}")
     if run.mask_spec is None:
         raise ConfigurationError("pretraining needs a mask_spec")
     if not train_vols:
         raise ConfigurationError("empty training set")
     t_patch = model.config.t_patch
-    t_patches = train_vols[0][1].shape[3] // t_patch
+    n_t = train_vols[0][1].shape[-1]
+    want = (*sets.grid.volume_shape, n_t)
+    for sid, vol in (*train_vols, *val_vols):
+        if vol.shape != want or n_t % t_patch:
+            raise ValidationError(f"subject {sid}: volume shape {vol.shape}, expected "
+                                  f"{want}, timepoints a multiple of t_patch {t_patch}")
 
     def mask_for(seed: int) -> MaskTensor:
         return build_mask(dataclasses.replace(run.mask_spec, seed=seed), sets,
-                          t_patches, t_patch_len=t_patch)
+                          n_t // t_patch, t_patch_len=t_patch)
 
-    opt = AdamW(model.params, lr=run.lr, weight_decay=run.weight_decay,
-                clip_norm=run.clip_norm)
     rng = np.random.default_rng(run.seed)
     val_mask = mask_for(run.seed)
 
@@ -249,27 +267,23 @@ def pretrain(model, train_vols: Sequence[tuple[str, np.ndarray]],
         # read it, so it is freed before the backward
         return masked_mse(model.forward_pretrain(vol, mask), vol, mask)
 
-    metrics: list[MetricsRow] = []
-    best_val, best_epoch, best_state = np.inf, -1, _snapshot(model)
-    for epoch in range(run.epochs):
-        train_loss = _train_epoch(opt, rng, train_vols, run.batch_size, epoch,
-                                  sample_loss)
-        metrics.append(MetricsRow(epoch, "train", train_loss))
-        if val_vols:
-            val_loss = float(np.mean([
-                masked_mse(model.forward_pretrain(v, val_mask).data, v, val_mask)
-                for _, v in val_vols]))
-            metrics.append(MetricsRow(epoch, "val", val_loss))
-            if val_loss < best_val:
-                best_val, best_epoch, best_state = val_loss, epoch, _snapshot(model)
+    def validate(epoch: int) -> MetricsRow:
+        return MetricsRow(epoch, "val", float(np.mean([
+            masked_mse(model.forward_pretrain(v, val_mask).data, v, val_mask)
+            for _, v in val_vols])))
 
-    if not val_vols:
-        best_val, best_epoch, best_state = train_loss, run.epochs - 1, _snapshot(model)
-    return PretrainResult(metrics, best_val, best_epoch, best_state)
+    metrics, best, best_epoch, best_state = _fit(
+        model, run, rng, model.params, train_vols, sample_loss,
+        lambda epoch, loss: MetricsRow(epoch, "train", loss),
+        validate if val_vols else None, lambda row: -row.loss)
+    return PretrainResult(metrics, -best, best_epoch, best_state)
 
 
 @dataclass
 class FinetuneResult:
+    """``best_val_auroc`` is the best val AUROC, or the val accuracy where
+    the val AUROC is undefined, or without a val split the last train AUROC."""
+
     metrics: list[MetricsRow]
     best_val_auroc: float
     best_epoch: int
@@ -279,68 +293,59 @@ class FinetuneResult:
     test_loss: float
 
 
-def _evaluate_classifier(model, samples):
-    scores, labels, losses = [], [], []
-    for _, vol, label in samples:
-        logit = model.forward_classify(vol)
-        z = float(logit.data)
-        scores.append(z)
-        labels.append(int(label))
-        losses.append(float(np.logaddexp(0.0, z) - z * label))
-    labels_arr = np.asarray(labels)
-    acc = accuracy(scores, labels_arr)
-    auc = auroc(scores, labels_arr) if 0 < labels_arr.sum() < len(labels_arr) else None
-    return float(np.mean(losses)), acc, auc
+def _classifier_row(epoch: int, split: str, loss: float, scores, labels) -> MetricsRow:
+    labels = np.asarray(labels)
+    auc = auroc(scores, labels) if 0 < labels.sum() < len(labels) else None
+    return MetricsRow(epoch, split, loss, accuracy(scores, labels), auc)
+
+
+def _evaluate_classifier(model, samples, epoch: int, split: str) -> MetricsRow:
+    """One untaped forward per (subject_id, volume, label) triple."""
+    scores = [float(model.forward_classify(vol).data) for _, vol, _ in samples]
+    labels = [int(label) for _, _, label in samples]
+    losses = [float(np.logaddexp(0.0, z) - z * y) for z, y in zip(scores, labels)]
+    return _classifier_row(epoch, split, float(np.mean(losses)), scores, labels)
 
 
 def finetune(model, train, val, test, run: RunConfig) -> FinetuneResult:
     """Supervised loop over (subject_id, volume, label) triples.
 
-    With ``run.freeze_encoder`` only the ``cls.*`` head is trained.
+    With ``run.freeze_encoder`` only the ``cls.*`` head is trained. A train
+    row's acc/AUROC come from the logits of the epoch's own taped forwards,
+    so they describe the weights during the epoch, as its loss does. The
+    best state is loaded into ``model`` before the test evaluation.
     """
+    if run.phase != FINETUNE:
+        raise ConfigurationError(f"finetune needs phase {FINETUNE}, got {run.phase}")
     if not train:
         raise ConfigurationError("empty training set")
-    train_labels = {int(lbl) for _, _, lbl in train}
-    if len(train_labels) < 2:
+    if len({int(lbl) for _, _, lbl in train}) < 2:
         raise ConfigurationError("training split contains a single class")
 
     params = {k: v for k, v in model.params.items()
               if not run.freeze_encoder or k.startswith("cls.")}
-    opt = AdamW(params, lr=run.lr, weight_decay=run.weight_decay,
-                clip_norm=run.clip_norm)
-    rng = np.random.default_rng(run.seed)
+    seen: list[tuple[float, int]] = []  # this epoch's taped (logit, label)
 
     def sample_loss(sample):
         _, vol, label = sample
         logit = model.forward_classify(vol)
+        seen.append((float(logit.data), int(label)))
         return ad.bce_with_logits(ad.reshape(logit, (1,)), np.array([float(label)]))
 
-    metrics: list[MetricsRow] = []
-    best_auc, best_epoch, best_state = -np.inf, -1, _snapshot(model)
-    # parameters left out of the optimizer get no gradients at all
-    with frozen(v for k, v in model.params.items() if k not in params):
-        for epoch in range(run.epochs):
-            train_loss = _train_epoch(opt, rng, train, run.batch_size, epoch,
-                                      sample_loss)
-            _, tr_acc, tr_auc = _evaluate_classifier(model, train)
-            metrics.append(MetricsRow(epoch, "train", train_loss, tr_acc, tr_auc))
-            if val:
-                v_loss, v_acc, v_auc = _evaluate_classifier(model, val)
-                metrics.append(MetricsRow(epoch, "val", v_loss, v_acc, v_auc))
-                score = v_auc if v_auc is not None else v_acc
-                if score > best_auc:
-                    best_auc, best_epoch, best_state = score, epoch, _snapshot(model)
+    def train_row(epoch: int, loss: float) -> MetricsRow:
+        scores, labels = zip(*seen)
+        seen.clear()
+        return _classifier_row(epoch, "train", loss, scores, labels)
 
-    if val:
-        for k, p in model.params.items():
-            p.data = best_state[k].copy()
-    else:
-        best_auc = metrics[-1].auroc if metrics[-1].auroc is not None else np.nan
-        best_epoch = run.epochs - 1
-        best_state = _snapshot(model)
+    metrics, best_auc, best_epoch, best_state = _fit(
+        model, run, np.random.default_rng(run.seed), params, train, sample_loss, train_row,
+        (lambda epoch: _evaluate_classifier(model, val, epoch, "val")) if val else None,
+        lambda row: row.auroc if row.auroc is not None else row.acc)
+    for k, p in model.params.items():
+        p.data = best_state[k].copy()
 
-    t_loss, t_acc, t_auc = _evaluate_classifier(model, test) if test else (np.nan,) * 3
     if test:
-        metrics.append(MetricsRow(run.epochs, "test", t_loss, t_acc, t_auc))
+        metrics.append(_evaluate_classifier(model, test, run.epochs, "test"))
+    t = metrics[-1] if test else MetricsRow(run.epochs, "test", np.nan, np.nan, np.nan)
     return FinetuneResult(metrics, float(best_auc), best_epoch, best_state,
-                          t_acc, t_auc, t_loss)
+                          t.acc, t.auroc, t.loss)

@@ -380,6 +380,48 @@ def test_pretrain_bad_clip_norm_exits_2_before_reading_volumes(
     assert not (tmp_path / "out" / "model.ckpt").exists()
 
 
+def _reading_spy(monkeypatch):
+    """Pass every ``cli.read_nifti`` call through; return the paths read."""
+    reads = []
+    real = cli.read_nifti
+
+    def spy(path, kind):
+        reads.append(path)
+        return real(path, kind=kind)
+
+    monkeypatch.setattr(cli, "read_nifti", spy)
+    return reads
+
+
+def test_finetune_unlabeled_subject_exits_2_before_reading_volumes(
+        pipeline, tmp_path, capsys, monkeypatch):
+    records = read_manifest(pipeline / "prep" / "manifest.csv")
+    records[3].label = None
+    write_manifest(records, tmp_path / "manifest.csv")
+    reads = _reading_spy(monkeypatch)
+    rc = main(["--out-dir", str(tmp_path / "out"),
+               "--set", f"data.manifest={tmp_path / 'manifest.csv'}",
+               "--set", f"finetune.init_from={pipeline / 'pretrain' / 'model.ckpt'}",
+               *SMALL_MODEL, "finetune"])
+    assert rc == 2
+    assert "label for every subject" in capsys.readouterr().err
+    assert reads == []
+
+
+def test_pretrain_too_few_subjects_exits_2_before_reading_volumes(
+        pipeline, tmp_path, capsys, monkeypatch):
+    records = read_manifest(pipeline / "prep" / "manifest.csv")
+    write_manifest(records[:9], tmp_path / "manifest.csv")
+    reads = _reading_spy(monkeypatch)
+    rc = main(["--out-dir", str(tmp_path / "out"),
+               "--set", f"data.manifest={tmp_path / 'manifest.csv'}",
+               "--set", f"data.patch_sets={pipeline / 'patches' / 'patch_sets.json'}",
+               *SMALL_MODEL, "pretrain"])
+    assert rc == 2
+    assert "at least 10 subjects, got 9" in capsys.readouterr().err
+    assert reads == []
+
+
 def test_pretrain_non_cubic_patch_exits_2_before_reading_volumes(
         pipeline, tmp_path, capsys, monkeypatch):
     synth = pipeline / "synth"

@@ -20,6 +20,7 @@ from regionmae.model import ALTERNATE, MAMBA, HybridModel, ModelConfig
 from regionmae.nifti import LabelVolume
 from regionmae.optim import AdamW
 from regionmae.preprocess import SubjectRecord
+from regionmae.stats import accuracy, auroc
 from regionmae.training import (
     FINETUNE,
     PRETRAIN,
@@ -325,6 +326,40 @@ def test_pretrain_aborts_on_nonfinite_loss():
         pretrain(model, [("s0", vol)], [], run, sets)
 
 
+@pytest.mark.parametrize("train_shape,val_shape", [
+    ((24, 24, 24, 8), (24, 24, 12, 8)),  # spatial shape off the patch grid
+    ((24, 24, 24, 8), (24, 24, 24, 4)),  # other timepoint count
+    ((24, 24, 24, 6), None),  # not a multiple of t_patch
+])
+def test_pretrain_rejects_a_bad_volume_before_the_first_step(monkeypatch, train_shape,
+                                                               val_shape):
+    steps = []
+    monkeypatch.setattr(AdamW, "step", lambda opt: steps.append(opt))
+    _, sets, spec = pretrain_fixture()
+    train = [("s0", np.zeros(train_shape, np.float32))]
+    val = [("s9", np.zeros(val_shape, np.float32))] if val_shape else []
+    bad = "s9" if val_shape else "s0"
+    run = RunConfig(phase=PRETRAIN, epochs=2, batch_size=1, lr=1e-3, mask_spec=spec)
+    with pytest.raises(ValidationError, match=f"subject {bad}: volume shape"):
+        pretrain(tiny_model(), train, val, run, sets)
+    assert steps == []
+
+
+def test_pretrain_without_validation_keeps_the_last_epoch():
+    vol, sets, spec = pretrain_fixture()
+    model = tiny_model()
+    start = {k: p.data.copy() for k, p in model.params.items()}
+    run = RunConfig(phase=PRETRAIN, epochs=3, batch_size=8, lr=1e-2, seed=0,
+                    mask_spec=spec)
+    result = pretrain(model, [("s0", vol)], [], run, sets)
+    assert [m.split for m in result.metrics] == ["train"] * 3
+    assert result.best_epoch == 2
+    assert result.best_val_loss == result.metrics[-1].loss
+    for name, p in model.params.items():
+        np.testing.assert_array_equal(result.best_state[name], p.data)
+    assert any(not np.array_equal(start[k], p.data) for k, p in model.params.items())
+
+
 # fine-tuning -----------------------------------------------------------------------
 
 
@@ -406,6 +441,61 @@ def test_frozen_encoder_finetune_leaves_encoder_without_gradients():
     assert model.params["cls.w"].grad is not None
 
 
+def test_finetune_without_validation_keeps_the_last_epoch(monkeypatch):
+    cohort = labeled_cohort(10)
+    model = tiny_model(configuration=ALTERNATE)
+    start = {k: p.data.copy() for k, p in model.params.items()}
+    final = {}  # the parameters after the last optimizer step
+    step = AdamW.step
+
+    def stepped(opt):
+        out = step(opt)
+        final.update((k, p.data.copy()) for k, p in model.params.items())
+        return out
+
+    monkeypatch.setattr(AdamW, "step", stepped)
+    run = RunConfig(phase=FINETUNE, epochs=3, batch_size=4, lr=5e-2, seed=0,
+                    freeze_encoder=True)
+    result = finetune(model, cohort[:8], [], cohort[8:], run)
+    train_rows = [m for m in result.metrics if m.split == "train"]
+    assert result.best_epoch == 2
+    assert result.best_val_auroc == train_rows[-1].auroc
+    for name, arr in result.best_state.items():
+        np.testing.assert_array_equal(arr, final[name])
+    assert not np.array_equal(start["cls.w"], final["cls.w"])
+
+
+def test_finetune_train_row_comes_from_the_taped_forwards(monkeypatch):
+    calls = []  # (taped, volume id, logit) per forward_classify call
+    forward = HybridModel.forward_classify
+
+    def spy(net, vol, *rest, **kw):
+        logit = forward(net, vol, *rest, **kw)
+        calls.append((ad.active_tape() is not None, id(vol), float(logit.data)))
+        return logit
+
+    monkeypatch.setattr(HybridModel, "forward_classify", spy)
+    cohort = labeled_cohort(14)
+    train, val, test = cohort[:9], cohort[9:12], cohort[12:]
+    epochs = 3
+    run = RunConfig(phase=FINETUNE, epochs=epochs, batch_size=4, lr=5e-2, seed=0,
+                    freeze_encoder=True)
+    result = finetune(tiny_model(configuration=ALTERNATE), train, val, test, run)
+
+    assert sum(not taped for taped, _, _ in calls) == epochs * len(val) + len(test)
+    taped = [(vid, z) for is_taped, vid, z in calls if is_taped]
+    assert len(taped) == epochs * len(train)
+    label_of = {id(vol): label for _, vol, label in cohort}
+    train_rows = [m for m in result.metrics if m.split == "train"]
+    assert len(train_rows) == epochs
+    for epoch, row in enumerate(train_rows):
+        own = taped[epoch * len(train):(epoch + 1) * len(train)]
+        scores = [z for _, z in own]
+        labels = [label_of[vid] for vid, _ in own]
+        assert row.acc == accuracy(scores, labels)
+        assert row.auroc == auroc(scores, labels)
+
+
 # both drivers -----------------------------------------------------------------------
 
 
@@ -432,3 +522,13 @@ def test_both_drivers_step_once_per_batch(monkeypatch):
                        lr=1e-3, freeze_encoder=True))
     assert len(steps) == epochs * math.ceil(n / batch_size)
     assert steps[-1].steps == len(steps)
+
+
+def test_drivers_reject_the_other_phase():
+    vol, sets, spec = pretrain_fixture()
+    with pytest.raises(ConfigurationError, match="got FINETUNE"):
+        pretrain(tiny_model(), [("s0", vol)], [],
+                 RunConfig(phase=FINETUNE, epochs=1, mask_spec=spec), sets)
+    with pytest.raises(ConfigurationError, match="got PRETRAIN"):
+        finetune(tiny_model(configuration=ALTERNATE), labeled_cohort(4), [], [],
+                 RunConfig(phase=PRETRAIN, epochs=1))
