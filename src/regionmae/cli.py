@@ -124,9 +124,12 @@ def cmd_preprocess(cfg: dict, args, out: Path) -> list:
     reports, kept = [], []
     for rec in records:
         vol = read_nifti(rec.path, kind="volume")
-        normalized, _, report = preprocess_volume(
-            vol, template_mask=template_mask, subject_id=rec.subject_id,
-            **kwargs)
+        try:
+            normalized, _, report = preprocess_volume(
+                vol, template_mask=template_mask, subject_id=rec.subject_id,
+                **kwargs)
+        except (ValidationError, DegenerateDataError) as exc:
+            raise type(exc)(f"{rec.subject_id} ({rec.path}): {exc}") from exc
         del vol  # the raw volume, before the output is written
         reports.append(report)
         if not (report.excluded and p["drop_excluded"]):
@@ -299,6 +302,9 @@ def cmd_stats(cfg: dict, args, out: Path) -> list:
             values.append([float(c) for c in cells])
         except ValueError as exc:
             raise ValidationError(f"stats.input {input_path}:{n}: {exc}") from exc
+        if not np.isfinite(values[-1]).all():
+            raise ValidationError(f"stats.input {input_path}:{n}: every value must "
+                                  f"be finite, got {','.join(cells)}")
     matrix = np.array(values)
 
     fr_stat, fr_p = st.friedman_test(matrix)

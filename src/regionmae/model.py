@@ -238,9 +238,6 @@ class HybridModel:
         else:
             raise ValidationError(f"unknown block kind {kind!r}")
 
-    def n_parameters(self) -> int:
-        return sum(int(p.size) for p in self.params.values())
-
     def to_dtype(self, dtype) -> None:
         """Switch every parameter in place (float64 for gradient checks)."""
         for p in self.params.values():

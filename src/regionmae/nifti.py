@@ -137,7 +137,6 @@ class Volume4D:
     data: np.ndarray  # [X, Y, Z, T] float
     affine: np.ndarray  # 4x4 voxel -> mm
     tr_seconds: float = 1.0
-    brain_mask: np.ndarray | None = None  # [X, Y, Z] bool
 
     def __post_init__(self) -> None:
         self.data = np.asarray(self.data)

@@ -120,8 +120,7 @@ def resample_temporal(vol: Volume4D, target_tr: float) -> Volume4D:
         raise ValidationError("temporal resampling needs at least 2 timepoints")
     tr = vol.tr_seconds
     if abs(tr - target_tr) < 1e-12:
-        return Volume4D(data=vol.data.copy(), affine=vol.affine, tr_seconds=target_tr,
-                        brain_mask=vol.brain_mask)
+        return Volume4D(data=vol.data.copy(), affine=vol.affine, tr_seconds=target_tr)
 
     duration = (n_t - 1) * tr
     n_out = int(np.floor(duration / target_tr + 1e-9)) + 1
@@ -135,8 +134,7 @@ def resample_temporal(vol: Volume4D, target_tr: float) -> Volume4D:
     data -= lo
     data = np.multiply(w, data, out=data if data.dtype == w.dtype else None)
     data += lo
-    return Volume4D(data=data, affine=vol.affine, tr_seconds=target_tr,
-                    brain_mask=vol.brain_mask)
+    return Volume4D(data=data, affine=vol.affine, tr_seconds=target_tr)
 
 
 def crop_fov(vol: Volume4D, target=DEFAULT_FOV) -> Volume4D:
@@ -183,11 +181,14 @@ def estimate_brain_mask(vol: Volume4D,
     """Threshold the temporal-mean image at ``fraction`` of its robust max.
 
     The robust max is the 98th percentile of the mean image. No
-    connected-component pruning is applied.
+    connected-component pruning is applied. A NaN or infinite voxel makes
+    its mean non-finite and raises :class:`ValidationError`.
     """
     if not 0 < fraction < 1:
         raise ValidationError("fraction must lie in (0, 1)")
     mean_img = vol.data.mean(axis=3, dtype=np.float64)
+    if not np.isfinite(mean_img).all():
+        raise ValidationError("volume has NaN or infinite values")
     robust_max = np.percentile(mean_img, 98)
     mask = mean_img > fraction * robust_max
     if not mask.any():
@@ -222,9 +223,8 @@ def zscore_clip(vol: Volume4D, mask: np.ndarray, clip=DEFAULT_CLIP):
     z /= np.asarray(sigma, dtype=dtype)
     np.clip(z, lo, hi, out=z)
     np.copyto(z, 0, where=~mask[..., None])
-    out = Volume4D(data=z, affine=vol.affine, tr_seconds=vol.tr_seconds,
-                   brain_mask=mask)
-    return out, NormStats(mu=mu, sigma=sigma, clip_lo=lo, clip_hi=hi)
+    return (Volume4D(data=z, affine=vol.affine, tr_seconds=vol.tr_seconds),
+            NormStats(mu=mu, sigma=sigma, clip_lo=lo, clip_hi=hi))
 
 
 def dice(a: np.ndarray, b: np.ndarray) -> float:

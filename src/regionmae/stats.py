@@ -1,20 +1,21 @@
 """Evaluation metrics and the repeated-measures statistical battery.
 
+Ranks come from :func:`scipy.stats.rankdata` (ties share the average rank).
 AUROC uses the Mann-Whitney rank formulation (ties count half). The Friedman
-test ranks within rows with average ranks and applies the tie-corrected
-statistic; the Wilcoxon signed-rank test drops zero differences, uses exact
-sign enumeration for small samples, and a tie- and continuity-corrected
-normal approximation otherwise.
+test ranks within rows and applies the tie-corrected statistic; the Wilcoxon
+signed-rank test drops zero differences, counts every sign pattern exactly
+for small samples, and uses a tie- and continuity-corrected normal
+approximation otherwise. NaN has no rank, so every test rejects it with
+:class:`~regionmae.errors.ValidationError`; ±inf ranks as an extreme value.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.stats import chi2, rankdata
 
 from . import artifacts
 from .errors import DegenerateDataError, MetricError, ValidationError
@@ -25,20 +26,12 @@ TREND = "†"  # dagger
 NOT_SIGNIFICANT = "n.s."
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties sharing the average of their positions."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _without_nan(values, what: str) -> np.ndarray:
+    """``values`` as float64, rejecting NaN."""
+    x = np.asarray(values, dtype=np.float64)
+    if np.isnan(x).any():
+        raise ValidationError(f"{what} contain NaN")
+    return x
 
 
 def accuracy(scores, labels, threshold: float = 0.0) -> float:
@@ -51,7 +44,7 @@ def accuracy(scores, labels, threshold: float = 0.0) -> float:
 
 def auroc(scores, labels) -> float:
     """P(score+ > score-) + 0.5 P(tie), via average ranks; labels are 0 or 1."""
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = _without_nan(scores, "AUROC scores")
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise ValidationError("scores and labels differ in length")
@@ -62,21 +55,20 @@ def auroc(scores, labels) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise MetricError("AUROC needs both classes present")
-    ranks = _average_ranks(scores)
-    rank_sum_pos = ranks[labels == 1].sum()
+    rank_sum_pos = rankdata(scores)[labels == 1].sum()
     return float((rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def friedman_test(values) -> tuple[float, float]:
     """Tie-corrected Friedman chi-square over an [n_blocks, k] value matrix."""
-    x = np.asarray(values, dtype=np.float64)
+    x = _without_nan(values, "Friedman values")
     if x.ndim != 2:
         raise ValidationError("Friedman input must be a 2D matrix")
     n, k = x.shape
     if n < 3 or k < 2:
         raise ValidationError(f"Friedman needs >=3 rows and >=2 conditions, got {x.shape}")
 
-    ranks = np.vstack([_average_ranks(row) for row in x])
+    ranks = rankdata(x, axis=1)
     col_sums = ranks.sum(axis=0)
     a = float((ranks ** 2).sum())
     c = n * k * (k + 1) ** 2 / 4.0
@@ -87,34 +79,28 @@ def friedman_test(values) -> tuple[float, float]:
     return stat, p
 
 
-def _wilcoxon_prepare(a, b):
+def wilcoxon_signed_rank(a, b) -> tuple[float, float]:
+    """(min(W+, W-), two-sided p); exact for n <= 12, else normal approx."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValidationError("Wilcoxon needs paired samples of equal length")
-    d = a - b
+    d = _without_nan(a - b, "Wilcoxon paired differences")
     d = d[d != 0.0]
     if d.size == 0:
         raise DegenerateDataError("all paired differences are zero")
-    ranks = _average_ranks(np.abs(d))
+    ranks = rankdata(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     w_minus = float(ranks[d < 0].sum())
-    return d, ranks, w_plus, w_minus
-
-
-def wilcoxon_signed_rank(a, b) -> tuple[float, float]:
-    """(min(W+, W-), two-sided p); exact for n <= 12, else normal approx."""
-    d, ranks, w_plus, w_minus = _wilcoxon_prepare(a, b)
     n = d.size
     stat = min(w_plus, w_minus)
 
     if n <= EXACT_WILCOXON_MAX_N:
-        lo, hi = min(w_plus, w_minus), max(w_plus, w_minus)
-        count = 0
-        for signs in itertools.product((0.0, 1.0), repeat=n):
-            w = float(np.dot(signs, ranks))
-            if w <= lo + 1e-12 or w >= hi - 1e-12:
-                count += 1
+        # W+ of every sign pattern: row i takes rank j where bit j of i is
+        # set; sums of half-integer ranks are exact in float64
+        w = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1) @ ranks
+        count = int(np.count_nonzero((w <= stat + 1e-12)
+                                     | (w >= max(w_plus, w_minus) - 1e-12)))
         return stat, count / (2.0 ** n)
 
     mean = n * (n + 1) / 4.0

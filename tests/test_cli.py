@@ -500,6 +500,21 @@ def test_preprocess_holds_one_subject_at_a_time(tmp_path):
     assert peaks[4] - peaks[1] < raw_bytes, (peaks, raw_bytes)
 
 
+def test_preprocess_nan_voxel_exits_2_naming_the_file(tmp_path, capsys):
+    manifest = write_cohort(SynthConfig(n_subjects=3, shape=(16, 16, 16),
+                                        n_timepoints=4, seed=3), tmp_path / "raw")
+    bad = read_manifest(manifest)[1]
+    vol = read_nifti(bad.path, kind="volume")
+    vol.data[8, 8, 8, 2] = np.nan
+    write_nifti(vol, bad.path)
+    rc = main(["--out-dir", str(tmp_path / "prep"),
+               "--set", f"data.manifest={manifest}",
+               "--set", "preprocess.fov=[16, 16, 16]", "preprocess"])
+    assert rc == 2
+    assert f"{bad.subject_id} ({bad.path}): volume has NaN or infinite values" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", ["gauss_sigma", "sg_noise_std"])
 def test_attribute_nan_exits_2_before_reading_volumes(
         pipeline, tmp_path, capsys, monkeypatch, field):
@@ -645,6 +660,63 @@ def test_stats_non_numeric_cell_names_its_line(tmp_path, capsys):
     assert main(["--out-dir", str(tmp_path / "o"), "--set", f"stats.input={src}",
                  "stats"]) == 2
     assert f"stats.input {src}:2: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_stats_non_finite_cell_exits_2_naming_its_line(tmp_path, capsys, cell):
+    src = tmp_path / "scores.csv"
+    src.write_text(f"a,b,c\n1,2,3\n4,{cell},6\n7,8,9\n2,1,3\n5,6,4\n")
+    rc = main(["--out-dir", str(tmp_path / "o"), "--set", f"stats.input={src}",
+               "stats"])
+    assert rc == 2
+    assert f"stats.input {src}:3: every value must be finite, got 4,{cell},6" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "o" / "stats.csv").exists()
+
+
+def _tied_table(n, k):
+    """Scores on a 0.01 grid: ties within rows and among paired differences."""
+    rows = [",".join(f"{0.5 + 0.03 * j + 0.02 * ((i * 7 + j * 5 + i * i * j) % 9):.2f}"
+                     for j in range(k)) for i in range(n)]
+    return "\n".join([",".join(f"c{j}" for j in range(k))] + rows) + "\n"
+
+
+# stats.csv and friedman.json of the rank-by-hand implementation, byte for
+# byte; 10 rows take the exact Wilcoxon branch, 30 the normal approximation
+TIED_STATS_BYTES = {
+    (10, 4): (
+        b"comparison,raw_p,corrected_p,tier\r\nc0_vs_c1,0.12109375,0.7265625,n.s.\r\n"
+        b"c0_vs_c2,0.015625,0.09375,n.s.\r\nc0_vs_c3,0.001953125,0.01171875,*\r\n"
+        b"c1_vs_c2,0.607421875,1,n.s.\r\nc1_vs_c3,0.09765625,0.5859375,n.s.\r\n"
+        b"c2_vs_c3,0.35546875,1,n.s.\r\n",
+        b'{\n  "statistic": 11.571428571428571,\n  "p_value": 0.009005193114871064,\n'
+        b'  "conditions": [\n    "c0",\n    "c1",\n    "c2",\n    "c3"\n  ],\n'
+        b'  "n_rows": 10\n}'),
+    (30, 5): (
+        b"comparison,raw_p,corrected_p,tier\r\nc0_vs_c1,0.02039316956,0.2039316956,n.s.\r\n"
+        b"c0_vs_c2,6.088255509e-05,0.0006088255509,*\r\n"
+        b"c0_vs_c3,1.054226028e-06,1.054226028e-05,*\r\n"
+        b"c0_vs_c4,5.345137621e-06,5.345137621e-05,*\r\n"
+        b"c1_vs_c2,0.1851172498,1,n.s.\r\nc1_vs_c3,0.003969648396,0.03969648396,*\r\n"
+        b"c1_vs_c4,1.280213705e-06,1.280213705e-05,*\r\n"
+        b"c2_vs_c3,0.1487634654,1,n.s.\r\n"
+        b"c2_vs_c4,1.636882302e-05,0.0001636882302,*\r\n"
+        b"c3_vs_c4,0.05596815923,0.5596815923,n.s.\r\n",
+        b'{\n  "statistic": 63.97250859106529,\n  "p_value": 4.2352520894317696e-13,\n'
+        b'  "conditions": [\n    "c0",\n    "c1",\n    "c2",\n    "c3",\n    "c4"\n'
+        b'  ],\n  "n_rows": 30\n}'),
+}
+
+
+@pytest.mark.parametrize("shape", list(TIED_STATS_BYTES), ids=["exact", "normal"])
+def test_stats_outputs_are_pinned_on_tied_tables(tmp_path, shape):
+    src = tmp_path / "scores.csv"
+    src.write_text(_tied_table(*shape))
+    out = tmp_path / "o"
+    assert main(["--out-dir", str(out), "--set", f"stats.input={src}", "stats"]) == 0
+    stats_csv, friedman_json = TIED_STATS_BYTES[shape]
+    assert (out / "stats.csv").read_bytes() == stats_csv
+    assert (out / "friedman.json").read_bytes() == friedman_json
 
 
 def test_stats_missing_input_exits_2(tmp_path, capsys):

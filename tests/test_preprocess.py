@@ -227,6 +227,15 @@ def test_brain_mask_all_zero_rejected():
         estimate_brain_mask(vol_of(np.zeros((4, 4, 4, 1))))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_brain_mask_non_finite_voxel_rejected(bad):
+    data = np.zeros((16, 16, 16, 2), dtype=np.float32)
+    data[4:9, 4:9, 4:9] = 100.0
+    data[6, 6, 6, 1] = bad
+    with pytest.raises(ValidationError, match="NaN or infinite"):
+        estimate_brain_mask(vol_of(data))
+
+
 def test_dice_hand_cases():
     a = np.zeros((5,), dtype=bool)
     b = np.zeros((5,), dtype=bool)
@@ -351,4 +360,5 @@ def test_preprocess_volume_pipeline(rng):
     assert report.subject_id == "s1"
     assert report.dice == pytest.approx(1.0)  # crop centers the cube on the template
     assert not report.excluded
-    assert np.all(out.data[~out.brain_mask] == 0)
+    mask = estimate_brain_mask(crop_fov(vol, (16, 16, 16)))
+    assert np.all(out.data[~mask] == 0)

@@ -70,6 +70,16 @@ class TestAuroc:
         with pytest.raises(ValidationError, match="0 or 1"):
             auroc([0.1, 0.9, 0.5], [0, 1, 2])
 
+    def test_nan_score_rejected(self):
+        with pytest.raises(ValidationError, match="NaN"):
+            auroc([0.1, np.nan, 0.3, 0.2], [0, 1, 1, 0])
+
+    def test_infinite_scores_rank_at_the_ends(self):
+        scores = [-np.inf, 0.2, np.inf, 0.1, 0.5, -np.inf]
+        labels = [1, 0, 1, 0, 0, 1]
+        assert auroc(scores, labels) == pytest.approx(
+            brute_force_auroc(scores, labels), abs=1e-12)
+
 
 def test_accuracy_thresholds_at_zero():
     assert accuracy([-1.0, 2.0, 0.5, -0.2], [0, 1, 1, 1]) == pytest.approx(0.75)
@@ -117,6 +127,18 @@ class TestFriedman:
     def test_shape_validation(self):
         with pytest.raises(ValidationError):
             friedman_test(np.ones((2, 3)))
+
+    def test_nan_rejected(self):
+        x = np.arange(15, dtype=float).reshape(5, 3)
+        x[2, 1] = np.nan
+        with pytest.raises(ValidationError, match="NaN"):
+            friedman_test(x)
+
+    def test_infinite_values_rank_as_extremes(self):
+        x = np.array([[1.0, 2.0, 3.0], [np.inf, 0.0, 1.0], [2.0, -np.inf, 1.0],
+                      [0.0, 1.0, np.inf]])
+        finite = np.where(np.isposinf(x), 1e9, np.where(np.isneginf(x), -1e9, x))
+        assert friedman_test(x) == friedman_test(finite)
 
 
 def exact_wilcoxon_oracle(a, b):
@@ -173,6 +195,23 @@ class TestWilcoxon:
         stat, p = wilcoxon_signed_rank(a, b)
         p_exact = exact_wilcoxon_oracle(a, b)
         assert abs(p - p_exact) < 0.02
+
+    @pytest.mark.parametrize("n", [6, 20], ids=["exact", "normal"])
+    def test_nan_rejected(self, n):
+        a = np.arange(n, dtype=float)
+        b = a - 1.0
+        b[3] = np.nan
+        with pytest.raises(ValidationError, match="NaN"):
+            wilcoxon_signed_rank(a, b)
+
+    @pytest.mark.parametrize("n", [6, 20], ids=["exact", "normal"])
+    def test_infinite_difference_ranks_largest(self, n):
+        a = np.linspace(0.5, 2.0, n) * np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
+        b = np.zeros(n)
+        i = np.argmax(np.abs(a))
+        a_inf = a.copy()
+        a_inf[i] = np.copysign(np.inf, a[i])
+        assert wilcoxon_signed_rank(a_inf, b) == wilcoxon_signed_rank(a, b)
 
     def test_large_sample_obvious_shift_is_significant(self):
         rng = np.random.default_rng(8)
