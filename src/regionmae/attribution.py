@@ -24,7 +24,7 @@ from .errors import (
     DegenerateDataError,
     ValidationError,
 )
-from .nifti import LabelVolume, Volume4D
+from .nifti import LabelVolume
 
 ZERO = "ZERO"
 MEAN = "MEAN"
@@ -82,9 +82,9 @@ class AttributionMap:
 
 
 def _volume_data(vol) -> tuple[np.ndarray, np.dtype]:
-    """The volume's array as given, and the dtype its classifier passes run
-    at: float32 for a float32 volume, float64 otherwise."""
-    data = vol.data if isinstance(vol, (Volume4D, Tensor)) else np.asarray(vol)
+    """The volume as an array, and the dtype its classifier passes run at:
+    float32 for a float32 volume, float64 otherwise."""
+    data = np.asarray(vol)
     if data.ndim != 4:
         raise ValidationError("attribution input must be a 4D volume")
     return data, np.dtype(np.float32 if data.dtype == np.float32 else np.float64)
@@ -237,15 +237,13 @@ def integrated_gradients(model, vol, baseline=ZERO, steps: int = 32) -> np.ndarr
 
 
 def smooth_per_timepoint(attr: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian-smooth each timepoint of a 4D volume on its own, or a 3D map
-    as a single timepoint (reflective boundaries)."""
-    if attr.ndim not in (3, 4):
+    """Gaussian-smooth a 3D map (one timepoint, or a temporal mean) with
+    reflective boundaries."""
+    if attr.ndim != 3:
         raise ValidationError(f"cannot smooth a {attr.ndim}D array")
     if sigma == 0:
         return attr.copy()
-    # sigma 0 leaves the time axis unfiltered
-    return gaussian_filter(attr, sigma=(sigma,) * 3 + (0,) * (attr.ndim - 3),
-                           mode="reflect")
+    return gaussian_filter(attr, sigma=sigma, mode="reflect")
 
 
 def ig_sq(model, vol, cfg: AttributionConfig, subject_id: str = "",

@@ -122,22 +122,28 @@ def cmd_preprocess(cfg: dict, args, out: Path) -> list:
 
     kwargs = _kwargs(cfg, "preprocess")
     reports, kept = [], []
-    for rec in records:
-        vol = read_nifti(rec.path, kind="volume")
-        try:
-            normalized, _, report = preprocess_volume(
-                vol, template_mask=template_mask, subject_id=rec.subject_id,
-                **kwargs)
-        except (ValidationError, DegenerateDataError) as exc:
-            raise type(exc)(f"{rec.subject_id} ({rec.path}): {exc}") from exc
-        del vol  # the raw volume, before the output is written
-        reports.append(report)
-        if not (report.excluded and p["drop_excluded"]):
-            out_path = out / f"{rec.subject_id}_preproc.nii.gz"
-            write_nifti(normalized, out_path)
-            rec.path = str(out_path)
-            kept.append(rec)
-        del normalized  # nothing of this subject is alive at the next read
+    try:
+        for rec in records:
+            vol = read_nifti(rec.path, kind="volume")
+            try:
+                normalized, _, report = preprocess_volume(
+                    vol, template_mask=template_mask, subject_id=rec.subject_id,
+                    **kwargs)
+            except (ValidationError, DegenerateDataError) as exc:
+                raise type(exc)(f"{rec.subject_id} ({rec.path}): {exc}") from exc
+            del vol  # the raw volume, before the output is written
+            reports.append(report)
+            if not (report.excluded and p["drop_excluded"]):
+                out_path = out / f"{rec.subject_id}_preproc.nii.gz"
+                write_nifti(normalized, out_path)
+                rec.path = str(out_path)
+                kept.append(rec)
+            del normalized  # nothing of this subject is alive at the next read
+    except BaseException:
+        # a failed run leaves no volume that looks like part of a finished one
+        for rec in kept:
+            Path(rec.path).unlink(missing_ok=True)
+        raise
 
     write_qc_csv(reports, out / "qc.csv")
     if not kept:

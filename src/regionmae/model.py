@@ -12,8 +12,12 @@ Four configurations assign operators to blocks: MAMBA (all scan), ALTERNATE
 (attention first, then strictly alternating through encoder and decoder),
 AM (attention encoder / scan decoder), and MA (the reverse).
 
-The encoder halves the spatial lattice and doubles feature width between
-stages (patch merging); the decoder mirrors it with patch expansion.
+The encoder halves the spatial lattice and doubles feature width as it
+enters each stage after the first (patch merging); the decoder walks the
+same stages back down with patch expansion. Both walks are one list of
+(prefix, kind, stage, local) blocks. Attention windows, their shift mask,
+merging and expansion share one lattice <-> window permutation,
+:func:`_to_windows` and its inverse; a merge window is (2, 2, 2, 1).
 
 Token ordering: token ``p * nt + t`` covers spatial patch ``p`` (the same
 x-fastest linear index used by the patch grid and region masks) during
@@ -36,7 +40,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ValidationError
 from .masking import MaskTensor, apply_mask
-from .nifti import Volume4D
 
 MAMBA = "MAMBA"
 ALTERNATE = "ALTERNATE"
@@ -46,6 +49,8 @@ CONFIGURATIONS = (MAMBA, ALTERNATE, AM, MA)
 
 ATT = "ATT"
 SSM = "SSM"
+# patch merging pools each 2x2x2 block of spatial sites in one time slab
+MERGE_WINDOW = (2, 2, 2, 1)
 
 # The [X, Y, Z, T] volume split as (nx, px, ny, py, nz, pz, nt, pt), permuted
 # by TOKEN_ORDER, is the token lattice (nz, ny, nx, nt) by the within-patch
@@ -128,14 +133,29 @@ def _effective_window(window, dims) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return eff, shifts
 
 
-def _window_partition_np(arr: np.ndarray, dims, eff) -> np.ndarray:
-    d0, d1, d2, d3 = dims
-    w0, w1, w2, w3 = eff
-    trailing = arr.shape[4:]
-    a = arr.reshape(d0 // w0, w0, d1 // w1, w1, d2 // w2, w2, d3 // w3, w3,
-                    *trailing)
-    a = a.transpose(0, 2, 4, 6, 1, 3, 5, 7, *range(8, a.ndim))
-    return a.reshape(-1, w0 * w1 * w2 * w3, *trailing)
+def _to_windows(t: Tensor, dims, eff, shifts=(0, 0, 0, 0)) -> Tensor:
+    """[prod(dims), C] lattice rows -> [n_windows, prod(eff), C]: roll the
+    lattice back by ``shifts``, then cut it into ``eff`` blocks; windows and
+    the sites in each come in C order."""
+    c = t.shape[-1]
+    t = ad.reshape(t, (*dims, c))
+    if any(shifts):
+        t = ad.roll(t, tuple(-s for s in shifts), (0, 1, 2, 3))
+    t = ad.reshape(t, (*(n for d, w in zip(dims, eff) for n in (d // w, w)), c))
+    t = ad.transpose(t, (0, 2, 4, 6, 1, 3, 5, 7, 8))
+    return ad.reshape(t, (math.prod(t.shape[:4]), math.prod(eff), c))
+
+
+def _from_windows(t: Tensor, dims, eff, shifts=(0, 0, 0, 0)) -> Tensor:
+    """The inverse of :func:`_to_windows`: [n_windows, prod(eff), C] ->
+    [prod(dims), C]."""
+    c = t.shape[-1]
+    t = ad.reshape(t, (*(d // w for d, w in zip(dims, eff)), *eff, c))
+    t = ad.transpose(t, (0, 4, 1, 5, 2, 6, 3, 7, 8))
+    t = ad.reshape(t, (*dims, c))
+    if any(shifts):
+        t = ad.roll(t, shifts, (0, 1, 2, 3))
+    return ad.reshape(t, (math.prod(dims), c))
 
 
 def _region_ids(dims, eff, shifts) -> np.ndarray:
@@ -147,9 +167,8 @@ def _region_ids(dims, eff, shifts) -> np.ndarray:
             axis[d - w:] = 1
             axis[d - s:] = 2
         ids.append(axis)
-    rid = ids[0][:, None, None, None] * 27 + ids[1][None, :, None, None] * 9 \
+    return ids[0][:, None, None, None] * 27 + ids[1][None, :, None, None] * 9 \
         + ids[2][None, None, :, None] * 3 + ids[3][None, None, None, :]
-    return rid
 
 
 class HybridModel:
@@ -161,24 +180,16 @@ class HybridModel:
         self._rng = np.random.default_rng(config.seed)
         self._cache: dict = {}
 
-        ops = assign_operators(config)
-        depths = config.stage_depths
-        self.enc_blocks: list[tuple[str, str, int, int]] = []  # (prefix, kind, stage, local)
-        self.dec_blocks: list[tuple[str, str, int, int]] = []
-        i = 0
-        for stage, depth in enumerate(depths):
-            for local in range(depth):
-                prefix = f"enc{stage}.blk{local}"
-                self._build_block(prefix, ops[i], config.stage_dim(stage))
-                self.enc_blocks.append((prefix, ops[i], stage, local))
-                i += 1
-        for rev, depth in enumerate(reversed(depths)):
-            stage = config.n_stages - 1 - rev
-            for local in range(depth):
-                prefix = f"dec{stage}.blk{local}"
-                self._build_block(prefix, ops[i], config.stage_dim(stage))
-                self.dec_blocks.append((prefix, ops[i], stage, local))
-                i += 1
+        # (prefix, kind, stage, local): the encoder walks the stages up, the
+        # decoder back down, and the operators are dealt out in that order
+        ops = iter(assign_operators(config))
+        stages = {"enc": range(config.n_stages), "dec": range(config.n_stages)[::-1]}
+        self.enc_blocks, self.dec_blocks = (
+            [(f"{side}{stage}.blk{local}", next(ops), stage, local)
+             for stage in stages[side] for local in range(config.stage_depths[stage])]
+            for side in ("enc", "dec"))
+        for prefix, kind, stage, _ in self.enc_blocks + self.dec_blocks:
+            self._build_block(prefix, kind, config.stage_dim(stage))
 
         d0 = config.embed_dim
         k = int(np.prod(config.patch_size)) * config.t_patch
@@ -252,21 +263,20 @@ class HybridModel:
     def _norm(self, name: str, x: Tensor) -> Tensor:
         return ad.layernorm(x, self.params[f"{name}.gamma"], self.params[f"{name}.beta"])
 
-    def lattice_dims(self, shape, n_t: int) -> tuple[int, int, int, int]:
-        """Token lattice (z, y, x, t); C-order flattening gives row p*nt + t."""
+    def lattice_dims(self, shape) -> tuple[int, int, int, int]:
+        """Token lattice (z, y, x, t) of a [X, Y, Z, T] volume shape; C-order
+        flattening gives row p*nt + t."""
+        if len(shape) != 4:
+            raise ValidationError("model input must be a 4D volume")
         px, py, pz = self.config.patch_size
-        x, y, z = shape
+        x, y, z, n_t = shape
         if x % px or y % py or z % pz:
-            raise ValidationError(f"volume shape {tuple(shape)} not divisible by "
+            raise ValidationError(f"volume shape {tuple(shape[:3])} not divisible by "
                                   f"patches {self.config.patch_size}")
         if n_t % self.config.t_patch:
             raise ValidationError(f"{n_t} timepoints not divisible by t_patch="
                                   f"{self.config.t_patch}")
         return (z // pz, y // py, x // px, n_t // self.config.t_patch)
-
-    def _lattice_window(self) -> tuple[int, int, int, int]:
-        wx, wy, wz, wt = self.config.window
-        return (wz, wy, wx, wt)
 
     # -- core blocks -----------------------------------------------------------
 
@@ -275,58 +285,37 @@ class HybridModel:
             return None
         key = ("amask", dims, eff, shifts)
         if key not in self._cache:
-            rid = _region_ids(dims, eff, shifts)
-            rid = np.roll(rid, tuple(-s for s in shifts), axis=(0, 1, 2, 3))
-            rid = _window_partition_np(rid[..., None], dims, eff)[..., 0]
+            # the ids (< 81) are exact in the tensor's float32
+            rid = Tensor(_region_ids(dims, eff, shifts).reshape(-1, 1))
+            rid = _to_windows(rid, dims, eff, shifts).data[..., 0]
             neq = rid[:, :, None] != rid[:, None, :]
             bias = np.where(neq, -np.inf, 0.0).astype(np.float32)
             self._cache[key] = bias[:, None, :, :]  # head axis
         return self._cache[key]
 
     def _window_attention(self, x: Tensor, dims, prefix: str, shift: bool) -> Tensor:
-        cfg = self.config
-        d = x.shape[-1]
-        heads = cfg.heads
-        dh = d // heads
-        eff, shifts = _effective_window(self._lattice_window(), dims)
-        if not shift:
-            shifts = (0, 0, 0, 0)
-        d0, d1, d2, d3 = dims
-        w0, w1, w2, w3 = eff
-        wsz = w0 * w1 * w2 * w3
-        n_windows = (d0 // w0) * (d1 // w1) * (d2 // w2) * (d3 // w3)
+        heads = self.config.heads
+        dh = x.shape[-1] // heads
+        wx, wy, wz, wt = self.config.window
+        eff, shifts = _effective_window((wz, wy, wx, wt), dims)
+        shifts = shifts if shift else (0, 0, 0, 0)
 
         h = self._norm(f"{prefix}.ln1", x)
-        q = self._lin(f"{prefix}.q", h)
-        k = self._lin(f"{prefix}.k", h)
-        v = self._lin(f"{prefix}.v", h)
 
-        def to_windows(t: Tensor) -> Tensor:
-            t = ad.reshape(t, (*dims, d))
-            if any(shifts):
-                t = ad.roll(t, tuple(-s for s in shifts), (0, 1, 2, 3))
-            t = ad.reshape(t, (d0 // w0, w0, d1 // w1, w1, d2 // w2, w2,
-                               d3 // w3, w3, d))
-            t = ad.transpose(t, (0, 2, 4, 6, 1, 3, 5, 7, 8))
-            t = ad.reshape(t, (n_windows, wsz, heads, dh))
-            return ad.transpose(t, (0, 2, 1, 3))  # [nW, heads, wsz, dh]
+        def head_windows(name: str) -> Tensor:  # [nW, heads, wsz, dh]
+            t = _to_windows(self._lin(f"{prefix}.{name}", h), dims, eff, shifts)
+            return ad.transpose(ad.reshape(t, (*t.shape[:2], heads, dh)), (0, 2, 1, 3))
 
-        qw, kw, vw = to_windows(q), to_windows(k), to_windows(v)
+        qw, kw, vw = head_windows("q"), head_windows("k"), head_windows("v")
         attn = ad.mul(ad.matmul(qw, ad.transpose(kw, (0, 1, 3, 2))),
                       1.0 / math.sqrt(dh))
         bias = self._attention_mask(dims, eff, shifts)
         if bias is not None:
             attn = ad.add(attn, Tensor(bias.astype(x.dtype)))
         weights = ad.softmax(attn, axis=-1)
-        out = ad.matmul(weights, vw)  # [nW, heads, wsz, dh]
-        out = ad.transpose(out, (0, 2, 1, 3))
-        out = ad.reshape(out, (d0 // w0, d1 // w1, d2 // w2, d3 // w3,
-                               w0, w1, w2, w3, d))
-        out = ad.transpose(out, (0, 4, 1, 5, 2, 6, 3, 7, 8))
-        out = ad.reshape(out, (*dims, d))
-        if any(shifts):
-            out = ad.roll(out, shifts, (0, 1, 2, 3))
-        out = ad.reshape(out, (d0 * d1 * d2 * d3, d))
+        out = ad.transpose(ad.matmul(weights, vw), (0, 2, 1, 3))  # [nW, wsz, heads, dh]
+        out = ad.reshape(out, (*out.shape[:2], heads * dh))
+        out = _from_windows(out, dims, eff, shifts)
         x = ad.add(x, self._lin(f"{prefix}.proj", out))
 
         h2 = self._norm(f"{prefix}.ln2", x)
@@ -359,34 +348,19 @@ class HybridModel:
         return self._mamba(x, prefix)
 
     def _merge(self, x: Tensor, dims, stage: int) -> tuple[Tensor, tuple]:
-        nz, ny, nx, nt = dims
-        if nx % 2 or ny % 2 or nz % 2:
+        if any(n % 2 for n in dims[:3]):
             raise ValidationError(f"cannot merge odd lattice {dims}")
-        d = x.shape[-1]
-        t = ad.reshape(x, (nz // 2, 2, ny // 2, 2, nx // 2, 2, nt, d))
-        t = ad.transpose(t, (0, 2, 4, 6, 1, 3, 5, 7))
-        t = ad.reshape(t, ((nz // 2) * (ny // 2) * (nx // 2) * nt, 8 * d))
-        return self._lin(f"merge{stage}", t), (nz // 2, ny // 2, nx // 2, nt)
+        t = ad.reshape(_to_windows(x, dims, MERGE_WINDOW), (-1, 8 * x.shape[-1]))
+        merged = tuple(n // w for n, w in zip(dims, MERGE_WINDOW))
+        return self._lin(f"merge{stage}", t), merged
 
     def _expand(self, x: Tensor, dims, stage: int) -> tuple[Tensor, tuple]:
-        nz, ny, nx, nt = dims
-        d2 = x.shape[-1]
-        d = d2 // 2
         t = self._lin(f"expand{stage}", x)  # [N, 8*d]
-        t = ad.reshape(t, (nz, ny, nx, nt, 2, 2, 2, d))
-        t = ad.transpose(t, (0, 4, 1, 5, 2, 6, 3, 7))
-        t = ad.reshape(t, (nz * 2 * ny * 2 * nx * 2 * nt, d))
-        return t, (2 * nz, 2 * ny, 2 * nx, nt)
+        t = ad.reshape(t, (x.shape[0], 8, x.shape[-1] // 2))
+        up = tuple(n * w for n, w in zip(dims, MERGE_WINDOW))
+        return _from_windows(t, up, MERGE_WINDOW), up
 
     # -- embedding and heads ---------------------------------------------------
-
-    def _as_input(self, vol) -> Tensor:
-        """The [X, Y, Z, T] input as a tensor; a Tensor input keeps its graph."""
-        if not isinstance(vol, Tensor):
-            vol = Tensor(vol.data if isinstance(vol, Volume4D) else np.asarray(vol))
-        if vol.ndim != 4:
-            raise ValidationError("model input must be a 4D volume")
-        return vol
 
     def _patch_axes(self, dims) -> tuple[int, ...]:
         """Token lattice axes (z, y, x, t), then within-patch axes (x, y, z, t)."""
@@ -402,19 +376,13 @@ class HybridModel:
         axes = self._patch_axes(dims)
         return math.prod(axes[:4]), math.prod(axes[4:])
 
-    def _volume_shape(self, dims) -> tuple[int, int, int, int]:
-        nx, px, ny, py, nz, pz, nt, pt = self._voxel_axes(dims)
-        return nx * px, ny * py, nz * pz, nt * pt
-
     def token_view(self, vol) -> tuple[np.ndarray, tuple]:
         """A [X, Y, Z, T] array seen in token order without a copy, and its
         lattice dims. The view has the ``_patch_axes`` shape, and its C-order
         elements are the [N, k] token rows (:meth:`rows_shape`); row
         p*nt + t covers patch p, slab t."""
-        x = np.asarray(vol.data if isinstance(vol, (Volume4D, Tensor)) else vol)
-        if x.ndim != 4:
-            raise ValidationError("model input must be a 4D volume")
-        dims = self.lattice_dims(x.shape[:3], x.shape[3])
+        x = np.asarray(vol)
+        dims = self.lattice_dims(x.shape)
         return x.reshape(self._voxel_axes(dims)).transpose(TOKEN_ORDER), dims
 
     def voxel_view(self, rows: np.ndarray, dims) -> np.ndarray:
@@ -426,8 +394,8 @@ class HybridModel:
     def _token_rows(self, vol) -> tuple[Tensor, tuple]:
         """:meth:`token_view` on the tape, as [N, k] rows; a Tensor input
         keeps its graph."""
-        x = self._as_input(vol)
-        dims = self.lattice_dims(x.shape[:3], x.shape[3])
+        x = ad.as_tensor(vol)
+        dims = self.lattice_dims(x.shape)
         blocks = ad.transpose(ad.reshape(x, self._voxel_axes(dims)), TOKEN_ORDER)
         return ad.reshape(blocks, self.rows_shape(dims)), dims
 
@@ -440,49 +408,32 @@ class HybridModel:
         """:meth:`voxel_view` on the tape, as a [X, Y, Z, T] volume (inverse
         of patch_embed)."""
         vox = ad.transpose(ad.reshape(recon, self._patch_axes(dims)), VOXEL_ORDER)
-        return ad.reshape(vox, self._volume_shape(dims))
-
-    def _mask_flat(self, mask: MaskTensor, dims) -> np.ndarray:
-        nz, ny, nx, nt = dims
-        if mask.n_patches != nx * ny * nz or mask.t_patches != nt:
-            raise ValidationError(
-                f"mask lattice {mask.mask.shape} does not match token lattice {dims}")
-        return mask.flat()  # patch-major == token order
+        split = vox.shape  # (nx, px, ny, py, nz, pz, nt, pt)
+        return ad.reshape(vox, tuple(n * p for n, p in zip(split[::2], split[1::2])))
 
     def encode(self, tokens: Tensor, dims) -> tuple[Tensor, tuple]:
-        i = 0
-        for stage, depth in enumerate(self.config.stage_depths):
-            for _ in range(depth):
-                prefix, kind, _, local = self.enc_blocks[i]
-                tokens = self._run_block(tokens, dims, prefix, kind, local)
-                i += 1
-            if stage < self.config.n_stages - 1:
-                tokens, dims = self._merge(tokens, dims, stage)
+        for prefix, kind, stage, local in self.enc_blocks:
+            if stage and not local:  # entering a stage: merge the one below
+                tokens, dims = self._merge(tokens, dims, stage - 1)
+            tokens = self._run_block(tokens, dims, prefix, kind, local)
         return tokens, dims
 
     def decode(self, tokens: Tensor, dims) -> tuple[Tensor, tuple]:
-        i = 0
-        for rev, depth in enumerate(reversed(self.config.stage_depths)):
-            stage = self.config.n_stages - 1 - rev
-            for _ in range(depth):
-                prefix, kind, _, local = self.dec_blocks[i]
-                tokens = self._run_block(tokens, dims, prefix, kind, local)
-                i += 1
-            if stage > 0:
-                tokens, dims = self._expand(tokens, dims, stage - 1)
+        for prefix, kind, stage, local in self.dec_blocks:
+            if stage < self.config.n_stages - 1 and not local:  # expand into it
+                tokens, dims = self._expand(tokens, dims, stage)
+            tokens = self._run_block(tokens, dims, prefix, kind, local)
         return tokens, dims
 
     def forward_pretrain(self, vol, mask: MaskTensor) -> Tensor:
         """Masked volume in, reconstructed volume (same shape) out."""
         tokens, dims = self.patch_embed(vol)
-        tokens = apply_mask(tokens, self._mask_flat(mask, dims),
-                            self.params["mask_token"])
-
-        tokens, dims2 = self.encode(tokens, dims)
-        tokens, dims3 = self.decode(tokens, dims2)
-        if dims3 != dims:
-            raise ValidationError(f"decoder returned lattice {dims3}, expected {dims}")
-
+        if mask.mask.shape != (math.prod(dims[:3]), dims[3]):
+            raise ValidationError(
+                f"mask lattice {mask.mask.shape} does not match token lattice {dims}")
+        # patch-major mask rows are token rows
+        tokens = apply_mask(tokens, mask.flat(), self.params["mask_token"])
+        tokens, dims = self.decode(*self.encode(tokens, dims))
         tokens = self._norm("head.norm", tokens)
         return self._unpatchify(self._lin("head", tokens), dims)
 

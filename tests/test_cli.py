@@ -513,6 +513,8 @@ def test_preprocess_nan_voxel_exits_2_naming_the_file(tmp_path, capsys):
     assert rc == 2
     assert f"{bad.subject_id} ({bad.path}): volume has NaN or infinite values" \
         in capsys.readouterr().err
+    # the subject before it was written, then removed with the failed run
+    assert not list((tmp_path / "prep").glob("*_preproc.nii.gz"))
 
 
 @pytest.mark.parametrize("field", ["gauss_sigma", "sg_noise_std"])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -17,6 +19,9 @@ from regionmae.model import (
     SSM,
     HybridModel,
     ModelConfig,
+    _effective_window,
+    _from_windows,
+    _to_windows,
     assign_operators,
 )
 
@@ -383,6 +388,63 @@ def test_expand_then_merge_roundtrips_with_pseudoinverse():
     back, dims_back = m._merge(up, dims_up, 0)
     assert dims_back == (2, 2, 2, 2)
     np.testing.assert_allclose(back.data, x, rtol=1e-9, atol=1e-10)
+
+
+def _windows_oracle(rows, dims, eff, shifts):
+    """Roll the lattice back by the shifts, then cut out one window at a time."""
+    lattice = np.roll(rows.reshape(*dims, -1), [-s for s in shifts],
+                      axis=(0, 1, 2, 3))
+    starts = itertools.product(*(range(0, d, w) for d, w in zip(dims, eff)))
+    return np.stack([lattice[tuple(slice(a, a + w) for a, w in zip(at, eff))]
+                     .reshape(-1, rows.shape[-1]) for at in starts])
+
+
+@pytest.mark.parametrize("dims, window, shift", [
+    ((4, 3, 6, 2), (2, 4, 3, 1), True),    # axis 1 clamped to 3, time window 1
+    ((4, 3, 6, 2), (2, 4, 3, 1), False),
+    ((2, 4, 2, 4), (2, 2, 1, 2), True),    # shifts on axes 1 and 3 only
+    ((4, 4, 2, 1), (2, 2, 2, 1), False),   # the merge window
+])
+def test_window_permutation_matches_a_per_window_loop(dims, window, shift):
+    eff, shifts = _effective_window(window, dims)
+    shifts = shifts if shift else (0, 0, 0, 0)
+    assert any(shifts) == shift
+    n, wsz = int(np.prod(dims)), int(np.prod(eff))
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(n, 3))  # odd width
+    probe = rng.normal(size=(n // wsz, wsz, 3))
+    x = Tensor(rows, requires_grad=True)
+    with Tape() as tape:
+        windows = _to_windows(x, dims, eff, shifts)
+        tape.backward(ad.tsum(ad.mul(windows, Tensor(probe))))
+    assert windows.data.tobytes() == _windows_oracle(rows, dims, eff, shifts).tobytes()
+    # _from_windows inverts it, and so does its backward
+    back = _from_windows(windows, dims, eff, shifts).data
+    assert back.tobytes() == rows.tobytes()
+    unprobed = _from_windows(Tensor(probe), dims, eff, shifts).data
+    assert x.grad.tobytes() == unprobed.tobytes()
+
+
+@pytest.mark.parametrize("conf", [MAMBA, ALTERNATE, AM, MA])
+def test_three_stage_walk_merges_and_expands_every_stage(conf):
+    cfg = tiny_config(stage_depths=(1, 2, 1), configuration=conf)
+    m = HybridModel(cfg)
+    assert [b[0] for b in m.enc_blocks] == ["enc0.blk0", "enc1.blk0", "enc1.blk1",
+                                             "enc2.blk0"]
+    assert [b[0] for b in m.dec_blocks] == ["dec2.blk0", "dec1.blk0", "dec1.blk1",
+                                             "dec0.blk0"]
+    assert [b[1] for b in m.enc_blocks + m.dec_blocks] == assign_operators(cfg)
+    rng = np.random.default_rng(31)
+    vol = rng.uniform(-1, 1, size=(48, 48, 48, 8)).astype(np.float32)
+    mt = MaskTensor(mask=rng.random((512, 2)) < 0.5, voxels_per_patch=216,
+                    t_patch_len=4)
+    with Tape() as tape:
+        recon = m.forward_pretrain(vol, mt)
+        tape.backward(ad.sum_sq(recon))
+    assert recon.shape == vol.shape
+    for name in ("merge0", "merge1", "expand1", "expand0"):
+        grad = m.params[f"{name}.w"].grad
+        assert grad is not None and np.any(grad != 0), name
 
 
 # embedding and masking conventions ----------------------------------------------
