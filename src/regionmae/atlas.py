@@ -149,7 +149,7 @@ class PatchSets:
     """Classification result: each macroregion's sorted patch indices per criterion.
 
     The JSON form holds the grid, the two thresholds and the sets.
-    ``from_json_dict`` ignores any other key, so a file that also carries
+    :meth:`load` ignores any other key, so a file that also carries
     per-patch histograms loads to the same sets.
     """
 
@@ -189,29 +189,37 @@ class PatchSets:
             },
         }
 
-    @classmethod
-    def from_json_dict(cls, blob: dict) -> "PatchSets":
-        grid = PatchGrid(patch_size=tuple(blob["patch_size"]),
-                         grid_dims=tuple(blob["grid_dims"]))
-        as_sets = lambda key: {
-            region: np.asarray(blob["regions"][region][key], dtype=np.int64)
-            for region in MACROREGIONS
-        }
-        return cls(
-            grid=grid,
-            any_sets=as_sets("any"),
-            majority_sets=as_sets("majority"),
-            pure_sets=as_sets("pure"),
-            purity_threshold=float(blob["purity_threshold"]),
-            majority_threshold=float(blob["majority_threshold"]),
-        )
-
     def save(self, path) -> None:
         artifacts.write_text(path, json.dumps(self.to_json_dict()))
 
     @classmethod
     def load(cls, path) -> "PatchSets":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        """Read :meth:`save`'s JSON. A file that does not decode, lacks a key,
+        holds a wrong type or a patch index outside the grid raises
+        ValidationError naming the file."""
+        try:
+            blob = json.loads(Path(path).read_text())
+            grid = PatchGrid(*(_int_tuple(blob[key], key, 3)
+                               for key in ("patch_size", "grid_dims")))
+            sets = [{r: np.array(_int_tuple(blob["regions"][r][c], f"regions.{r}.{c}"),
+                                 np.int64) for r in MACROREGIONS} for c in CRITERIA]
+            if any(np.any((s < 0) | (s >= grid.n_patches))
+                   for by_region in sets for s in by_region.values()):
+                raise ValueError(f"a patch index lies outside [0, {grid.n_patches})")
+            return cls(grid, *sets, purity_threshold=float(blob["purity_threshold"]),
+                       majority_threshold=float(blob["majority_threshold"]))
+        except KeyError as exc:
+            raise ValidationError(f"{path}: missing key {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+
+
+def _int_tuple(value, what: str, n: int | None = None) -> tuple[int, ...]:
+    """A JSON list of ints, ``n`` of them if given, as a tuple."""
+    if not isinstance(value, list) or any(type(v) is not int for v in value) \
+            or n is not None and len(value) != n:
+        raise TypeError(f"{what} must be {n or 'a list of'} integers, got {value!r:.40}")
+    return tuple(value)
 
 
 def classify_patches(

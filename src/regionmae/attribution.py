@@ -286,12 +286,11 @@ def ig_sq(model, vol, cfg: AttributionConfig, subject_id: str = "",
 
 
 def aggregate_group(maps) -> AttributionMap:
-    """L1-normalize each map, then average across the group. Maps are summed
-    as they arrive, so a generator of maps is never held whole."""
+    """L1-normalize each AttributionMap, then average across the group. Maps
+    are summed as they arrive, so a generator of maps is never held whole."""
     acc = None
     for n, m in enumerate(maps, start=1):
-        a = m.map3d if isinstance(m, AttributionMap) else \
-            np.asarray(m, dtype=np.float64)
+        a = m.map3d
         if acc is None:
             acc = np.zeros(a.shape, dtype=np.float64)
         elif a.shape != acc.shape:
@@ -322,13 +321,12 @@ def threshold_map(group_map: np.ndarray, top_percentile: float) -> np.ndarray:
 
 def project_rois(group_map, atlas: LabelVolume, cfg: AttributionConfig,
                  names: dict[int, str] | None = None) -> list[RoiRow]:
-    """Mean attribution per atlas ROI, ranked descending.
+    """Mean attribution per atlas ROI of a 3D map array, ranked descending.
 
     Means are taken on the raw (pre-threshold) map; ROIs smaller than
     cfg.min_roi_voxels are dropped.
     """
-    gmap = group_map.map3d if isinstance(group_map, AttributionMap) else \
-        np.asarray(group_map, dtype=np.float64)
+    gmap = np.asarray(group_map, dtype=np.float64)
     if gmap.shape != atlas.labels.shape:
         raise ValidationError(
             f"map grid {gmap.shape} does not match atlas {atlas.labels.shape}")
@@ -354,9 +352,8 @@ def project_rois(group_map, atlas: LabelVolume, cfg: AttributionConfig,
 
 def threshold_and_project(group_map, atlas: LabelVolume, cfg: AttributionConfig,
                           names: dict[int, str] | None = None):
-    """Ranked ROI table plus the percentile-thresholded display map."""
-    gmap = group_map.map3d if isinstance(group_map, AttributionMap) else \
-        np.asarray(group_map, dtype=np.float64)
+    """Ranked ROI table and percentile-thresholded display map of a 3D array."""
+    gmap = np.asarray(group_map, dtype=np.float64)
     rows = project_rois(gmap, atlas, cfg, names)
     return rows, threshold_map(gmap, cfg.top_percentile)
 

@@ -278,12 +278,11 @@ def cmd_attribute(cfg: dict, args, out: Path) -> list:
     group = aggregate_group(subject_maps())
     names = {label: f"{regions.mapping[label]}_{label}"
              for label in regions.mapping}
-    rows, displayed = threshold_and_project(group, atlas, acfg, names)
+    rows, displayed = threshold_and_project(group.map3d, atlas, acfg, names)
 
-    write_nifti(Volume4D(data=group.map3d.astype(np.float32)[..., None],
-                         affine=atlas.affine), out / "group_map.nii.gz")
-    write_nifti(Volume4D(data=displayed.astype(np.float32)[..., None],
-                         affine=atlas.affine), out / "thresholded_map.nii.gz")
+    for name, map3d in (("group_map", group.map3d), ("thresholded_map", displayed)):
+        write_nifti(Volume4D(data=map3d.astype(np.float32), affine=atlas.affine),
+                    out / f"{name}.nii.gz")
     write_roi_csv(out / "roi_table.csv", rows)
     print(f"attributed {len(attributed)} subjects; top ROI: "
           f"{rows[0].roi_name} ({rows[0].mean_attr:.3e})")

@@ -2,7 +2,9 @@
 
 Region strategies draw from a macroregion's patch set under one of the three
 classification criteria; the Random/Window/Tube strategies are
-region-agnostic baselines. All sampling is seed-deterministic.
+region-agnostic baselines. All sampling is seed-deterministic. Patches are
+numbered x-fastest (Fortran order over the grid dims), and so are the Window
+strategy's ``window_block`` tiles of the grid, clipped at its edge.
 """
 
 from __future__ import annotations
@@ -100,10 +102,9 @@ class MaskTensor:
 
     def to_lattice(self, grid_dims: tuple[int, int, int]) -> np.ndarray:
         """[Gx, Gy, Gz, T'] view of the mask under the x-fastest patch order."""
-        gx, gy, gz = grid_dims
-        if gx * gy * gz != self.n_patches:
-            raise ValidationError("grid_dims inconsistent with mask size")
-        return self.mask.reshape(gz, gy, gx, self.t_patches).transpose(2, 1, 0, 3)
+        if np.prod(grid_dims) != self.n_patches:
+            raise ValidationError(f"{self.n_patches} patches do not fit grid {grid_dims}")
+        return self.mask.reshape((*grid_dims, self.t_patches), order="F")
 
 
 def _sample(rng: np.random.Generator, candidates: np.ndarray, ratio: float) -> np.ndarray:
@@ -111,23 +112,6 @@ def _sample(rng: np.random.Generator, candidates: np.ndarray, ratio: float) -> n
     if k >= len(candidates):
         return candidates
     return rng.choice(candidates, size=k, replace=False)
-
-
-def _window_blocks(grid_dims, block) -> list[np.ndarray]:
-    """Partition the patch lattice into contiguous blocks of patch indices."""
-    gx, gy, gz = grid_dims
-    bx, by, bz = block
-    blocks = []
-    for z0 in range(0, gz, bz):
-        for y0 in range(0, gy, by):
-            for x0 in range(0, gx, bx):
-                xs = np.arange(x0, min(x0 + bx, gx))
-                ys = np.arange(y0, min(y0 + by, gy))
-                zs = np.arange(z0, min(z0 + bz, gz))
-                idx = (xs[:, None, None] + ys[None, :, None] * gx
-                       + zs[None, None, :] * gx * gy)
-                blocks.append(idx.reshape(-1))
-    return blocks
 
 
 def build_mask(spec: MaskSpec, sets: PatchSets, t_patches: int,
@@ -166,11 +150,14 @@ def build_mask(spec: MaskSpec, sets: PatchSets, t_patches: int,
         mask[chosen, :] = True
 
     elif spec.strategy == WINDOW_RANDOM:
-        blocks = _window_blocks(sets.grid.grid_dims, spec.window_block)
-        block_ids = np.arange(len(blocks))
+        grid, block = sets.grid.grid_dims, spec.window_block
+        n_blocks = [-(-g // b) for g, b in zip(grid, block)]
+        coords = np.unravel_index(np.arange(n_patches), grid, order="F")
+        block_of = np.ravel_multi_index([c // b for c, b in zip(coords, block)],
+                                        n_blocks, order="F")
         for t in range(t_patches):
-            for b in _sample(rng, block_ids, spec.ratio):
-                mask[blocks[int(b)], t] = True
+            chosen = _sample(rng, np.arange(np.prod(n_blocks)), spec.ratio)
+            mask[:, t] = np.isin(block_of, chosen)
 
     return MaskTensor(mask=mask, voxels_per_patch=sets.grid.voxels_per_patch,
                       t_patch_len=t_patch_len)

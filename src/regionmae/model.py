@@ -391,18 +391,13 @@ class HybridModel:
         the [X, Y, Z, T] volume."""
         return rows.reshape(self._patch_axes(dims)).transpose(VOXEL_ORDER)
 
-    def _token_rows(self, vol) -> tuple[Tensor, tuple]:
-        """:meth:`token_view` on the tape, as [N, k] rows; a Tensor input
-        keeps its graph."""
+    def patch_embed(self, vol) -> tuple[Tensor, tuple]:
+        """Voxel blocks -> D-dim tokens: :meth:`token_view` on the tape, row
+        p*nt + t covering patch p, slab t. A Tensor input keeps its graph."""
         x = ad.as_tensor(vol)
         dims = self.lattice_dims(x.shape)
         blocks = ad.transpose(ad.reshape(x, self._voxel_axes(dims)), TOKEN_ORDER)
-        return ad.reshape(blocks, self.rows_shape(dims)), dims
-
-    def patch_embed(self, vol) -> tuple[Tensor, tuple]:
-        """Voxel blocks -> D-dim tokens; row p*nt + t covers patch p, slab t."""
-        rows, dims = self._token_rows(vol)
-        return self._lin("embed", rows), dims
+        return self._lin("embed", ad.reshape(blocks, self.rows_shape(dims))), dims
 
     def _unpatchify(self, recon: Tensor, dims) -> Tensor:
         """:meth:`voxel_view` on the tape, as a [X, Y, Z, T] volume (inverse
@@ -437,15 +432,6 @@ class HybridModel:
         tokens = self._norm("head.norm", tokens)
         return self._unpatchify(self._lin("head", tokens), dims)
 
-    def classify_tokens(self, rows, dims) -> Tensor:
-        """[N, k] token rows -> embed, then :meth:`classify_embedded`. A
-        Tensor input keeps its graph."""
-        rows = ad.as_tensor(rows)
-        if rows.shape != self.rows_shape(dims):
-            raise ValidationError(f"token rows {rows.shape} do not fit lattice {dims}: "
-                                  f"expected {self.rows_shape(dims)}")
-        return self.classify_embedded(self._lin("embed", rows), dims)
-
     def classify_embedded(self, tokens, dims) -> Tensor:
         """[N, D0] embedded tokens -> encoder, mean pool, linear head ->
         scalar logit. A Tensor input keeps its graph."""
@@ -457,11 +443,9 @@ class HybridModel:
                 f"expected {(n_rows, self.config.embed_dim)}")
         tokens, _ = self.encode(tokens, dims)
         pooled = ad.tmean(self._norm("cls.norm", tokens), axis=0)  # [D_top]
-        logit = ad.add(ad.matmul(ad.reshape(pooled, (1, pooled.shape[0])),
-                                 self.params["cls.w"]),
-                       self.params["cls.b"])
+        logit = self._lin("cls", ad.reshape(pooled, (1, pooled.shape[0])))
         return ad.reshape(logit, ())
 
     def forward_classify(self, vol) -> Tensor:
-        """:meth:`classify_tokens` of the volume's token rows."""
-        return self.classify_tokens(*self._token_rows(vol))
+        """:meth:`patch_embed`, then :meth:`classify_embedded`."""
+        return self.classify_embedded(*self.patch_embed(vol))

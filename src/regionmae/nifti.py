@@ -300,8 +300,6 @@ def _decode(raw: bytes, kind: str) -> Volume4D | LabelVolume:
                            affine=affine)
 
     data = _squeeze_to_rank(data, 4)
-    if data.ndim == 3:
-        data = data[..., np.newaxis]
     out_dtype = np.float64 if data.dtype.type is np.float64 else np.float32
     # one copy: file byte order and Fortran layout to native C order
     data = np.array(data, dtype=out_dtype, order="C")

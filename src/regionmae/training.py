@@ -93,14 +93,10 @@ def _voxel_mask(mask: MaskTensor, vol_shape) -> np.ndarray:
         raise ValidationError(f"voxels_per_patch {vpp} is not a cube")
     if x % side or y % side or z % side:
         raise ValidationError(f"volume {vol_shape} not divisible by patch side {side}")
-    gx, gy, gz = x // side, y // side, z // side
-    if gx * gy * gz != mask.n_patches:
-        raise ValidationError(
-            f"mask has {mask.n_patches} patches; volume implies {gx * gy * gz}")
     if mask.t_patches * mask.t_patch_len != n_t:
         raise ValidationError(
             f"mask covers {mask.t_patches}x{mask.t_patch_len} timepoints, volume has {n_t}")
-    lat = mask.to_lattice((gx, gy, gz))  # [gx, gy, gz, T']
+    lat = mask.to_lattice((x // side, y // side, z // side))  # [gx, gy, gz, T']
     out = np.repeat(np.repeat(np.repeat(lat, side, axis=0), side, axis=1),
                     side, axis=2)
     return np.repeat(out, mask.t_patch_len, axis=3)

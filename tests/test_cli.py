@@ -537,6 +537,45 @@ def test_attribute_nan_exits_2_before_reading_volumes(
     assert reads == []
 
 
+def _drop_grid_dims(blob):
+    del blob["grid_dims"]
+
+
+def _float_index(blob):
+    blob["regions"]["frontal"]["any"][0] = 1.5
+
+
+def _index_past_the_grid(blob):
+    blob["regions"]["frontal"]["any"].append(int(np.prod(blob["grid_dims"])))
+
+
+@pytest.mark.parametrize("command", ["build-mask", "pretrain"])
+@pytest.mark.parametrize(
+    "spoil", [None, _drop_grid_dims, _float_index, _index_past_the_grid],
+    ids=["not-json", "no-grid-dims", "float-index", "index-past-grid"])
+def test_malformed_patch_sets_exit_2_naming_the_file(
+        pipeline, tmp_path, capsys, monkeypatch, command, spoil):
+    reads = []
+    real = cli.read_nifti
+    monkeypatch.setattr(cli, "read_nifti",
+                        lambda path, kind: reads.append(path) or real(path, kind))
+    good = (pipeline / "patches" / "patch_sets.json").read_text()
+    bad = tmp_path / "patch_sets.json"
+    if spoil is None:
+        bad.write_text(good[:-1])  # not JSON: the closing brace is cut
+    else:
+        blob = json.loads(good)
+        spoil(blob)
+        bad.write_text(json.dumps(blob))
+    rc = main(["--out-dir", str(tmp_path / "out"),
+               "--set", f"data.patch_sets={bad}",
+               "--set", f"data.manifest={pipeline / 'prep' / 'manifest.csv'}",
+               *SMALL_MODEL, command])
+    assert rc == 2
+    assert str(bad) in capsys.readouterr().err
+    assert reads == []
+
+
 def test_mask_artifact_loads(pipeline):
     tensor, spec = load_mask(pipeline / "mask" / "mask.bits")
     assert spec.strategy == "REGION_ANY"

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from regionmae.atlas import MACROREGIONS, PatchGrid, RegionMap, classify_patches
+from regionmae.atlas import (
+    MACROREGIONS,
+    PatchGrid,
+    PatchSets,
+    RegionMap,
+    classify_patches,
+)
 from regionmae.errors import ConfigurationError, ValidationError
 from regionmae.masking import (
     PER_FRAME,
@@ -148,6 +154,50 @@ def test_window_blocks_contiguous(sets):
     assert len(set(frames)) > 1
 
 
+def _window_oracle(grid_dims, block, ratio, seed, t_patches):
+    """WINDOW_RANDOM one block at a time: blocks and the patches in each are
+    numbered x-fastest, edge blocks are clipped, and each frame draws
+    ceil(ratio * n_blocks) block ids without replacement."""
+    gx, gy, gz = grid_dims
+    bx, by, bz = block
+    blocks = []
+    for z0 in range(0, gz, bz):
+        for y0 in range(0, gy, by):
+            for x0 in range(0, gx, bx):
+                blocks.append([x + y * gx + z * gx * gy
+                               for z in range(z0, min(z0 + bz, gz))
+                               for y in range(y0, min(y0 + by, gy))
+                               for x in range(x0, min(x0 + bx, gx))])
+    rng = np.random.default_rng(seed)
+    mask = np.zeros((gx * gy * gz, t_patches), dtype=bool)
+    ids = np.arange(len(blocks))
+    k = int(np.ceil(ratio * len(blocks)))
+    for t in range(t_patches):
+        for b in ids if k >= len(blocks) else rng.choice(ids, size=k, replace=False):
+            mask[blocks[b], t] = True
+    return mask
+
+
+@pytest.mark.parametrize("grid_dims,block", [
+    ((16, 16, 16), (2, 2, 2)),
+    ((3, 5, 7), (2, 2, 2)),   # the block does not divide the grid
+    ((4, 2, 6), (1, 1, 1)),
+    ((5, 5, 5), (3, 2, 4)),
+    ((3, 2, 4), (5, 5, 5)),   # the block is larger than the grid
+])
+def test_window_random_matches_per_block_oracle(grid_dims, block):
+    grid = PatchGrid(grid_dims=grid_dims)
+    empty = {region: np.zeros(0, dtype=np.int64) for region in MACROREGIONS}
+    sets = PatchSets(grid, empty, empty, empty)
+    for ratio in (0.1, 0.5, 1.0):
+        for seed in range(3):
+            spec = MaskSpec(strategy=WINDOW_RANDOM, ratio=ratio, seed=seed,
+                            window_block=block)
+            got = build_mask(spec, sets, t_patches=3).mask
+            want = _window_oracle(grid_dims, block, ratio, seed, 3)
+            assert got.tobytes() == want.tobytes(), (ratio, seed)
+
+
 def test_full_mask_everything(sets):
     spec = MaskSpec(strategy=RANDOM_TUBE, ratio=1.0, seed=0)
     out = build_mask(spec, sets, t_patches=4)
@@ -164,6 +214,15 @@ def test_mask_tensor_lattice_roundtrip():
     assert lat.shape == (3, 2, 2, 2)
     assert lat[2, 1, 0, 1]
     assert lat.sum() == 1
+    # a non-cubic grid, every slot against p = x + y*Gx + z*Gx*Gy, as a view
+    gx, gy, gz = 4, 2, 6
+    mask = np.random.default_rng(5).random((gx * gy * gz, 3)) < 0.5
+    lat = MaskTensor(mask=mask, voxels_per_patch=8).to_lattice((gx, gy, gz))
+    assert lat.shape == (gx, gy, gz, 3) and np.shares_memory(lat, mask)
+    for x, y, z in np.ndindex(gx, gy, gz):
+        np.testing.assert_array_equal(lat[x, y, z], mask[x + y * gx + z * gx * gy])
+    with pytest.raises(ValidationError):
+        MaskTensor(mask=mask, voxels_per_patch=8).to_lattice((gx, gy, gz + 1))
 
 
 # -- application --------------------------------------------------------------

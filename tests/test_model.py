@@ -519,27 +519,16 @@ def test_token_views_roundtrip_in_the_taped_order():
     np.testing.assert_array_equal(seen.reshape(vol.shape), vol)
 
 
-def test_classify_tokens_is_forward_classify_on_rows():
+def test_forward_classify_is_classify_embedded_after_embed():
     m = HybridModel(tiny_config(stage_depths=(1, 1), configuration=ALTERNATE))
     vol = np.random.default_rng(6).normal(size=(24, 24, 24, 8)).astype(np.float32)
     view, dims = m.token_view(vol)
     rows = view.reshape(m.rows_shape(dims))
     np.testing.assert_array_equal(
         rows, vol.reshape(-1)[_patch_index_oracle(vol.shape, (6, 6, 6), 4)])
-    got = m.classify_tokens(rows, dims).data
-    assert got.tobytes() == m.forward_classify(vol).data.tobytes()
-    with pytest.raises(ValidationError):
-        m.classify_tokens(rows[:-1], dims)
-
-
-def test_classify_embedded_is_classify_tokens_after_embed():
-    m = HybridModel(tiny_config(stage_depths=(1, 1), configuration=ALTERNATE))
-    vol = np.random.default_rng(7).normal(size=(24, 24, 24, 8)).astype(np.float32)
-    view, dims = m.token_view(vol)
-    rows = view.reshape(m.rows_shape(dims))
     tokens = rows @ m.params["embed.w"].data + m.params["embed.b"].data
     got = m.classify_embedded(tokens, dims).data
-    assert got.tobytes() == m.classify_tokens(rows, dims).data.tobytes()
+    assert got.tobytes() == m.forward_classify(vol).data.tobytes()
     for bad in (tokens[:-1], tokens[:, :-1]):
         with pytest.raises(ValidationError, match="embedded tokens"):
             m.classify_embedded(bad, dims)
