@@ -519,7 +519,9 @@ def test_token_views_roundtrip_in_the_taped_order():
     np.testing.assert_array_equal(seen.reshape(vol.shape), vol)
 
 
-def test_forward_classify_is_classify_embedded_after_embed():
+def test_classify_tokens_is_forward_classify_on_rows():
+    # Classifying token rows: embed the token_view rows by hand, then
+    # classify_embedded, byte for byte what forward_classify gives.
     m = HybridModel(tiny_config(stage_depths=(1, 1), configuration=ALTERNATE))
     vol = np.random.default_rng(6).normal(size=(24, 24, 24, 8)).astype(np.float32)
     view, dims = m.token_view(vol)
@@ -529,6 +531,21 @@ def test_forward_classify_is_classify_embedded_after_embed():
     tokens = rows @ m.params["embed.w"].data + m.params["embed.b"].data
     got = m.classify_embedded(tokens, dims).data
     assert got.tobytes() == m.forward_classify(vol).data.tobytes()
+    with pytest.raises(ValidationError):
+        m.classify_embedded(tokens[:-1], dims)
+
+
+def test_classify_embedded_is_classify_tokens_after_embed():
+    m = HybridModel(tiny_config(stage_depths=(1, 1), configuration=ALTERNATE))
+    vol = np.random.default_rng(7).normal(size=(24, 24, 24, 8)).astype(np.float32)
+    view, dims = m.token_view(vol)
+    rows = view.reshape(m.rows_shape(dims))
+    tokens = rows @ m.params["embed.w"].data + m.params["embed.b"].data
+    embedded, embed_dims = m.patch_embed(vol)
+    assert embed_dims == dims
+    assert embedded.data.tobytes() == tokens.tobytes()
+    got = m.classify_embedded(tokens, dims).data
+    assert got.tobytes() == m.classify_embedded(embedded, dims).data.tobytes()
     for bad in (tokens[:-1], tokens[:, :-1]):
         with pytest.raises(ValidationError, match="embedded tokens"):
             m.classify_embedded(bad, dims)
