@@ -17,7 +17,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from . import artifacts
-from .autodiff import Tape, Tensor, frozen
+from .autodiff import Tape, Tensor, frozen, releases_freed_memory
 from .errors import (
     AttributionError,
     ConfigurationError,
@@ -156,6 +156,7 @@ def _embedding_path(model, data: np.ndarray, x0, dtype):
             lambda grad: model.voxel_view(grad @ w_t, dims))
 
 
+@releases_freed_memory  # before the caller allocates its float64 outputs
 def _gradient_sum(classify, steps: int, span: np.ndarray, start) -> np.ndarray:
     """Pairwise float64 sum of the input gradients at the midpoints
     ``span * (k + 0.5)/steps (+ start)``, k = 0..steps-1, each point built

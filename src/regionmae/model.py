@@ -446,6 +446,7 @@ class HybridModel:
         logit = self._lin("cls", ad.reshape(pooled, (1, pooled.shape[0])))
         return ad.reshape(logit, ())
 
+    @ad.releases_freed_memory
     def forward_classify(self, vol) -> Tensor:
         """:meth:`patch_embed`, then :meth:`classify_embedded`."""
         return self.classify_embedded(*self.patch_embed(vol))

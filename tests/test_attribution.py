@@ -423,6 +423,16 @@ def test_igsq_without_noise_runs_integrated_gradients_once(rng, monkeypatch):
     np.testing.assert_allclose(amap.map3d, want, rtol=1e-12)
 
 
+def test_integrated_gradients_releases_memory_once_after_its_passes(rng, monkeypatch):
+    events = []
+    real = HybridModel.classify_embedded
+    monkeypatch.setattr(HybridModel, "classify_embedded",
+                        lambda self, *a: events.append("pass") or real(self, *a))
+    monkeypatch.setattr(ad, "_malloc_trim", lambda pad: events.append("release"))
+    integrated_gradients(small_model(), rng.normal(size=(12, 12, 12, 4)), ZERO, steps=2)
+    assert events == ["pass", "pass", "release"]
+
+
 def test_igsq_holds_no_float64_copies_of_the_volume(rng):
     # float32 passes at 2 x 2: one integrated_gradients call peaks at 2
     # float64 volumes (the mean row gradient and the result); ig_sq adds

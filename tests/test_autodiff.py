@@ -261,6 +261,25 @@ def test_output_no_backward_reads_is_freed_in_the_forward(rng):
     np.testing.assert_allclose(b.grad, proj.sum(axis=0))
 
 
+def test_releases_freed_memory_trims_once_when_the_call_returns(monkeypatch):
+    events = []
+    monkeypatch.setattr(ad, "_malloc_trim", lambda pad: events.append(("trim", pad)))
+
+    @ad.releases_freed_memory
+    def work(x, *, y):
+        events.append("call")
+        return x + y
+
+    assert work(1, y=2) == 3
+    assert events == ["call", ("trim", 0)]
+    assert work.__name__ == "work"
+
+
+def test_heap_trimmer_is_a_no_op_without_malloc_trim(monkeypatch):
+    monkeypatch.setattr(ad.ctypes, "CDLL", lambda name: object())
+    assert ad._heap_trimmer()(0) == 0
+
+
 def test_matmul_with_a_frozen_weight_keeps_no_input(rng):
     # only the weight's gradient would read the input
     x, w = leaf(rng, 5, 4), leaf(rng, 4, 3)

@@ -596,6 +596,16 @@ def test_input_shape_validation():
         m.forward_classify(np.zeros((12, 12, 12, 6), dtype=np.float32))
 
 
+def test_forward_classify_releases_memory_once_after_its_pass(rng, monkeypatch):
+    m = HybridModel(tiny_config())
+    vol = rng.normal(size=(12, 12, 12, 4)).astype(np.float32)
+    want = m.forward_classify(vol).data
+    calls = []
+    monkeypatch.setattr(ad, "_malloc_trim", lambda pad: calls.append(pad))
+    assert m.forward_classify(vol).data.tobytes() == want.tobytes()
+    assert calls == [0]
+
+
 # whole-model invariants ----------------------------------------------------------
 
 @pytest.mark.parametrize("conf", [MAMBA, ALTERNATE, AM, MA])
