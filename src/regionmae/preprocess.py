@@ -28,6 +28,9 @@ DEFAULT_FOV = (96, 96, 96)
 DEFAULT_TR = 0.8
 DEFAULT_MASK_FRACTION = 0.2
 
+# x-planes per slab of resample_temporal's in-place interpolation
+_RESAMPLE_SLAB = 4
+
 
 @dataclass
 class NormStats:
@@ -127,14 +130,19 @@ def resample_temporal(vol: Volume4D, target_tr: float) -> Volume4D:
     pos = np.arange(n_out, dtype=np.float64) * (target_tr / tr)
     i0 = np.minimum(np.floor(pos).astype(np.int64), n_t - 2)
     w = np.clip(pos - i0, 0.0, 1.0).astype(vol.data.dtype if vol.data.dtype == np.float64 else np.float32)
-    lo = vol.data[..., i0]
-    # lo + w (hi - lo) keeps constant series bit-exact (the delta vanishes);
-    # built in place in the gathered copy of hi
+    # lo + w (hi - lo) keeps constant series bit-exact (the delta vanishes).
+    # It is built in the gathered copy of hi, one slab of x-planes at a time,
+    # so only a slab of lo is ever gathered beside the output.
     data = vol.data[..., i0 + 1]
-    data -= lo
-    data = np.multiply(w, data, out=data if data.dtype == w.dtype else None)
-    data += lo
-    return Volume4D(data=data, affine=vol.affine, tr_seconds=target_tr)
+    out = data if data.dtype == w.dtype else np.empty(data.shape, np.result_type(w, data))
+    for x0 in range(0, data.shape[0], _RESAMPLE_SLAB):
+        x1 = x0 + _RESAMPLE_SLAB
+        lo = vol.data[x0:x1][..., i0]
+        delta = data[x0:x1]
+        delta -= lo
+        slab = np.multiply(w, delta, out=out[x0:x1])
+        slab += lo
+    return Volume4D(data=out, affine=vol.affine, tr_seconds=target_tr)
 
 
 def crop_fov(vol: Volume4D, target=DEFAULT_FOV) -> Volume4D:

@@ -1,10 +1,15 @@
 import gzip
 import struct
+import tempfile
 import time
+import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regionmae.errors import (
     FormatError,
@@ -393,11 +398,10 @@ def test_failed_write_leaves_target_untouched(tmp_path, rng, monkeypatch, existi
 def test_big_endian_float_volume_scaled(tmp_path, rng):
     for code, dtype in ((16, np.float32), (64, np.float64)):
         data = rng.normal(size=(3, 4, 2, 2)).astype(dtype)
-        p = tmp_path / f"be{code}.nii"
-        p.write_bytes(make_raw(">", data.shape, code, data, scl=(2.0, 1.0)))
-        vol = read_nifti(p, kind="volume")
-        assert vol.data.dtype == dtype and vol.data.flags.c_contiguous
-        np.testing.assert_array_equal(vol.data, data * dtype(2.0) + dtype(1.0))
+        out = read_both(tmp_path, make_raw(">", data.shape, code, data, scl=(2.0, 1.0)),
+                        "volume")
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, data * dtype(2.0) + dtype(1.0))
 
 
 def test_truncated_gzip_names_file(tmp_path, rng):
@@ -422,3 +426,150 @@ def test_corrupt_gzip_names_file(tmp_path, rng):
         path.write_bytes(bytes(bad))
         with pytest.raises(FormatError, match="v.nii.gz"):
             read_nifti(path, kind="volume")
+
+
+def traced_peak(fn, *args):
+    """(fn's result or raised exception, peak bytes it allocated) of one call."""
+    tracemalloc.start()
+    try:
+        try:
+            result = fn(*args)
+        except Exception as exc:
+            result = exc
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def write_as(path, raw):
+    path.write_bytes(gzip.compress(raw, mtime=0) if path.suffix == ".gz" else raw)
+    return path
+
+
+@pytest.mark.parametrize("name", ["big.nii", "big.nii.gz"])
+@pytest.mark.parametrize("rank", [5, 7])
+def test_voxel_count_beyond_int64_is_truncation(tmp_path, name, rank):
+    # 32767**rank voxels overflow an int64 count; the file holds 8 payload bytes
+    raw = make_raw("<", (32767,) * rank, 16, np.ones(2, dtype=np.float32))
+    path = write_as(tmp_path / name, raw)
+    with pytest.raises(TruncatedFileError) as info:
+        read_nifti(path, kind="volume")
+    assert str(info.value).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("name", ["claim.nii", "claim.nii.gz"])
+def test_declared_payload_checked_before_allocation(tmp_path, name):
+    # a 360-byte file whose header declares a 96^3 x 8 float32 payload (28 MiB)
+    raw = make_raw("<", (96, 96, 96, 8), 16, np.ones(2, dtype=np.float32))
+    assert len(raw) == 360
+    path = write_as(tmp_path / name, raw)
+    error, peak = traced_peak(read_nifti, path, "volume")
+    assert type(error) is TruncatedFileError
+    assert str(error).startswith(f"{path}: ")
+    assert peak < 2**20
+
+
+def test_streamed_read_peak_is_output_plus_a_frame(tmp_path, rng):
+    data = rng.normal(size=(64, 64, 48, 6)).astype(np.float32)
+    path = tmp_path / "v.nii.gz"
+    write_nifti(Volume4D(data=data, affine=np.eye(4)), path)
+    vol, peak = traced_peak(read_nifti, path, "volume")
+    np.testing.assert_array_equal(vol.data, data)
+    frame = data[..., 0].nbytes
+    # the whole inflated payload or its layout copy would add 4.7 MB
+    assert peak <= data.nbytes + 2 * frame + 2**20
+
+
+def read_both(tmp_path, raw, kind):
+    """The array read from ``raw`` stored as .nii and as .nii.gz, checked to agree."""
+    outs = [read_nifti(write_as(tmp_path / name, raw), kind=kind)
+            for name in ("v.nii", "v.nii.gz")]
+    plain, packed = (out.labels if kind == "labels" else out.data for out in outs)
+    assert plain.flags.c_contiguous and packed.flags.c_contiguous
+    assert plain.dtype == packed.dtype and plain.tobytes() == packed.tobytes()
+    return plain
+
+
+def test_two_gzip_members_read_as_one(tmp_path, rng):
+    data = rng.normal(size=(5, 4, 3, 3)).astype(np.float32)
+    raw = make_raw("<", data.shape, 16, data)
+    cut = 352 + data[..., 0].nbytes + 10  # inside the second frame
+    members = [bytearray(gzip.compress(part, mtime=0)) for part in (raw[:cut], raw[cut:])]
+    path = tmp_path / "v.nii.gz"
+    path.write_bytes(b"".join(members))
+    vol = read_nifti(path, kind="volume")
+    assert vol.data.dtype == np.float32 and vol.data.tobytes() == data.tobytes()
+    members[1][-8] ^= 0xFF  # the second member's CRC-32
+    path.write_bytes(b"".join(members))
+    with pytest.raises(FormatError, match="v.nii.gz"):
+        read_nifti(path, kind="volume")
+
+
+def test_bytes_after_payload_ignored(tmp_path, rng):
+    data = rng.normal(size=(3, 4, 2, 2)).astype(np.float32)
+    raw = make_raw("<", data.shape, 16, data) + b"trailing bytes"
+    assert read_both(tmp_path, raw, "volume").tobytes() == data.tobytes()
+
+
+def test_scaled_labels(tmp_path):
+    labels = np.arange(24, dtype=np.int16).reshape(2, 3, 4)
+    out = read_both(tmp_path, make_raw(">", labels.shape, 4, labels, scl=(2.0, 1.0)),
+                    "labels")
+    assert out.dtype == np.int32
+    np.testing.assert_array_equal(out, labels * 2 + 1)
+    halves = (labels / 2).astype(np.float32)
+    out = read_both(tmp_path, make_raw("<", labels.shape, 16, halves, scl=(2.0, 0.0)),
+                    "labels")
+    np.testing.assert_array_equal(out, labels)
+    p = write_as(tmp_path / "half.nii.gz",
+                 make_raw("<", labels.shape, 16, halves, scl=(1.0, 0.5)))
+    with pytest.raises(ValidationError, match="half.nii.gz: label volume contains non-integer"):
+        read_nifti(p, kind="labels")
+
+
+# Valid files to mutate: a scaled 4D float32 volume and an int16 label volume.
+_FUZZ_BASES = {
+    "volume": make_raw("<", (3, 4, 2, 2), 16,
+                       np.linspace(-2.0, 2.0, 48, dtype=np.float32).reshape(3, 4, 2, 2),
+                       scl=(2.0, 0.5)),
+    "labels": make_raw(">", (3, 4, 2), 4, np.arange(24, dtype=np.int16).reshape(3, 4, 2)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(_FUZZ_BASES)),
+       suffix=st.sampled_from([".nii", ".nii.gz", ".nii.gz stream"]),
+       edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), max_size=4),
+       cut=st.none() | st.integers(0, 2**16))
+def test_mutated_file_raises_only_package_errors(kind, suffix, edits, cut):
+    """A mutated or truncated file reads or raises a regionmae.errors type naming it.
+
+    ".nii.gz" compresses the mutated bytes (header and payload fuzzing behind
+    a valid stream); ".nii.gz stream" mutates the compressed bytes themselves.
+    """
+    def mutate(content):
+        content = bytearray(content)
+        for pos, value in edits:
+            content[pos % len(content)] = value
+        return bytes(content[:cut])
+
+    raw = _FUZZ_BASES[kind]
+    if suffix == ".nii":
+        content = mutate(raw)
+    elif suffix == ".nii.gz":
+        content = gzip.compress(mutate(raw), mtime=0)
+    else:
+        content = mutate(gzip.compress(raw, mtime=0))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / ("v" + suffix.split()[0])
+        path.write_bytes(content)
+        with np.errstate(all="ignore"):  # scaled garbage may overflow or be NaN
+            result, peak = traced_peak(read_nifti, path, kind)
+    if isinstance(result, Exception):
+        assert type(result).__module__ == "regionmae.errors", repr(result)
+        assert str(result).startswith(f"{path}: ")
+        # nothing sized by the header's claims alone: the output (at most 4
+        # bytes per payload byte), a frame and its inflated copy, of no more
+        # payload than the file's bytes can inflate to
+        ceiling = len(content) * (1032 if path.suffix == ".gz" else 1)
+        assert peak <= 6 * ceiling + 2**20, (peak, len(content))

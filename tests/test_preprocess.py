@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,46 @@ def test_temporal_constant_preserved(rng):
 def test_temporal_too_short():
     with pytest.raises(ValidationError):
         resample_temporal(vol_of(np.zeros((2, 2, 2, 1))), 0.8)
+
+
+def resample_oracle(data, tr, target_tr):
+    """Whole-array linear resampling: lo + w (hi - lo) with full-size gathers."""
+    n_t = data.shape[3]
+    n_out = int(np.floor((n_t - 1) * tr / target_tr + 1e-9)) + 1
+    pos = np.arange(n_out, dtype=np.float64) * (target_tr / tr)
+    i0 = np.minimum(np.floor(pos).astype(np.int64), n_t - 2)
+    w = np.clip(pos - i0, 0.0, 1.0).astype(data.dtype)
+    lo, hi = data[..., i0], data[..., i0 + 1]
+    return lo + w * (hi - lo)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_x", [1, 4, 7, 9])  # slabs of 4 x-planes, a partial one last
+def test_temporal_matches_whole_array_oracle(rng, dtype, n_x):
+    data = rng.normal(100.0, 20.0, size=(n_x, 3, 5, 6)).astype(dtype)
+    data[:, 0] = rng.normal(size=(n_x, 5, 1)).astype(dtype)  # constant series
+    for tr, target_tr in ((1.2, 0.8), (2.5, 0.8), (0.8, 2.0)):
+        out = resample_temporal(Volume4D(data=data, affine=np.eye(4), tr_seconds=tr),
+                                target_tr)
+        expect = resample_oracle(data, tr, target_tr)
+        assert out.data.dtype == dtype
+        assert out.data.tobytes() == expect.tobytes()
+        np.testing.assert_array_equal(out.data[:, 0], np.repeat(
+            data[:, 0, :, :1], out.n_timepoints, axis=-1))
+
+
+def test_temporal_peak_is_the_output(rng):
+    # 64x64x48x6 float32 at TR 1.2 s -> 8 frames at 0.8 s: a 6.3 MB output;
+    # a full-size gather of the lower neighbours would double it
+    vol = vol_of(rng.normal(size=(64, 64, 48, 6)), tr=1.2)
+    tracemalloc.start()
+    try:
+        out = resample_temporal(vol, 0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.data.shape == (64, 64, 48, 8)
+    assert peak <= out.data.nbytes + 2 * 2**20
 
 
 # -- field of view -----------------------------------------------------------
