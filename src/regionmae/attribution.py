@@ -109,12 +109,12 @@ def _baseline(data: np.ndarray, baseline) -> np.ndarray | None:
 
 def _volume_path(model, data: np.ndarray, x0, dtype):
     """The path on the volume as given, for a model seen only through
-    ``forward_classify``: ``(span, start, classify, to_voxels)``.
+    ``forward_classify``: ``(span, start, classify, times_gradient)``.
 
     ``span`` is ``x - x0``, taken in float64 and rounded to the pass dtype;
     ``start`` is ``x0`` in the pass dtype (a 0-d value for the mean
     baseline), or None for the zero baseline. The gradients are in voxel
-    order already.
+    order already, so ``times_gradient(out, grad)`` is ``out *= grad``.
     """
     if x0 is None:
         span, start = np.asarray(data, dtype=dtype, order="C"), None
@@ -122,11 +122,12 @@ def _volume_path(model, data: np.ndarray, x0, dtype):
         span = np.empty(data.shape, dtype=dtype)
         np.subtract(data, x0, out=span, dtype=np.float64)
         start = x0.astype(dtype, copy=False)
-    return span, start, model.forward_classify, lambda grad: grad
+    return span, start, model.forward_classify, lambda out, grad: np.multiply(out, grad, out=out)
 
 
 def _embedding_path(model, data: np.ndarray, x0, dtype):
-    """The path at the token embedding: ``(span, start, classify, to_voxels)``.
+    """The path at the token embedding: ``(span, start, classify,
+    times_gradient)``.
 
     The model's first layer is the affine ``embed``, ``rows @ W + b``, so
     the straight path from ``x0`` to ``x`` is the straight path from
@@ -134,9 +135,10 @@ def _embedding_path(model, data: np.ndarray, x0, dtype):
     ``span`` is ``(x - x0)_rows @ W`` and ``start`` is ``x0_rows @ W + b``
     (``b`` for the zero baseline), both in the pass dtype. The token rows
     are gathered into one buffer per call, first of ``x0``, then of
-    ``x - x0`` (taken in float64, rounded to the pass dtype). ``to_voxels``
-    turns an embedding gradient into the row gradient ``g @ W^T`` in
-    float64, seen in voxel order.
+    ``x - x0`` (taken in float64, rounded to the pass dtype).
+    ``times_gradient(out, grad)`` multiplies the row gradient ``grad @ W^T``
+    into ``out``'s token rows in float64, one lattice z-slab of rows at a
+    time, so no [N, k] row gradient is built.
     """
     view, dims = model.token_view(data)
     w, b = model.params["embed.w"].data, model.params["embed.b"].data
@@ -152,8 +154,13 @@ def _embedding_path(model, data: np.ndarray, x0, dtype):
         np.subtract(view, x0_view, out=tokens, dtype=np.float64)
     span = rows @ w
     w_t = w.astype(np.float64).T
-    return (span, start, lambda point: model.classify_embedded(point, dims),
-            lambda grad: model.voxel_view(grad @ w_t, dims))
+
+    def times_gradient(out: np.ndarray, grad: np.ndarray) -> None:
+        out_slabs = model.token_view(out)[0]
+        for out_slab, grad_slab in zip(out_slabs, grad.reshape(dims[0], -1, w.shape[1])):
+            out_slab *= (grad_slab @ w_t).reshape(out_slab.shape)
+
+    return span, start, lambda point: model.classify_embedded(point, dims), times_gradient
 
 
 @releases_freed_memory  # before the caller allocates its float64 outputs
@@ -205,7 +212,8 @@ def integrated_gradients(model, vol, baseline=ZERO, steps: int = 32) -> np.ndarr
     is a straight path in its [N, D0] embeddings, and the row gradient is
     the embedding gradient times ``W^T``. Every pass runs on an embedding
     point, the embedding gradients are summed, and ``W^T`` is applied to
-    their mean once per call, in float64; IG is invariant under this
+    their mean once per call, in float64, one lattice z-slab of token rows
+    at a time; IG is invariant under this
     rewrite (Sundararajan et al. 2017), so the map equals running the
     passes on the volume up to rounding. Any other model runs them on the
     volume as given, through ``forward_classify``.
@@ -222,18 +230,17 @@ def integrated_gradients(model, vol, baseline=ZERO, steps: int = 32) -> np.ndarr
     data, dtype = _volume_data(vol)
     x0 = _baseline(data, baseline)
     path = _embedding_path if hasattr(model, "classify_embedded") else _volume_path
-    span, start, classify, to_voxels = path(model, data, x0, dtype)
+    span, start, classify, times_gradient = path(model, data, x0, dtype)
     with frozen(getattr(model, "params", {}).values()):
         grad_sum = _gradient_sum(classify, steps, span, start)
     del span, start
     grad_sum /= steps
-    mean_grad = to_voxels(grad_sum)
     out = np.empty(data.shape)  # x - x0 in float64, then times the mean gradient
     if x0 is None:
         np.copyto(out, data)
     else:
         np.subtract(data, x0, out=out)
-    out.reshape(mean_grad.shape)[...] *= mean_grad
+    times_gradient(out, grad_sum)
     return out
 
 

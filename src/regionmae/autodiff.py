@@ -279,9 +279,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _record(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
+def record_op(out: Tensor, parents: tuple[Tensor, ...], backward) -> Tensor:
     """Mark ``out`` differentiable and push its slot and the closure if a
-    tape is active."""
+    tape is active. Ops written elsewhere (the model's voxel boundaries)
+    record through it too."""
     tape = active_tape()
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -309,7 +310,7 @@ def add(a, b) -> Tensor:
         if gb is not None:
             sb.accumulate_grad(gb)
 
-    return _record(out, (a, b), backward)
+    return record_op(out, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
@@ -324,7 +325,7 @@ def sub(a, b) -> Tensor:
         if sb.requires_grad:
             sb.accumulate_grad(_unbroadcast(-g, sb.shape))
 
-    return _record(out, (a, b), backward)
+    return record_op(out, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
@@ -342,7 +343,7 @@ def mul(a, b) -> Tensor:
         if a_data is not None:
             sb.accumulate_grad(_unbroadcast(g * a_data, sb.shape))
 
-    return _record(out, (a, b), backward)
+    return record_op(out, (a, b), backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -363,7 +364,7 @@ def matmul(a, b) -> Tensor:
         if a_data is not None:
             sb.accumulate_grad(_unbroadcast(a_data.swapaxes(-1, -2) @ g, sb.shape))
 
-    return _record(out, (a, b), backward)
+    return record_op(out, (a, b), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -381,7 +382,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     def backward(g):
         sx.accumulate_grad(g.reshape(old))
 
-    return _record(out, (x,), backward)
+    return record_op(out, (x,), backward)
 
 
 def transpose(x: Tensor, axes) -> Tensor:
@@ -393,7 +394,7 @@ def transpose(x: Tensor, axes) -> Tensor:
     def backward(g):
         sx.accumulate_grad(g.transpose(inverse))
 
-    return _record(out, (x,), backward)
+    return record_op(out, (x,), backward)
 
 
 def roll(x: Tensor, shifts, axes) -> Tensor:
@@ -404,7 +405,7 @@ def roll(x: Tensor, shifts, axes) -> Tensor:
     def backward(g):
         sx.accumulate_grad(np.roll(g, neg, axis=axes))
 
-    return _record(out, (x,), backward)
+    return record_op(out, (x,), backward)
 
 
 def take_rows(x: Tensor, indices) -> Tensor:
@@ -419,7 +420,7 @@ def take_rows(x: Tensor, indices) -> Tensor:
         np.add.at(gx, idx, g)
         sx.accumulate_grad(gx)
 
-    return _record(out, (x,), backward)
+    return record_op(out, (x,), backward)
 
 
 def take_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -434,7 +435,7 @@ def take_cols(x: Tensor, start: int, stop: int) -> Tensor:
             sx.grad = np.zeros(sx.shape, dtype=sx.dtype)
         sx.grad[..., start:stop] += g
 
-    return _record(out, (x,), backward)
+    return record_op(out, (x,), backward)
 
 
 def exp(x: Tensor) -> Tensor:
@@ -445,7 +446,7 @@ def exp(x: Tensor) -> Tensor:
     def backward(g):
         sx.accumulate_grad(g * y)
 
-    return _record(Tensor(y), (x,), backward)
+    return record_op(Tensor(y), (x,), backward)
 
 
 def log(x: Tensor) -> Tensor:
@@ -455,7 +456,7 @@ def log(x: Tensor) -> Tensor:
     def backward(g):
         sx.accumulate_grad(g / xd)
 
-    return _record(Tensor(np.log(xd)), (x,), backward)
+    return record_op(Tensor(np.log(xd)), (x,), backward)
 
 
 def reciprocal(x: Tensor) -> Tensor:
@@ -466,7 +467,7 @@ def reciprocal(x: Tensor) -> Tensor:
     def backward(g):
         sx.accumulate_grad(-g * y * y)
 
-    return _record(Tensor(y), (x,), backward)
+    return record_op(Tensor(y), (x,), backward)
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -477,7 +478,7 @@ def sqrt(x: Tensor) -> Tensor:
     def backward(g):
         sx.accumulate_grad(g * 0.5 / y)
 
-    return _record(Tensor(y), (x,), backward)
+    return record_op(Tensor(y), (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -489,7 +490,7 @@ def sigmoid(x: Tensor) -> Tensor:
     def backward(g):
         sx.accumulate_grad(g * y * (1.0 - y))
 
-    return _record(Tensor(y), (x,), backward)
+    return record_op(Tensor(y), (x,), backward)
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -502,7 +503,7 @@ def softplus(x: Tensor) -> Tensor:
             sig = 1.0 / (1.0 + np.exp(-xd))
         sx.accumulate_grad(g * sig)
 
-    return _record(out, (x,), backward)
+    return record_op(out, (x,), backward)
 
 
 def silu(x: Tensor) -> Tensor:
@@ -516,7 +517,7 @@ def silu(x: Tensor) -> Tensor:
             sig = 1.0 / (1.0 + np.exp(-xd))
         sx.accumulate_grad(g * sig * (1.0 + xd * (1.0 - sig)))
 
-    return _record(out, (x,), backward)
+    return record_op(out, (x,), backward)
 
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -534,7 +535,7 @@ def gelu(x: Tensor) -> Tensor:
         pdf = _INV_SQRT2PI * np.exp(-0.5 * xd * xd)
         sx.accumulate_grad(g * (cdf + xd * pdf).astype(xd.dtype))
 
-    return _record(out, (x,), backward)
+    return record_op(out, (x,), backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -552,7 +553,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         g *= y
         sx.accumulate_grad(g)
 
-    return _record(Tensor(y), (x,), backward)
+    return record_op(Tensor(y), (x,), backward)
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -581,7 +582,7 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
             m2 = (gh * xhat).mean(axis=-1, keepdims=True)
             sx.accumulate_grad(inv * (gh - m1 - xhat * m2))
 
-    return _record(out, (x, gamma, beta), backward)
+    return record_op(out, (x, gamma, beta), backward)
 
 
 def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -593,7 +594,7 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         gk = g if axis is None or keepdims else np.expand_dims(g, axis)
         sx.accumulate_grad(np.broadcast_to(gk, sx.shape).astype(sx.dtype, copy=True))
 
-    return _record(out, (x,), backward)
+    return record_op(out, (x,), backward)
 
 
 def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -606,7 +607,7 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         gk = g if axis is None or keepdims else np.expand_dims(g, axis)
         sx.accumulate_grad((np.broadcast_to(gk, sx.shape) / denom).astype(sx.dtype, copy=True))
 
-    return _record(out, (x,), backward)
+    return record_op(out, (x,), backward)
 
 
 def sum_sq(x: Tensor) -> Tensor:
@@ -618,7 +619,7 @@ def sum_sq(x: Tensor) -> Tensor:
     def backward(g):
         sx.accumulate_grad(g * 2.0 * xd)
 
-    return _record(out, (x,), backward)
+    return record_op(out, (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +784,7 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
             ga /= at
             sa.accumulate_grad(ga.T)
 
-    return _record(Tensor(y), (u, delta, a, b, c, d_skip), backward)
+    return record_op(Tensor(y), (u, delta, a, b, c, d_skip), backward)
 
 
 def bce_with_logits(logits: Tensor, targets) -> Tensor:
@@ -803,4 +804,4 @@ def bce_with_logits(logits: Tensor, targets) -> Tensor:
             sig = 1.0 / (1.0 + np.exp(-z))
         sz.accumulate_grad(g * (sig - y) / n)
 
-    return _record(out, (logits,), backward)
+    return record_op(out, (logits,), backward)

@@ -25,6 +25,12 @@ temporal slab ``t``.  A patch-major boolean mask therefore lines up with the
 token matrix row for row.  Internally the token axis factorizes C-order as
 a ``(z, y, x, t)`` lattice; the window tuple in the config stays (x, y, z, t)
 and is reordered at the boundary.
+
+The two voxel <-> token boundaries, the patch embedding and the
+reconstruction head, are fused taped ops that work one lattice z-slab of
+token rows at a time (:meth:`HybridModel._embed`, :meth:`HybridModel._head`):
+no [N, k] patchified copy of a volume, head output or transposed gradient
+is ever whole.
 """
 
 from __future__ import annotations
@@ -380,31 +386,117 @@ class HybridModel:
         """A [X, Y, Z, T] array seen in token order without a copy, and its
         lattice dims. The view has the ``_patch_axes`` shape, and its C-order
         elements are the [N, k] token rows (:meth:`rows_shape`); row
-        p*nt + t covers patch p, slab t."""
+        p*nt + t covers patch p, slab t. Index i of its first axis is
+        lattice z-slab i: token rows i*ny*nx*nt up to the next slab."""
         x = np.asarray(vol)
         dims = self.lattice_dims(x.shape)
         return x.reshape(self._voxel_axes(dims)).transpose(TOKEN_ORDER), dims
 
-    def voxel_view(self, rows: np.ndarray, dims) -> np.ndarray:
-        """C-contiguous token rows (any shape of N*k elements) seen in voxel
-        order without a copy: the (nx, px, ny, py, nz, pz, nt, pt) split of
-        the [X, Y, Z, T] volume."""
-        return rows.reshape(self._patch_axes(dims)).transpose(VOXEL_ORDER)
+    def _runs(self, arr: np.ndarray, shape) -> np.ndarray:
+        """A C-contiguous array seen as ``shape`` of ``np.void`` items, each
+        one contiguous run of t_patch numbers, without a copy. A copy
+        between two such views moves one item per run, not one number per
+        voxel."""
+        assert arr.flags.c_contiguous, "a run view needs a C-contiguous array"
+        run = np.dtype((np.void, self.config.t_patch * arr.itemsize))
+        return arr.reshape(-1).view(run).reshape(shape)
+
+    def _volume_runs(self, vol: np.ndarray, dims) -> np.ndarray:
+        """:meth:`token_view` of a C-contiguous volume as runs (its pt axis
+        folded into the items); index i is z-slab i. The void view is taken
+        before the permutation, which numpy 1.24 allows."""
+        return self._runs(vol, self._voxel_axes(dims)[:-1]).transpose(TOKEN_ORDER[:-1])
+
+    def _gather(self, vol: np.ndarray, dims):
+        """Each z-slab of a C-contiguous volume's token rows in turn,
+        copied into one reused [ny*nx*nt, k] buffer."""
+        rows = np.empty((math.prod(dims[1:]), self.rows_shape(dims)[1]), vol.dtype)
+        runs = self._runs(rows, self._patch_axes(dims)[1:-1])
+        for slab in self._volume_runs(vol, dims):
+            np.copyto(runs, slab)
+            yield rows
+
+    def _scatter(self, vol: np.ndarray, dims, slabs) -> None:
+        """Write each C-contiguous [ny*nx*nt, k] array of ``slabs`` into
+        that z-slab of a C-contiguous volume's token rows."""
+        for dst, rows in zip(self._volume_runs(vol, dims), slabs):
+            np.copyto(dst, self._runs(np.asarray(rows, vol.dtype), dst.shape))
+
+    def _embed(self, x: Tensor, dims) -> Tensor:
+        """``token_view(x)`` rows @ embed.w + embed.b on the tape, gathered
+        one z-slab at a time, so no [N, k] copy of ``x`` is made. The
+        backward keeps a reference to ``x``'s array, not a copy, and gathers
+        each slab again for the weight gradient; an ``x`` that requires a
+        gradient gets ``g @ W^T`` written into its gradient slab by slab."""
+        w, b = self.params["embed.w"], self.params["embed.b"]
+        dtype = np.result_type(x.dtype, w.dtype, b.dtype)
+        w_data = w.data.astype(dtype, copy=False)
+        out = np.empty((self.rows_shape(dims)[0], w.shape[1]), dtype)
+        for slab, rows in zip(out.reshape(dims[0], -1, w.shape[1]), self._gather(x.data, dims)):
+            np.matmul(rows, w_data, out=slab)
+        out += b.data
+        sx, sw, sb = x.slot, w.slot, b.slot
+        # the backward reads x only for the weight gradient, W only for x's
+        x_data = x.data if sw.requires_grad else None
+        w_data = w_data if sx.requires_grad else None
+
+        def backward(g):
+            g_slabs = g.reshape(dims[0], -1, g.shape[-1])
+            if x_data is not None:
+                sw.accumulate_grad(sum(rows.T @ g_slab for rows, g_slab
+                                       in zip(self._gather(x_data, dims), g_slabs)))
+            if sb.requires_grad:
+                sb.accumulate_grad(g.sum(axis=0))
+            if w_data is not None:
+                gx = np.empty(sx.shape, g.dtype)
+                self._scatter(gx, dims, (g_slab @ w_data.T for g_slab in g_slabs))
+                sx.accumulate_grad(gx)
+
+        return ad.record_op(Tensor(out), (x, w, b), backward)
+
+    def _head(self, tokens: Tensor, dims) -> Tensor:
+        """tokens @ head.w + head.b on the tape, written one z-slab at a
+        time straight into the [X, Y, Z, T] volume, so no [N, k] array is
+        made: the inverse layout of :meth:`_embed`. The backward gathers the
+        volume gradient slab by slab for the weight, bias and token
+        gradients."""
+        w, b = self.params["head.w"], self.params["head.b"]
+        dtype = np.result_type(tokens.dtype, w.dtype, b.dtype)
+        w_data = w.data.astype(dtype, copy=False)
+        split = self._voxel_axes(dims)  # (nx, px, ny, py, nz, pz, nt, pt)
+        out = np.empty(tuple(n * p for n, p in zip(split[::2], split[1::2])), dtype)
+        t_slabs = tokens.data.reshape(dims[0], -1, tokens.shape[-1])
+        self._scatter(out, dims, (t_slab @ w_data + b.data for t_slab in t_slabs))
+        st, sw, sb = tokens.slot, w.slot, b.slot
+        # the backward reads the tokens only for the weight gradient, W only
+        # for the tokens'
+        t_slabs = t_slabs if sw.requires_grad else None
+        w_data = w_data if st.requires_grad else None
+
+        def backward(g):
+            gw = None if t_slabs is None else np.zeros(sw.shape, g.dtype)
+            gb = np.zeros(sb.shape, g.dtype) if sb.requires_grad else None
+            gt = None if w_data is None else np.empty(st.shape, g.dtype)
+            for i, rows in enumerate(self._gather(np.ascontiguousarray(g), dims)):
+                if gw is not None:
+                    gw += t_slabs[i].T @ rows
+                if gb is not None:
+                    gb += rows.sum(axis=0)
+                if gt is not None:
+                    np.matmul(rows, w_data.T, out=gt.reshape(dims[0], -1, gt.shape[-1])[i])
+            for slot, grad in ((sw, gw), (sb, gb), (st, gt)):
+                if grad is not None:
+                    slot.accumulate_grad(grad)
+
+        return ad.record_op(Tensor(out), (tokens, w, b), backward)
 
     def patch_embed(self, vol) -> tuple[Tensor, tuple]:
-        """Voxel blocks -> D-dim tokens: :meth:`token_view` on the tape, row
-        p*nt + t covering patch p, slab t. A Tensor input keeps its graph."""
+        """Voxel blocks -> D-dim tokens, row p*nt + t covering patch p, slab
+        t (:meth:`token_view`), embedded one z-slab at a time
+        (:meth:`_embed`). A Tensor input keeps its graph."""
         x = ad.as_tensor(vol)
         dims = self.lattice_dims(x.shape)
-        blocks = ad.transpose(ad.reshape(x, self._voxel_axes(dims)), TOKEN_ORDER)
-        return self._lin("embed", ad.reshape(blocks, self.rows_shape(dims))), dims
-
-    def _unpatchify(self, recon: Tensor, dims) -> Tensor:
-        """:meth:`voxel_view` on the tape, as a [X, Y, Z, T] volume (inverse
-        of patch_embed)."""
-        vox = ad.transpose(ad.reshape(recon, self._patch_axes(dims)), VOXEL_ORDER)
-        split = vox.shape  # (nx, px, ny, py, nz, pz, nt, pt)
-        return ad.reshape(vox, tuple(n * p for n, p in zip(split[::2], split[1::2])))
+        return self._embed(x, dims), dims
 
     def encode(self, tokens: Tensor, dims) -> tuple[Tensor, tuple]:
         for prefix, kind, stage, local in self.enc_blocks:
@@ -421,7 +513,8 @@ class HybridModel:
         return tokens, dims
 
     def forward_pretrain(self, vol, mask: MaskTensor) -> Tensor:
-        """Masked volume in, reconstructed volume (same shape) out."""
+        """Masked volume in, reconstructed volume (same shape) out; the head
+        writes the reconstruction in voxel order one z-slab at a time."""
         tokens, dims = self.patch_embed(vol)
         if mask.mask.shape != (math.prod(dims[:3]), dims[3]):
             raise ValidationError(
@@ -429,8 +522,7 @@ class HybridModel:
         # patch-major mask rows are token rows
         tokens = apply_mask(tokens, mask.flat(), self.params["mask_token"])
         tokens, dims = self.decode(*self.encode(tokens, dims))
-        tokens = self._norm("head.norm", tokens)
-        return self._unpatchify(self._lin("head", tokens), dims)
+        return self._head(self._norm("head.norm", tokens), dims)
 
     def classify_embedded(self, tokens, dims) -> Tensor:
         """[N, D0] embedded tokens -> encoder, mean pool, linear head ->

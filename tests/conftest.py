@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,3 +13,13 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def traced_peak(fn, *args):
+    """(fn's result, the peak bytes traced while it ran) of one call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

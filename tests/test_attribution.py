@@ -252,29 +252,49 @@ def test_token_path_matches_voxel_path_bytewise(rng, conf):
 
 
 def test_no_pass_permutes_the_volume(rng, monkeypatch):
-    sizes = []
-    real = ad.transpose
+    sizes, embeds, held = [], [], []
+    real_transpose, real_embed, real_record = (
+        ad.transpose, HybridModel.patch_embed, ad.Tape.record)
 
-    def spy(t, axes):
+    def transpose_spy(t, axes):
         sizes.append(t.size)
-        return real(t, axes)
+        return real_transpose(t, axes)
 
-    monkeypatch.setattr(ad, "transpose", spy)
+    def embed_spy(self, vol):
+        embeds.append(vol.shape)
+        return real_embed(self, vol)
+
+    def record_spy(tape, output, backward):
+        # the largest array a backward closure keeps, and the op's output
+        cells = [c.cell_contents for c in backward.__closure__ or ()]
+        held.append(max([a.nbytes for a in cells if isinstance(a, np.ndarray)]
+                        + [output.dtype.itemsize * int(np.prod(output.shape))]))
+        return real_record(tape, output, backward)
+
+    monkeypatch.setattr(ad, "transpose", transpose_spy)
+    monkeypatch.setattr(HybridModel, "patch_embed", embed_spy)
+    monkeypatch.setattr(ad.Tape, "record", record_spy)
     model = small_model()  # MA: its attention blocks still transpose
-    x = rng.normal(size=(12, 12, 12, 4)).astype(np.float32)
+    # 64 tokens: the [k, D0] embedding weight is an eighth of the volume
+    x = rng.normal(size=(24, 24, 24, 4)).astype(np.float32)
     integrated_gradients(model, x, ZERO, steps=2)
     assert sizes and max(sizes) < x.size
+    assert embeds == []  # the passes start at the embedding
     sizes.clear()
+    held.clear()
     integrated_gradients(VoxelOnly(model), x, ZERO, steps=2)
-    assert sizes.count(x.size) == 2  # forward_classify's token permutation, once per pass
+    assert sizes and max(sizes) < x.size
+    assert embeds == [x.shape] * 2  # one embedding per pass
+    # the embedding keeps only its weight for the volume's gradient
+    assert held and max(held) < x.nbytes
 
 
 def test_explicit_baseline_is_not_copied_into_token_order(rng):
     # float64 passes on a float64 baseline: the token rows (of x0, then of
     # x - x0) take one volume and are dropped before the passes, which run
-    # on [N, D0] embeddings; the mean row gradient and the result take two
-    # volumes at the end. Any other volume held beside them would take a
-    # third
+    # on [N, D0] embeddings; the result takes one volume at the end, and the
+    # row gradient is multiplied into it one lattice z-slab at a time. Any
+    # other volume held beside it would take a second
     model = HybridModel(ModelConfig(embed_dim=8, stage_depths=(1, 1),
                                     ssm_state_dim=4, configuration=MAMBA))
     x = rng.normal(size=(48, 48, 48, 4))
@@ -286,7 +306,7 @@ def test_explicit_baseline_is_not_copied_into_token_order(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * x.nbytes, peak / x.nbytes
+    assert peak <= 1.5 * x.nbytes, peak / x.nbytes
 
 
 def test_parameters_get_no_gradients(rng):

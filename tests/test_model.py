@@ -1,15 +1,18 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from scipy.special import erf
+
+from conftest import traced_peak
 
 from regionmae import autodiff as ad
 from regionmae.atlas import PatchGrid
 from regionmae.autodiff import Tape, Tensor
 from regionmae.checkpoint import load_checkpoint, save_checkpoint
 from regionmae.errors import ValidationError
-from regionmae.masking import MaskTensor
+from regionmae.masking import MaskTensor, apply_mask
 from regionmae.model import (
     ALTERNATE,
     AM,
@@ -17,6 +20,7 @@ from regionmae.model import (
     MA,
     MAMBA,
     SSM,
+    VOXEL_ORDER,
     HybridModel,
     ModelConfig,
     _effective_window,
@@ -24,6 +28,7 @@ from regionmae.model import (
     _to_windows,
     assign_operators,
 )
+from regionmae.training import masked_mse
 
 
 def tiny_config(**kw):
@@ -495,11 +500,116 @@ def _patch_index_oracle(shape, patch_size, t_patch) -> np.ndarray:
     return idx.reshape(nx * ny * nz * nt, px * py * pz * t_patch)
 
 
+def _slab_linear(rows, dims, w, b):
+    """rows @ w + b, one lattice z-slab of rows (a dims[0]-th of them) per
+    matmul: the oracle of the model's voxel-boundary ops."""
+    return np.concatenate([slab @ w for slab in np.split(rows, dims[0])]) + b
+
+
+# (config changes, volume shape): 6^3 x 4 patches; non-cubic patches with
+# t_patch 2; and a lattice of a single z-slab
+BOUNDARY_CASES = [
+    (dict(), (24, 24, 24, 8)),
+    (dict(patch_size=(2, 3, 4), t_patch=2), (8, 12, 16, 4)),
+    (dict(patch_size=(2, 3, 4), t_patch=2, stage_depths=(1,)), (8, 12, 4, 4)),
+]
+# the boundary ops against one matmul over all rows: rounding only
+SINGLE_MATMUL_TOLERANCE = {np.float32: 2e-6, np.float64: 1e-14}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("changes, shape", BOUNDARY_CASES)
+def test_boundary_ops_match_a_slab_oracle_bytewise(changes, shape, dtype):
+    m = HybridModel(tiny_config(**changes))
+    m.to_dtype(dtype)
+    p = {name: t.data for name, t in m.params.items()}
+    rng = np.random.default_rng(31)
+    vol = rng.normal(size=shape).astype(dtype)
+    view, dims = m.token_view(vol)
+    rows = view.reshape(m.rows_shape(dims))
+    tokens = _slab_linear(rows, dims, p["embed.w"], p["embed.b"])
+    embedded, _ = m.patch_embed(vol)
+    assert embedded.data.tobytes() == tokens.tobytes()
+    logit = m.classify_embedded(tokens, dims).data
+    assert m.forward_classify(vol).data.tobytes() == logit.tobytes()
+
+    mask = rng.random((math.prod(dims[:3]), dims[3])) < 0.4
+    mt = MaskTensor(mask=mask, voxels_per_patch=math.prod(m.config.patch_size),
+                    t_patch_len=m.config.t_patch)
+    hidden = apply_mask(Tensor(tokens), mt.flat(), m.params["mask_token"])
+    hidden, _ = m.decode(*m.encode(hidden, dims))
+    hidden = m._norm("head.norm", hidden).data
+    recon_rows = _slab_linear(hidden, dims, p["head.w"], p["head.b"])
+    recon = m.forward_pretrain(vol, mt).data
+    want = recon_rows.reshape(view.shape).transpose(VOXEL_ORDER)  # voxel order
+    assert recon.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    tol = SINGLE_MATMUL_TOLERANCE[dtype]
+    for got, single in ((tokens, rows @ p["embed.w"] + p["embed.b"]),
+                        (recon_rows, hidden @ p["head.w"] + p["head.b"])):
+        assert np.abs(got - single).max() <= tol * np.abs(single).max()
+
+
+@pytest.mark.parametrize("shape", [(4, 6, 8, 4), (4, 6, 4, 4)])  # 2 z-slabs, 1
+def test_boundary_ops_gradcheck(shape):
+    m = HybridModel(tiny_config(patch_size=(2, 3, 4), t_patch=2))
+    m.to_dtype(np.float64)
+    rng = np.random.default_rng(37)
+    vol = Tensor(rng.normal(size=shape), requires_grad=True)
+    dims = m.lattice_dims(shape)
+    tokens = Tensor(rng.normal(size=(m.rows_shape(dims)[0], 8)), requires_grad=True)
+    weights = Tensor(rng.normal(size=tokens.shape)), Tensor(rng.normal(size=shape))
+
+    def loss():
+        embedded, recon = m._embed(vol, dims), m._head(tokens, dims)
+        return ad.add(ad.tsum(ad.mul(embedded, weights[0])),
+                      ad.tsum(ad.mul(recon, weights[1])))
+
+    leaves = {"volume": vol, "head-norm tokens": tokens,
+              **{name: m.params[name] for name in ("embed.w", "embed.b", "head.w", "head.b")}}
+    with Tape() as tape:
+        tape.backward(loss())
+    for name, leaf in leaves.items():
+        flat, want = leaf.data.reshape(-1), np.empty(leaf.size)
+        for i in range(flat.size):
+            old = flat[i]
+            flat[i] = old + 1e-6
+            up = loss().data
+            flat[i] = old - 1e-6
+            want[i] = (up - loss().data) / 2e-6
+            flat[i] = old
+        err = np.abs(leaf.grad.reshape(-1) - want).max() / np.abs(want).max()
+        assert err <= 1e-8, (name, err)
+
+
+def test_taped_step_makes_no_volume_copy():
+    # A MAMBA step at 48^3 x 8 peaks in masked_mse (its voxel mask, index
+    # and gathered target) beside the reconstruction and the tape. An [N, k]
+    # copy of the volume kept by the embedding for its weight gradient would
+    # add one volume to that peak, and a full-size head output beside its
+    # volume-order copy would add more at the head.
+    m = HybridModel(ModelConfig(configuration=MAMBA))
+    rng = np.random.default_rng(41)
+    vol = rng.normal(size=(48, 48, 48, 8)).astype(np.float32)
+    mt = MaskTensor(mask=rng.random((512, 2)) < 0.5, voxels_per_patch=216, t_patch_len=4)
+
+    def step():
+        with Tape() as tape:
+            tape.backward(masked_mse(m.forward_pretrain(vol, mt), vol, mt))
+
+    step()  # warm the model's caches
+    _, peak = traced_peak(step)
+    assert peak <= 7.7 * vol.nbytes, peak / vol.nbytes
+
+
 def test_unpatchify_inverts_patch_embed():
+    # an identity head writes each token row back over the voxels it came from
     m = _identity_embedding()
+    m.params["head.w"].data[:] = np.eye(16, dtype=np.float32)
+    m.params["head.b"].data[:] = 0.0
     vol = np.random.default_rng(4).normal(size=(4, 6, 10, 4)).astype(np.float32)
     tokens, dims = m.patch_embed(vol)
-    back = m._unpatchify(tokens, dims)
+    back = m._head(tokens, dims)
     assert back.shape == vol.shape
     np.testing.assert_array_equal(back.data, vol)
 
@@ -514,21 +624,23 @@ def test_token_views_roundtrip_in_the_taped_order():
     rows = view.reshape(m.rows_shape(dims))  # a copy: the view is strided
     np.testing.assert_array_equal(
         rows, vol.reshape(-1)[_patch_index_oracle(vol.shape, (2, 2, 2), 2)])
-    seen = m.voxel_view(rows, dims)
+    # the rows seen back in voxel order without a copy: the inverse permutation
+    seen = rows.reshape(view.shape).transpose(VOXEL_ORDER)
     assert np.shares_memory(seen, rows)
     np.testing.assert_array_equal(seen.reshape(vol.shape), vol)
 
 
 def test_classify_tokens_is_forward_classify_on_rows():
-    # Classifying token rows: embed the token_view rows by hand, then
-    # classify_embedded, byte for byte what forward_classify gives.
+    # Classifying token rows: embed the token_view rows by hand, one
+    # lattice z-slab per matmul, then classify_embedded, byte for byte what
+    # forward_classify gives.
     m = HybridModel(tiny_config(stage_depths=(1, 1), configuration=ALTERNATE))
     vol = np.random.default_rng(6).normal(size=(24, 24, 24, 8)).astype(np.float32)
     view, dims = m.token_view(vol)
     rows = view.reshape(m.rows_shape(dims))
     np.testing.assert_array_equal(
         rows, vol.reshape(-1)[_patch_index_oracle(vol.shape, (6, 6, 6), 4)])
-    tokens = rows @ m.params["embed.w"].data + m.params["embed.b"].data
+    tokens = _slab_linear(rows, dims, m.params["embed.w"].data, m.params["embed.b"].data)
     got = m.classify_embedded(tokens, dims).data
     assert got.tobytes() == m.forward_classify(vol).data.tobytes()
     with pytest.raises(ValidationError):
@@ -540,7 +652,7 @@ def test_classify_embedded_is_classify_tokens_after_embed():
     vol = np.random.default_rng(7).normal(size=(24, 24, 24, 8)).astype(np.float32)
     view, dims = m.token_view(vol)
     rows = view.reshape(m.rows_shape(dims))
-    tokens = rows @ m.params["embed.w"].data + m.params["embed.b"].data
+    tokens = _slab_linear(rows, dims, m.params["embed.w"].data, m.params["embed.b"].data)
     embedded, embed_dims = m.patch_embed(vol)
     assert embed_dims == dims
     assert embedded.data.tobytes() == tokens.tobytes()

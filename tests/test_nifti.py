@@ -2,7 +2,6 @@ import gzip
 import struct
 import tempfile
 import time
-import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -10,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import traced_peak
 
 from regionmae.errors import (
     FormatError,
@@ -428,17 +429,12 @@ def test_corrupt_gzip_names_file(tmp_path, rng):
             read_nifti(path, kind="volume")
 
 
-def traced_peak(fn, *args):
-    """(fn's result or raised exception, peak bytes it allocated) of one call."""
-    tracemalloc.start()
+def result_or_error(fn, *args):
+    """fn's result, or the exception it raised."""
     try:
-        try:
-            result = fn(*args)
-        except Exception as exc:
-            result = exc
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return fn(*args)
+    except Exception as exc:
+        return exc
 
 
 def write_as(path, raw):
@@ -463,7 +459,7 @@ def test_declared_payload_checked_before_allocation(tmp_path, name):
     raw = make_raw("<", (96, 96, 96, 8), 16, np.ones(2, dtype=np.float32))
     assert len(raw) == 360
     path = write_as(tmp_path / name, raw)
-    error, peak = traced_peak(read_nifti, path, "volume")
+    error, peak = traced_peak(result_or_error, read_nifti, path, "volume")
     assert type(error) is TruncatedFileError
     assert str(error).startswith(f"{path}: ")
     assert peak < 2**20
@@ -564,7 +560,7 @@ def test_mutated_file_raises_only_package_errors(kind, suffix, edits, cut):
         path = Path(tmp) / ("v" + suffix.split()[0])
         path.write_bytes(content)
         with np.errstate(all="ignore"):  # scaled garbage may overflow or be NaN
-            result, peak = traced_peak(read_nifti, path, kind)
+            result, peak = traced_peak(result_or_error, read_nifti, path, kind)
     if isinstance(result, Exception):
         assert type(result).__module__ == "regionmae.errors", repr(result)
         assert str(result).startswith(f"{path}: ")

@@ -1,7 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
+
+from conftest import traced_peak
 
 from regionmae.atlas import MACROREGIONS, classify_patches
 from regionmae.errors import ValidationError
@@ -130,20 +130,11 @@ def test_write_cohort_roundtrip(tmp_path):
     assert (tmp_path / "synth_params.json").exists()
 
 
-def traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_write_cohort_holds_one_subject_at_a_time(tmp_path):
     cfg = SynthConfig(n_subjects=1, shape=(32, 32, 32), n_timepoints=4, seed=6)
     write_cohort(cfg, tmp_path / "warm")
-    one = traced_peak(write_cohort, cfg, tmp_path / "one")
-    four = traced_peak(write_cohort, SynthConfig(
+    _, one = traced_peak(write_cohort, cfg, tmp_path / "one")
+    _, four = traced_peak(write_cohort, SynthConfig(
         n_subjects=4, shape=cfg.shape, n_timepoints=4, seed=6), tmp_path / "four")
     volume = 32 ** 3 * 4 * 4  # one float32 subject as written
     assert four - one < volume, (four - one) / volume
@@ -156,7 +147,7 @@ def test_synth_subject_builds_the_noise_in_place():
     atlas, regions = wedge_atlas(cfg)
     rng = np.random.default_rng(0)
     synth_subject(cfg, rng, 1, atlas, regions)  # warm
-    peak = traced_peak(synth_subject, cfg, rng, 1, atlas, regions)
+    _, peak = traced_peak(synth_subject, cfg, rng, 1, atlas, regions)
     volume64 = 32 ** 3 * 4 * 8
     assert peak < 2 * volume64, peak / volume64
 
