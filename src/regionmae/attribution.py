@@ -134,20 +134,23 @@ def _embedding_path(model, data: np.ndarray, x0, dtype):
     ``x0_rows @ W + b`` to ``x_rows @ W + b`` in its [N, D0] embeddings:
     ``span`` is ``(x - x0)_rows @ W`` and ``start`` is ``x0_rows @ W + b``
     (``b`` for the zero baseline), both in the pass dtype. The token rows
-    are gathered into one buffer per call, first of ``x0``, then of
-    ``x - x0`` (taken in float64, rounded to the pass dtype).
+    are gathered into one buffer per call: of ``x`` in the pass dtype one
+    ``t_patch`` run at a time for the zero baseline, else of ``x0``, then
+    of ``x - x0`` (taken in float64, rounded to the pass dtype).
     ``times_gradient(out, grad)`` multiplies the row gradient ``grad @ W^T``
     into ``out``'s token rows in float64, one lattice z-slab of rows at a
     time, so no [N, k] row gradient is built.
     """
-    view, dims = model.token_view(data)
+    view, plan = model.token_view(data)
+    dims = plan[0].dims
     w, b = model.params["embed.w"].data, model.params["embed.b"].data
     rows = np.empty(model.rows_shape(dims), dtype=dtype)
-    tokens = rows.reshape(view.shape)
     if x0 is None:
-        np.copyto(tokens, view)
+        np.copyto(model._runs(rows, view.shape[:-1]),
+                  model._volume_runs(np.ascontiguousarray(data, dtype), dims))
         start = b
     else:
+        tokens = rows.reshape(view.shape)
         x0_view = model.token_view(x0)[0] if x0.ndim else x0
         np.copyto(tokens, x0_view)
         start = rows @ w + b
@@ -160,7 +163,7 @@ def _embedding_path(model, data: np.ndarray, x0, dtype):
         for out_slab, grad_slab in zip(out_slabs, grad.reshape(dims[0], -1, w.shape[1])):
             out_slab *= (grad_slab @ w_t).reshape(out_slab.shape)
 
-    return span, start, lambda point: model.classify_embedded(point, dims), times_gradient
+    return span, start, lambda point: model.classify_embedded(point, plan), times_gradient
 
 
 @releases_freed_memory  # before the caller allocates its float64 outputs

@@ -30,8 +30,8 @@ from .config import CLI_ONLY, data_path, load_config, require_data_path, \
 from .errors import ConfigurationError, DegenerateDataError, GeometryError, \
     ValidationError
 from .masking import MaskSpec, build_mask, save_mask
-from .model import HybridModel, ModelConfig
-from .nifti import Volume4D, read_nifti, write_nifti
+from .model import HybridModel, ModelConfig, lattice_plan
+from .nifti import Volume4D, read_header, read_nifti, write_nifti
 from .preprocess import preprocess_volume, read_manifest, write_manifest, \
     write_qc_csv
 from .synth import SynthConfig, write_cohort
@@ -91,6 +91,23 @@ def _manifest(cfg: dict):
     manifest = require_data_path(cfg, "manifest")
     records = read_manifest(manifest)
     return records, [manifest] + [Path(r.path) for r in records]
+
+
+def _check_headers(model_cfg, records, grid=None, key="", same_t=False) -> None:
+    """Before any payload read, each record's header shape must span ``grid``
+    (config ``key``) if given, fit the model's :func:`lattice_plan` and, with
+    ``same_t``, have the first record's timepoint count."""
+    shapes = [(*read_header(rec.path).shape, 1)[:4] for rec in records]
+    for rec, shape in zip(records, shapes):
+        try:
+            if grid is not None and shape[:3] != tuple(grid):
+                raise ValidationError(f"{key}: volume shape {shape[:3]}, grid {tuple(grid)}")
+            lattice_plan(model_cfg, shape)
+            if same_t and shape[3] != shapes[0][3]:
+                raise ValidationError(f"data.manifest: {shape[3]} timepoints, the first "
+                                      f"subject has {shapes[0][3]}")
+        except ValidationError as exc:
+            raise ValidationError(f"subject {rec.subject_id} ({rec.path}): {exc}") from exc
 
 
 def cmd_synth(cfg: dict, args, out: Path) -> list:
@@ -198,6 +215,7 @@ def cmd_pretrain(cfg: dict, args, out: Path) -> list:
     inputs.append(sets_path)
     # split before any volume is read; the test split is not read at all
     train, val, _ = split_subjects(records, run.split, seed=cfg["run"]["seed"])
+    _check_headers(model_cfg, train + val, sets.grid.volume_shape, "data.patch_sets", True)
     pairs = lambda recs: [(r.subject_id, read_nifti(r.path, kind="volume").data)
                           for r in recs]
 
@@ -229,6 +247,7 @@ def cmd_finetune(cfg: dict, args, out: Path) -> list:
     inputs.append(ckpt)
     # split before any volume is read
     train, val, test = split_subjects(records, run.split, seed=cfg["run"]["seed"])
+    _check_headers(model_cfg, train + val + test)
     triples = lambda recs: [(r.subject_id, read_nifti(r.path, kind="volume").data,
                              int(r.label)) for r in recs]
     result = finetune(model, triples(train), triples(val), triples(test), run)
@@ -256,6 +275,7 @@ def cmd_attribute(cfg: dict, args, out: Path) -> list:
     restore_params(model.params, arrays)
     records, inputs = _manifest(cfg)
     inputs += [ckpt_path, atlas_path, map_path]
+    _check_headers(model_cfg, records, read_header(atlas_path).shape[:3], "data.atlas")
     atlas = read_nifti(atlas_path, kind="labels")
     regions = RegionMap.from_csv(map_path)
     attributed = []

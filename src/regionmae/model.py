@@ -2,9 +2,10 @@
 
 Every block is pre-norm residual and uses one of two core operators:
 
-* windowed multi-head self-attention over non-overlapping 4D windows, with
-  the usual cyclic half-window shift on alternating layers (cross-boundary
-  attention suppressed by additive -inf masks), or
+* windowed multi-head self-attention over non-overlapping 4D windows, where
+  every other attention block of each walk (the second, fourth, ...) takes
+  the cyclic half-window shift (cross-boundary attention suppressed by
+  additive -inf masks), or
 * a gated selective state-space scan over a fixed 1D ordering of the token
   lattice.
 
@@ -14,8 +15,9 @@ AM (attention encoder / scan decoder), and MA (the reverse).
 
 The encoder halves the spatial lattice and doubles feature width as it
 enters each stage after the first (patch merging); the decoder walks the
-same stages back down with patch expansion. Both walks are one list of
-(prefix, kind, stage, local) blocks. Attention windows, their shift mask,
+same stages back down with patch expansion. Both walks are lists of
+(prefix, kind, stage, shift) blocks, and :func:`lattice_plan` decides each
+stage's lattice, window and shifts. Attention windows, their shift mask,
 merging and expansion share one lattice <-> window permutation,
 :func:`_to_windows` and its inverse; a merge window is (2, 2, 2, 1).
 
@@ -36,8 +38,10 @@ is ever whole.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -129,14 +133,53 @@ def assign_operators(config: ModelConfig) -> list[str]:
     return [SSM] * n_enc + [ATT] * n_dec  # MA
 
 
-def _effective_window(window, dims) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Clamp the window to the lattice; shift only along axes with >1 window."""
-    eff = tuple(min(w, d) for w, d in zip(window, dims))
-    for w, d in zip(eff, dims):
-        if d % w:
-            raise ValidationError(f"window {eff} does not divide lattice {dims}")
-    shifts = tuple(w // 2 if d > w else 0 for w, d in zip(eff, dims))
-    return eff, shifts
+def _walks(config: ModelConfig) -> list[list[tuple]]:
+    """The encoder and the decoder walk as (prefix, kind, stage, shift)
+    blocks: the encoder walks the stages up, the decoder back down, the
+    operators are dealt out in that order, and every other attention block
+    of each walk (the second, fourth, ...) runs on shifted windows."""
+    ops, up, walks = iter(assign_operators(config)), range(config.n_stages), []
+    for side, stages in (("enc", up), ("dec", up[::-1])):
+        blocks = [(f"{side}{stage}.blk{local}", next(ops), stage)
+                  for stage in stages for local in range(config.stage_depths[stage])]
+        n_att = itertools.accumulate(kind == ATT for _, kind, _ in blocks)
+        walks.append([(*b, b[1] == ATT and n % 2 == 0) for b, n in zip(blocks, n_att)])
+    return walks
+
+
+# a stage's token lattice (z, y, x, t), the window clamped to it, and the
+# window's half-shifts (0 along an axis that holds one window)
+Stage = namedtuple("Stage", "dims window shifts")
+
+
+def lattice_plan(config: ModelConfig, shape) -> tuple[Stage, ...]:
+    """Each stage's :data:`Stage` for a [X, Y, Z, T] volume shape; stage 0's
+    lattice flattens C-order to token row p*nt + t. Every geometry
+    ``ValidationError`` is raised here, naming its config key; a stage that
+    holds no attention block does not check the window."""
+    if len(shape) != 4:
+        raise ValidationError(f"model input must be a 4D volume, got shape {tuple(shape)}")
+    (x, y, z, n_t), (px, py, pz) = shape, config.patch_size
+    if x % px or y % py or z % pz:
+        raise ValidationError(f"model.patch_size {config.patch_size} does not divide "
+                              f"volume shape {tuple(shape[:3])}")
+    if n_t % config.t_patch:
+        raise ValidationError(f"model.t_patch={config.t_patch} does not divide {n_t} timepoints")
+    dims = (z // pz, y // py, x // px, n_t // config.t_patch)
+    attention = {stage for _, kind, stage, _ in sum(_walks(config), []) if kind == ATT}
+    window, plan = (*config.window[2::-1], config.window[3]), []  # window in (z, y, x, t)
+    for stage in range(config.n_stages):
+        if stage:  # merged from the stage below
+            if any(n % 2 for n in dims[:3]):
+                raise ValidationError(f"model.stage_depths: {config.n_stages} stages "
+                                      f"merge the odd token lattice {dims} (z, y, x, t)")
+            dims = tuple(n // w for n, w in zip(dims, MERGE_WINDOW))
+        eff = tuple(min(w, n) for w, n in zip(window, dims))
+        if stage in attention and any(n % w for n, w in zip(dims, eff)):
+            raise ValidationError(f"model.window {config.window} (x, y, z, t) does not "
+                                  f"divide stage {stage}'s token lattice {dims} (z, y, x, t)")
+        plan.append(Stage(dims, eff, tuple(w // 2 if n > w else 0 for w, n in zip(eff, dims))))
+    return tuple(plan)
 
 
 def _to_windows(t: Tensor, dims, eff, shifts=(0, 0, 0, 0)) -> Tensor:
@@ -164,6 +207,15 @@ def _from_windows(t: Tensor, dims, eff, shifts=(0, 0, 0, 0)) -> Tensor:
     return ad.reshape(t, (math.prod(dims), c))
 
 
+def _shift_mask(stage: Stage) -> np.ndarray:
+    """The shifted windows' additive float32 mask, [nW, 1, wsz, wsz]. Built
+    per call: a cache pinned freed heap pages, +22 MB peak RSS in IG."""
+    # the ids (< 81) are exact in the tensor's float32
+    rid = _to_windows(Tensor(_region_ids(*stage).reshape(-1, 1)), *stage).data[..., 0]
+    neq = rid[:, :, None] != rid[:, None, :]
+    return np.where(neq, -np.inf, 0.0).astype(np.float32)[:, None, :, :]  # head axis
+
+
 def _region_ids(dims, eff, shifts) -> np.ndarray:
     """Pre-shift window-region id per lattice site (Swin-style shift mask)."""
     ids = []
@@ -184,16 +236,8 @@ class HybridModel:
         self.config = config
         self.params: dict[str, Tensor] = {}
         self._rng = np.random.default_rng(config.seed)
-        self._cache: dict = {}
 
-        # (prefix, kind, stage, local): the encoder walks the stages up, the
-        # decoder back down, and the operators are dealt out in that order
-        ops = iter(assign_operators(config))
-        stages = {"enc": range(config.n_stages), "dec": range(config.n_stages)[::-1]}
-        self.enc_blocks, self.dec_blocks = (
-            [(f"{side}{stage}.blk{local}", next(ops), stage, local)
-             for stage in stages[side] for local in range(config.stage_depths[stage])]
-            for side in ("enc", "dec"))
+        self.enc_blocks, self.dec_blocks = _walks(config)
         for prefix, kind, stage, _ in self.enc_blocks + self.dec_blocks:
             self._build_block(prefix, kind, config.stage_dim(stage))
 
@@ -269,59 +313,31 @@ class HybridModel:
     def _norm(self, name: str, x: Tensor) -> Tensor:
         return ad.layernorm(x, self.params[f"{name}.gamma"], self.params[f"{name}.beta"])
 
-    def lattice_dims(self, shape) -> tuple[int, int, int, int]:
-        """Token lattice (z, y, x, t) of a [X, Y, Z, T] volume shape; C-order
-        flattening gives row p*nt + t."""
-        if len(shape) != 4:
-            raise ValidationError("model input must be a 4D volume")
-        px, py, pz = self.config.patch_size
-        x, y, z, n_t = shape
-        if x % px or y % py or z % pz:
-            raise ValidationError(f"volume shape {tuple(shape[:3])} not divisible by "
-                                  f"patches {self.config.patch_size}")
-        if n_t % self.config.t_patch:
-            raise ValidationError(f"{n_t} timepoints not divisible by t_patch="
-                                  f"{self.config.t_patch}")
-        return (z // pz, y // py, x // px, n_t // self.config.t_patch)
-
     # -- core blocks -----------------------------------------------------------
 
-    def _attention_mask(self, dims, eff, shifts) -> np.ndarray | None:
-        if not any(shifts):
-            return None
-        key = ("amask", dims, eff, shifts)
-        if key not in self._cache:
-            # the ids (< 81) are exact in the tensor's float32
-            rid = Tensor(_region_ids(dims, eff, shifts).reshape(-1, 1))
-            rid = _to_windows(rid, dims, eff, shifts).data[..., 0]
-            neq = rid[:, :, None] != rid[:, None, :]
-            bias = np.where(neq, -np.inf, 0.0).astype(np.float32)
-            self._cache[key] = bias[:, None, :, :]  # head axis
-        return self._cache[key]
-
-    def _window_attention(self, x: Tensor, dims, prefix: str, shift: bool) -> Tensor:
+    def _window_attention(self, x: Tensor, stage: Stage, prefix: str, shift: bool) -> Tensor:
         heads = self.config.heads
         dh = x.shape[-1] // heads
-        wx, wy, wz, wt = self.config.window
-        eff, shifts = _effective_window((wz, wy, wx, wt), dims)
-        shifts = shifts if shift else (0, 0, 0, 0)
+        if not shift:
+            stage = stage._replace(shifts=(0, 0, 0, 0))
 
         h = self._norm(f"{prefix}.ln1", x)
 
         def head_windows(name: str) -> Tensor:  # [nW, heads, wsz, dh]
-            t = _to_windows(self._lin(f"{prefix}.{name}", h), dims, eff, shifts)
+            t = _to_windows(self._lin(f"{prefix}.{name}", h), *stage)
             return ad.transpose(ad.reshape(t, (*t.shape[:2], heads, dh)), (0, 2, 1, 3))
 
         qw, kw, vw = head_windows("q"), head_windows("k"), head_windows("v")
         attn = ad.mul(ad.matmul(qw, ad.transpose(kw, (0, 1, 3, 2))),
                       1.0 / math.sqrt(dh))
-        bias = self._attention_mask(dims, eff, shifts)
-        if bias is not None:
-            attn = ad.add(attn, Tensor(bias.astype(x.dtype)))
+        if any(stage.shifts):
+            # a constant, added in place: the mul's backward does not read
+            # its output, and 0 and -inf add exactly at either precision
+            attn.data += _shift_mask(stage)
         weights = ad.softmax(attn, axis=-1)
         out = ad.transpose(ad.matmul(weights, vw), (0, 2, 1, 3))  # [nW, wsz, heads, dh]
         out = ad.reshape(out, (*out.shape[:2], heads * dh))
-        out = _from_windows(out, dims, eff, shifts)
+        out = _from_windows(out, *stage)
         x = ad.add(x, self._lin(f"{prefix}.proj", out))
 
         h2 = self._norm(f"{prefix}.ln2", x)
@@ -348,23 +364,14 @@ class HybridModel:
         y = ad.mul(y, ad.silu(z))
         return ad.add(x, self._lin(f"{prefix}.out", y))
 
-    def _run_block(self, x: Tensor, dims, prefix: str, kind: str, local: int) -> Tensor:
-        if kind == ATT:
-            return self._window_attention(x, dims, prefix, shift=bool(local % 2))
-        return self._mamba(x, prefix)
-
-    def _merge(self, x: Tensor, dims, stage: int) -> tuple[Tensor, tuple]:
-        if any(n % 2 for n in dims[:3]):
-            raise ValidationError(f"cannot merge odd lattice {dims}")
+    def _merge(self, x: Tensor, dims, stage: int) -> Tensor:
         t = ad.reshape(_to_windows(x, dims, MERGE_WINDOW), (-1, 8 * x.shape[-1]))
-        merged = tuple(n // w for n, w in zip(dims, MERGE_WINDOW))
-        return self._lin(f"merge{stage}", t), merged
+        return self._lin(f"merge{stage}", t)
 
-    def _expand(self, x: Tensor, dims, stage: int) -> tuple[Tensor, tuple]:
+    def _expand(self, x: Tensor, dims, stage: int) -> Tensor:
         t = self._lin(f"expand{stage}", x)  # [N, 8*d]
         t = ad.reshape(t, (x.shape[0], 8, x.shape[-1] // 2))
-        up = tuple(n * w for n, w in zip(dims, MERGE_WINDOW))
-        return _from_windows(t, up, MERGE_WINDOW), up
+        return _from_windows(t, dims, MERGE_WINDOW)
 
     # -- embedding and heads ---------------------------------------------------
 
@@ -382,15 +389,15 @@ class HybridModel:
         axes = self._patch_axes(dims)
         return math.prod(axes[:4]), math.prod(axes[4:])
 
-    def token_view(self, vol) -> tuple[np.ndarray, tuple]:
+    def token_view(self, vol) -> tuple[np.ndarray, tuple[Stage, ...]]:
         """A [X, Y, Z, T] array seen in token order without a copy, and its
-        lattice dims. The view has the ``_patch_axes`` shape, and its C-order
-        elements are the [N, k] token rows (:meth:`rows_shape`); row
-        p*nt + t covers patch p, slab t. Index i of its first axis is
+        :func:`lattice_plan`. The view has the stage-0 ``_patch_axes`` shape;
+        its C-order elements are the [N, k] token rows (:meth:`rows_shape`),
+        row p*nt + t covering patch p, slab t. Index i of its first axis is
         lattice z-slab i: token rows i*ny*nx*nt up to the next slab."""
         x = np.asarray(vol)
-        dims = self.lattice_dims(x.shape)
-        return x.reshape(self._voxel_axes(dims)).transpose(TOKEN_ORDER), dims
+        plan = lattice_plan(self.config, x.shape)
+        return x.reshape(self._voxel_axes(plan[0].dims)).transpose(TOKEN_ORDER), plan
 
     def _runs(self, arr: np.ndarray, shape) -> np.ndarray:
         """A C-contiguous array seen as ``shape`` of ``np.void`` items, each
@@ -490,50 +497,56 @@ class HybridModel:
 
         return ad.record_op(Tensor(out), (tokens, w, b), backward)
 
-    def patch_embed(self, vol) -> tuple[Tensor, tuple]:
+    def patch_embed(self, vol) -> tuple[Tensor, tuple[Stage, ...]]:
         """Voxel blocks -> D-dim tokens, row p*nt + t covering patch p, slab
-        t (:meth:`token_view`), embedded one z-slab at a time
-        (:meth:`_embed`). A Tensor input keeps its graph."""
+        t (:meth:`token_view`), embedded one z-slab at a time (:meth:`_embed`),
+        and the :func:`lattice_plan`. A Tensor input keeps its graph."""
         x = ad.as_tensor(vol)
-        dims = self.lattice_dims(x.shape)
-        return self._embed(x, dims), dims
+        plan = lattice_plan(self.config, x.shape)
+        return self._embed(x, plan[0].dims), plan
 
-    def encode(self, tokens: Tensor, dims) -> tuple[Tensor, tuple]:
-        for prefix, kind, stage, local in self.enc_blocks:
-            if stage and not local:  # entering a stage: merge the one below
-                tokens, dims = self._merge(tokens, dims, stage - 1)
-            tokens = self._run_block(tokens, dims, prefix, kind, local)
-        return tokens, dims
+    def encode(self, tokens: Tensor, plan) -> Tensor:
+        return self._walk(tokens, plan, self.enc_blocks)
 
-    def decode(self, tokens: Tensor, dims) -> tuple[Tensor, tuple]:
-        for prefix, kind, stage, local in self.dec_blocks:
-            if stage < self.config.n_stages - 1 and not local:  # expand into it
-                tokens, dims = self._expand(tokens, dims, stage)
-            tokens = self._run_block(tokens, dims, prefix, kind, local)
-        return tokens, dims
+    def decode(self, tokens: Tensor, plan) -> Tensor:
+        return self._walk(tokens, plan, self.dec_blocks)
+
+    def _walk(self, tokens: Tensor, plan, blocks) -> Tensor:
+        """Run ``blocks``; entering a stage merges the one below into it
+        (encoder) or expands the one above into it (decoder)."""
+        at = blocks[0][2]
+        for prefix, kind, stage, shift in blocks:
+            if stage != at:
+                fine = min(stage, at)
+                resample = self._merge if stage > at else self._expand
+                tokens, at = resample(tokens, plan[fine].dims, fine), stage
+            tokens = (self._window_attention(tokens, plan[stage], prefix, shift)
+                      if kind == ATT else self._mamba(tokens, prefix))
+        return tokens
 
     def forward_pretrain(self, vol, mask: MaskTensor) -> Tensor:
         """Masked volume in, reconstructed volume (same shape) out; the head
         writes the reconstruction in voxel order one z-slab at a time."""
-        tokens, dims = self.patch_embed(vol)
+        dims = lattice_plan(self.config, np.shape(vol))[0].dims
         if mask.mask.shape != (math.prod(dims[:3]), dims[3]):
             raise ValidationError(
                 f"mask lattice {mask.mask.shape} does not match token lattice {dims}")
+        tokens, plan = self.patch_embed(vol)
         # patch-major mask rows are token rows
         tokens = apply_mask(tokens, mask.flat(), self.params["mask_token"])
-        tokens, dims = self.decode(*self.encode(tokens, dims))
+        tokens = self.decode(self.encode(tokens, plan), plan)
         return self._head(self._norm("head.norm", tokens), dims)
 
-    def classify_embedded(self, tokens, dims) -> Tensor:
-        """[N, D0] embedded tokens -> encoder, mean pool, linear head ->
-        scalar logit. A Tensor input keeps its graph."""
+    def classify_embedded(self, tokens, plan) -> Tensor:
+        """[N, D0] embedded tokens on ``plan``'s lattice -> encoder, mean
+        pool, linear head -> scalar logit. A Tensor input keeps its graph."""
         tokens = ad.as_tensor(tokens)
-        n_rows = self.rows_shape(dims)[0]
+        n_rows = self.rows_shape(plan[0].dims)[0]
         if tokens.shape != (n_rows, self.config.embed_dim):
             raise ValidationError(
-                f"embedded tokens {tokens.shape} do not fit lattice {dims}: "
+                f"embedded tokens {tokens.shape} do not fit lattice {plan[0].dims}: "
                 f"expected {(n_rows, self.config.embed_dim)}")
-        tokens, _ = self.encode(tokens, dims)
+        tokens = self.encode(tokens, plan)
         pooled = ad.tmean(self._norm("cls.norm", tokens), axis=0)  # [D_top]
         logit = self._lin("cls", ad.reshape(pooled, (1, pooled.shape[0])))
         return ad.reshape(logit, ())

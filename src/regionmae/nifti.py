@@ -11,13 +11,14 @@ and the writer writes none. ``read_nifti`` returns the type its required
 ``vox_offset`` inside the header, and every error about a file's content
 names the file.
 
-Reads are streamed. ``read_nifti`` allocates nothing until the file is
-shown to hold the payload its header declares (a ``.gz`` inflates at most
-1032 bytes per compressed byte). It fills the C-order output one frame (an
-index of the axis after the spatial ones) at a time through one reused
-buffer, then reads to the end, so gzip checks every member's CRC-32 and
-length. A read peaks at the output plus one frame, plus the frame gzip
-inflates into: 40.4 MiB traced for a 28.8 MiB 108^3 x 6 ``.nii.gz``.
+``read_header`` of a ``.gz`` inflates only the header's 348 bytes. Reads
+are streamed. ``read_nifti`` allocates nothing until the file is shown to
+hold the payload its header declares (a ``.gz`` inflates at most 1032 bytes
+per compressed byte). It fills the C-order output one frame (an index of
+the axis after the spatial ones) at a time through one reused buffer, then
+reads to the end, so gzip checks every member's CRC-32 and length. A read
+peaks at the output plus one frame, plus the frame gzip inflates into:
+40.4 MiB traced for a 28.8 MiB 108^3 x 6 ``.nii.gz``.
 
 ``.nii.gz`` files are written as one gzip member (RFC 1952) with a fixed
 10-byte header (no name, mtime 0), so the bytes depend only on the volume.
@@ -36,6 +37,7 @@ replaces the target only once it is complete.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import itertools
 import math
@@ -235,6 +237,31 @@ def parse_header(raw: bytes) -> NiftiHeader:
     return header
 
 
+@contextlib.contextmanager
+def _naming(path: Path):
+    """Re-raise an error about the file's content with the file's name."""
+    try:
+        yield
+    except EOFError as exc:
+        raise TruncatedFileError(f"{path}: gzip stream ends early ({exc})") from exc
+    except (gzip.BadGzipFile, zlib.error) as exc:
+        raise FormatError(f"{path}: corrupt gzip stream ({exc})") from exc
+    except (FormatError, TruncatedFileError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def read_header(path) -> NiftiHeader:
+    """The header of a single-file NIfTI-1 (.nii or .nii.gz), payload unread."""
+    path = Path(path)
+    with _naming(path), open(path, "rb") as fh:
+        if path.suffix != ".gz":
+            return parse_header(fh.read(HEADER_SIZE))
+        inflate, raw = zlib.decompressobj(16 + zlib.MAX_WBITS), b""
+        while len(raw) < HEADER_SIZE and not inflate.eof and (chunk := fh.read(512)):
+            raw += inflate.decompress(chunk, HEADER_SIZE - len(raw))
+        return parse_header(raw)
+
+
 def read_nifti(path, kind: str) -> Volume4D | LabelVolume:
     """Read a single-file NIfTI-1 (.nii or .nii.gz).
 
@@ -247,15 +274,8 @@ def read_nifti(path, kind: str) -> Volume4D | LabelVolume:
         raise ValidationError(f"unknown kind {kind!r}")
     path = Path(path)
     gz = path.suffix == ".gz"
-    try:
-        with (gzip.open if gz else open)(path, "rb") as fh:
-            return _read_stream(fh, kind, gz)
-    except EOFError as exc:
-        raise TruncatedFileError(f"{path}: gzip stream ends early ({exc})") from exc
-    except (gzip.BadGzipFile, zlib.error) as exc:
-        raise FormatError(f"{path}: corrupt gzip stream ({exc})") from exc
-    except (FormatError, TruncatedFileError, ValidationError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    with _naming(path), (gzip.open if gz else open)(path, "rb") as fh:
+        return _read_stream(fh, kind, gz)
 
 
 def _read_stream(fh, kind: str, gz: bool) -> Volume4D | LabelVolume:

@@ -9,12 +9,15 @@ import pytest
 import yaml
 
 from regionmae import cli
+from regionmae.checkpoint import save_checkpoint
 from regionmae.cli import main
 from regionmae.config import DEFAULTS, hash_file
 from regionmae.masking import load_mask
-from regionmae.nifti import LabelVolume, read_nifti, write_nifti
+from regionmae.model import HybridModel, ModelConfig
+from regionmae.nifti import LabelVolume, Volume4D, read_header, read_nifti, write_nifti
 from regionmae.preprocess import read_manifest, write_manifest
 from regionmae.synth import SynthConfig, write_cohort
+from regionmae.training import split_subjects
 
 SMALL_MODEL = [
     "--set", "model.embed_dim=8",
@@ -439,6 +442,62 @@ def test_pretrain_non_cubic_patch_exits_2_before_reading_volumes(
     assert rc == 2
     err = capsys.readouterr().err
     assert "model.patch_size" in err and "cubic" in err
+    assert reads == []
+
+
+# case -> (model changes, the config key each command's error names)
+BAD_GEOMETRY = {
+    "last-subject-wrong-shape": ({}, {"pretrain": "data.patch_sets",
+                                      "finetune": "model.stage_depths",  # x lattice 5
+                                      "attribute": "data.atlas"}),
+    "timepoints-not-divisible": ({}, dict.fromkeys(("pretrain", "finetune", "attribute"),
+                                                   "model.t_patch")),
+    "window-not-dividing": ({"configuration": "AM", "window": (3, 3, 3, 2)},
+                            dict.fromkeys(("pretrain", "finetune", "attribute"),
+                                          "model.window")),
+}
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "attribute"])
+@pytest.mark.parametrize("case", list(BAD_GEOMETRY))
+def test_bad_geometry_exits_2_from_the_headers_before_any_payload_read(
+        pipeline, tmp_path, capsys, monkeypatch, command, case):
+    changes, keys = BAD_GEOMETRY[case]
+    records = read_manifest(pipeline / "prep" / "manifest.csv")
+    train, val, test = split_subjects(records, (8.0, 1.0, 1.0), seed=0)
+    # the last subject the command reads (pretrain leaves the test split
+    # out) has the bad volume; a bad window fails at the first
+    read = {"pretrain": train + val, "finetune": train + val + test,
+            "attribute": records}[command]
+    named = read[0] if case == "window-not-dividing" else read[-1]
+    if case != "window-not-dividing":
+        x, y, z, n_t = read_header(named.path).shape
+        shape = (x + 6, y, z, n_t) if case == "last-subject-wrong-shape" else (x, y, z, n_t + 2)
+        assert shape[3] % 4 or shape[0] == 30
+        named.path = str(tmp_path / "bad.nii.gz")
+        write_nifti(Volume4D(data=np.zeros(shape, np.float32), affine=np.eye(4)), named.path)
+    write_manifest(records, tmp_path / "manifest.csv")
+    # a checkpoint of the model under test: its config_hash check passes
+    model_cfg = ModelConfig(embed_dim=8, heads=2, stage_depths=(1, 1), ssm_state_dim=4,
+                            **changes)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint({k: p.data for k, p in HybridModel(model_cfg).params.items()}, ckpt,
+                    model_cfg.config_hash())
+    overrides = [f"model.{k}={list(v) if isinstance(v, tuple) else v}"
+                 for k, v in changes.items()]
+    reads = _reading_spy(monkeypatch)
+    synth = pipeline / "synth"
+    rc = main(["--out-dir", str(tmp_path / "out"),
+               "--set", f"data.manifest={tmp_path / 'manifest.csv'}",
+               "--set", f"data.patch_sets={pipeline / 'patches' / 'patch_sets.json'}",
+               "--set", f"finetune.init_from={ckpt}",
+               "--set", f"data.checkpoint={ckpt}",
+               "--set", f"data.atlas={synth / 'atlas.nii.gz'}",
+               "--set", f"data.region_map={synth / 'region_map.csv'}",
+               *SMALL_MODEL, *(a for o in overrides for a in ("--set", o)), command])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert f"subject {named.subject_id} ({named.path})" in err and keys[command] in err
     assert reads == []
 
 

@@ -17,16 +17,17 @@ from regionmae.model import (
     ALTERNATE,
     AM,
     ATT,
+    CONFIGURATIONS,
     MA,
     MAMBA,
     SSM,
     VOXEL_ORDER,
     HybridModel,
     ModelConfig,
-    _effective_window,
     _from_windows,
     _to_windows,
     assign_operators,
+    lattice_plan,
 )
 from regionmae.training import masked_mse
 
@@ -128,7 +129,9 @@ def test_single_token_window_is_value_projection():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(1, 8))
 
-    out = m._window_attention(Tensor(x), (1, 1, 1, 1), "enc0.blk0", shift=False)
+    stage = lattice_plan(cfg, (6, 6, 6, 4))[0]
+    assert stage.dims == (1, 1, 1, 1)
+    out = m._window_attention(Tensor(x), stage, "enc0.blk0", shift=False)
 
     p = {k: v.data for k, v in m.params.items()}
     h = np_layernorm(x, p["enc0.blk0.ln1.gamma"], p["enc0.blk0.ln1.beta"])
@@ -151,7 +154,9 @@ def test_two_token_attention_matches_hand_softmax():
         m.params[f"enc0.blk0.{name}.b"].data = rng.normal(size=4)
     x = rng.normal(size=(2, 4))
 
-    out = m._window_attention(Tensor(x), (1, 1, 2, 1), "enc0.blk0", shift=False)
+    stage = lattice_plan(cfg, (12, 6, 6, 4))[0]
+    assert stage.dims == (1, 1, 2, 1)
+    out = m._window_attention(Tensor(x), stage, "enc0.blk0", shift=False)
 
     p = {k: v.data for k, v in m.params.items()}
     h = np_layernorm(x, p["enc0.blk0.ln1.gamma"], p["enc0.blk0.ln1.beta"])
@@ -203,16 +208,11 @@ def _record_attention(monkeypatch) -> list[np.ndarray]:
     return seen
 
 
-def test_shifted_window_attention_isolates_regions(monkeypatch):
-    cfg = ModelConfig(embed_dim=8, stage_depths=(2,), heads=2, configuration=AM,
-                      window=(4, 4, 4, 2), ssm_state_dim=4)
-    m = HybridModel(cfg)
-    seen = _record_attention(monkeypatch)
-    rng = np.random.default_rng(11)
-    vol = rng.uniform(-1, 1, size=(48, 48, 48, 8)).astype(np.float32)
-    m.forward_classify(vol)
-
-    assert len(seen) == 2  # the second block of the stage is the shifted one
+def _assert_shifted_windows_isolate_regions(seen):
+    """The second of two recorded attentions ran on the shifted windows of
+    an 8^3 x 2 lattice, and the first on unshifted ones."""
+    assert len(seen) == 2
+    assert np.all(seen[0] > 0)
     dims, eff, shifts = (8, 8, 8, 2), (4, 4, 4, 2), (2, 2, 2, 0)
     rid = _region_ids_oracle(dims, eff, shifts)
     rid = np.roll(rid, tuple(-s for s in shifts), axis=(0, 1, 2, 3))
@@ -229,6 +229,32 @@ def test_shifted_window_attention_isolates_regions(monkeypatch):
     assert np.all(weights[cross] == 0.0)          # exactly zero across regions
     assert np.all(weights[~cross] > 0.0)
     np.testing.assert_allclose(weights.sum(-1), 1.0, atol=1e-6)
+
+
+def test_shifted_window_attention_isolates_regions(monkeypatch):
+    cfg = ModelConfig(embed_dim=8, stage_depths=(2,), heads=2, configuration=AM,
+                      window=(4, 4, 4, 2), ssm_state_dim=4)
+    m = HybridModel(cfg)
+    seen = _record_attention(monkeypatch)
+    rng = np.random.default_rng(11)
+    vol = rng.uniform(-1, 1, size=(48, 48, 48, 8)).astype(np.float32)
+    m.forward_classify(vol)
+    # the stage's second attention block is the shifted one
+    _assert_shifted_windows_isolate_regions(seen)
+
+
+def test_alternate_shifted_window_attention_isolates_regions(monkeypatch):
+    # ALTERNATE's encoder attention blocks are enc0.blk0 and enc1.blk0; the
+    # second is shifted, on the 8^3 x 2 lattice of stage 1
+    cfg = ModelConfig(embed_dim=8, stage_depths=(2, 2), heads=2, configuration=ALTERNATE,
+                      window=(4, 4, 4, 2), ssm_state_dim=4, patch_size=(3, 3, 3))
+    m = HybridModel(cfg)
+    assert [p for p, _, _, shift in m.enc_blocks if shift] == ["enc1.blk0"]
+    seen = _record_attention(monkeypatch)
+    rng = np.random.default_rng(12)
+    vol = rng.uniform(-1, 1, size=(48, 48, 48, 8)).astype(np.float32)
+    m.forward_classify(vol)
+    _assert_shifted_windows_isolate_regions(seen)
 
 
 def test_unshifted_window_has_positive_weights_everywhere(monkeypatch):
@@ -249,6 +275,118 @@ def test_window_not_dividing_lattice_raises():
     vol = np.zeros((36, 36, 36, 4), dtype=np.float32)  # lattice 6, window 4
     with pytest.raises(ValidationError):
         m.forward_classify(vol)
+
+
+def test_mamba_window_not_dividing_lattice_still_runs():
+    # a model with no attention block never checks its window
+    m = HybridModel(tiny_config(stage_depths=(2, 2), window=(4, 4, 4, 2)))
+    vol = np.random.default_rng(2).normal(size=(36, 36, 36, 8)).astype(np.float32)
+    plan = lattice_plan(m.config, vol.shape)  # lattice side 6 against a window of 4
+    assert [stage.dims for stage in plan] == [(6, 6, 6, 2), (3, 3, 3, 2)]
+    mt = MaskTensor(mask=np.ones((216, 2), dtype=bool), voxels_per_patch=216,
+                    t_patch_len=4)
+    assert m.forward_pretrain(vol, mt).shape == vol.shape
+    assert np.isfinite(float(m.forward_classify(vol).data))
+
+
+# (config changes, volume shape, the config key the error names)
+BAD_GEOMETRY = [
+    (dict(), (25, 24, 24, 8), "model.patch_size"),
+    (dict(patch_size=(6, 4, 6)), (24, 30, 24, 8), "model.patch_size"),
+    (dict(), (24, 24, 24, 6), "model.t_patch"),
+    (dict(t_patch=3), (24, 24, 24, 8), "model.t_patch"),
+    (dict(stage_depths=(1, 1)), (30, 24, 24, 8), "model.stage_depths"),  # x lattice 5
+    (dict(stage_depths=(1, 1, 1)), (36, 36, 36, 8), "model.stage_depths"),  # 6, then 3
+    (dict(configuration=AM), (36, 36, 36, 8), "model.window"),  # stage 0: 6 against 4
+    (dict(configuration=MA, stage_depths=(1,)), (36, 24, 24, 8), "model.window"),
+    (dict(configuration=ALTERNATE, patch_size=(1, 1, 1), t_patch=1),  # stage 1 only
+     (12, 12, 12, 2), "model.window"),
+    (dict(configuration=AM), (24, 24, 24, 12), "model.window"),  # time: 3 against 2
+]
+
+
+@pytest.mark.parametrize("changes, shape, key", BAD_GEOMETRY)
+def test_lattice_plan_names_the_config_key_of_bad_geometry(changes, shape, key):
+    cfg = tiny_config(**changes)
+    with pytest.raises(ValidationError, match=key):
+        lattice_plan(cfg, shape)
+    # the model raises the same error before it embeds anything
+    with pytest.raises(ValidationError, match=key):
+        HybridModel(cfg).forward_classify(np.zeros(shape, dtype=np.float32))
+
+
+def test_lattice_plan_stages():
+    cfg = tiny_config(stage_depths=(1, 1, 1), configuration=ALTERNATE,
+                      window=(4, 2, 4, 2), patch_size=(2, 3, 6))
+    plan = lattice_plan(cfg, (32, 24, 48, 8))  # lattice (z, y, x, t) = (8, 8, 16, 2)
+    assert plan == (
+        ((8, 8, 16, 2), (4, 2, 4, 2), (2, 1, 2, 0)),
+        ((4, 4, 8, 2), (4, 2, 4, 2), (0, 1, 2, 0)),  # one window along z: no shift
+        ((2, 2, 4, 2), (2, 2, 4, 2), (0, 0, 0, 0)),  # clamped to the lattice
+    )
+    assert plan[1].dims == (4, 4, 8, 2) and plan[1].window == (4, 2, 4, 2)
+    assert plan[1].shifts == (0, 1, 2, 0)
+    with pytest.raises(ValidationError, match="4D"):
+        lattice_plan(cfg, (32, 24, 48))
+
+
+def _shifted_oracle(cfg) -> list[str]:
+    """Prefixes of the odd-numbered (0-based) attention blocks along each
+    walk, counted separately for the encoder and the decoder."""
+    ops, n = assign_operators(cfg), cfg.n_stages
+    depths = cfg.stage_depths
+    enc = [f"enc{s}.blk{i}" for s in range(n) for i in range(depths[s])]
+    dec = [f"dec{s}.blk{i}" for s in reversed(range(n)) for i in range(depths[s])]
+    shifted = []
+    for walk, walk_ops in ((enc, ops[:len(enc)]), (dec, ops[len(enc):])):
+        seen = 0
+        for prefix, op in zip(walk, walk_ops):
+            if op == ATT:
+                if seen % 2:
+                    shifted.append(prefix)
+                seen += 1
+    return shifted
+
+
+# the shifted attention blocks, in walk order; MAMBA has none
+SHIFTED = {
+    (ALTERNATE, (1, 1)): [],
+    (ALTERNATE, (2, 2)): ["enc1.blk0", "dec0.blk0"],
+    (ALTERNATE, (4, 4)): ["enc0.blk2", "enc1.blk2", "dec1.blk2", "dec0.blk2"],
+    (ALTERNATE, (1, 2, 1)): ["enc1.blk1", "dec1.blk1"],
+    (AM, (1, 1)): ["enc1.blk0"],
+    (AM, (2, 2)): ["enc0.blk1", "enc1.blk1"],
+    (AM, (4, 4)): ["enc0.blk1", "enc0.blk3", "enc1.blk1", "enc1.blk3"],
+    (AM, (1, 2, 1)): ["enc1.blk0", "enc2.blk0"],
+    (MA, (1, 1)): ["dec0.blk0"],
+    (MA, (2, 2)): ["dec1.blk1", "dec0.blk1"],
+    (MA, (4, 4)): ["dec1.blk1", "dec1.blk3", "dec0.blk1", "dec0.blk3"],
+    (MA, (1, 2, 1)): ["dec1.blk0", "dec0.blk0"],
+}
+
+
+@pytest.mark.parametrize("conf", CONFIGURATIONS)
+@pytest.mark.parametrize("depths", [(1, 1), (2, 2), (4, 4), (1, 2, 1)])
+def test_every_other_attention_block_of_each_walk_is_shifted(conf, depths, monkeypatch):
+    cfg = tiny_config(stage_depths=depths, configuration=conf, patch_size=(2, 2, 2))
+    want = SHIFTED.get((conf, depths), [])
+    assert _shifted_oracle(cfg) == want
+    calls = []
+    attention = HybridModel._window_attention
+
+    def spy(self, x, where, prefix, shift):
+        calls.append((prefix, shift))
+        return attention(self, x, where, prefix, shift)
+
+    monkeypatch.setattr(HybridModel, "_window_attention", spy)
+    m = HybridModel(cfg)
+    vol = np.random.default_rng(3).normal(size=(16, 16, 16, 8)).astype(np.float32)
+    mt = MaskTensor(mask=np.zeros((512, 2), dtype=bool), voxels_per_patch=8,
+                    t_patch_len=4)
+    m.forward_pretrain(vol, mt)
+    # one call per attention block, in walk order
+    assert [p for p, _ in calls] == [b[0] for b in m.enc_blocks + m.dec_blocks if b[1] == ATT]
+    assert [p for p, shift in calls if shift] == want
 
 
 # mamba blocks ------------------------------------------------------------------
@@ -362,15 +500,16 @@ def test_merge_concatenates_children_in_fixed_order():
     m = HybridModel(cfg)
     m.to_dtype(np.float64)
     d = 8
-    dims = (2, 2, 2, 1)
+    plan = lattice_plan(cfg, (12, 12, 12, 4))
+    assert [stage.dims for stage in plan] == [(2, 2, 2, 1), (1, 1, 1, 1)]
     x = np.arange(8 * d, dtype=np.float64).reshape(8, d)
     m.params["merge0.b"].data[:] = 0.0
     for child in range(8):
         for ch in (0, 3, 7):
             m.params["merge0.w"].data[:] = 0.0
             m.params["merge0.w"].data[child * d + ch, 0] = 1.0
-            out, dims2 = m._merge(Tensor(x), dims, 0)
-            assert dims2 == (1, 1, 1, 1)
+            out = m._merge(Tensor(x), plan[0].dims, 0)
+            assert out.shape == (1, 2 * d)
             dz, dy, dx = child // 4, (child // 2) % 2, child % 2
             row = (dz * 2 + dy) * 2 + dx  # lattice (z, y, x, t) C-order
             assert out.data[0, 0] == x[row, ch]
@@ -386,12 +525,12 @@ def test_expand_then_merge_roundtrips_with_pseudoinverse():
     m.params["merge0.w"].data = np.linalg.pinv(we)
 
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(2 * 2 * 2 * 2, 16))  # stage-1 tokens, dims (2,2,2,2)
-    up, dims_up = m._expand(Tensor(x), (2, 2, 2, 2), 0)
-    assert dims_up == (4, 4, 4, 2)
+    plan = lattice_plan(cfg, (24, 24, 24, 8))
+    assert [stage.dims for stage in plan] == [(4, 4, 4, 2), (2, 2, 2, 2)]
+    x = rng.normal(size=(2 * 2 * 2 * 2, 16))  # stage-1 tokens
+    up = m._expand(Tensor(x), plan[0].dims, 0)
     assert up.shape == (128, 8)
-    back, dims_back = m._merge(up, dims_up, 0)
-    assert dims_back == (2, 2, 2, 2)
+    back = m._merge(up, plan[0].dims, 0)
     np.testing.assert_allclose(back.data, x, rtol=1e-9, atol=1e-10)
 
 
@@ -411,8 +550,14 @@ def _windows_oracle(rows, dims, eff, shifts):
     ((4, 4, 2, 1), (2, 2, 2, 1), False),   # the merge window
 ])
 def test_window_permutation_matches_a_per_window_loop(dims, window, shift):
-    eff, shifts = _effective_window(window, dims)
-    shifts = shifts if shift else (0, 0, 0, 0)
+    # dims and window in lattice order (z, y, x, t); the config and the
+    # volume shape take them as (x, y, z, t) with 1^3 x 1 patches
+    xyzt = lambda t: (t[2], t[1], t[0], t[3])
+    cfg = tiny_config(stage_depths=(1,), configuration=AM, window=xyzt(window),
+                      patch_size=(1, 1, 1), t_patch=1)
+    (stage,) = lattice_plan(cfg, xyzt(dims))
+    assert stage.dims == dims
+    eff, shifts = stage.window, stage.shifts if shift else (0, 0, 0, 0)
     assert any(shifts) == shift
     n, wsz = int(np.prod(dims)), int(np.prod(eff))
     rng = np.random.default_rng(5)
@@ -464,9 +609,9 @@ def test_patch_embed_rows_follow_patch_grid_order():
     m.params["embed.w"].data[:] = 0.0
     m.params["embed.w"].data[:, 0] = 1.0
     m.params["embed.b"].data[:] = 0.0
-    tokens, dims = m.patch_embed(vol)
-    assert dims == (4, 4, 4, 2)
-    n_t = dims[3]
+    tokens, plan = m.patch_embed(vol)
+    assert plan[0].dims == (4, 4, 4, 2)
+    n_t = plan[0].dims[3]
     k = 216 * cfg.t_patch
     for p in (0, 1, 5, 17, 63):
         for t in range(n_t):
@@ -475,15 +620,17 @@ def test_patch_embed_rows_follow_patch_grid_order():
     # a non-cubic volume, every token entry against a flat voxel-index table
     vol = np.arange(4 * 6 * 10 * 4, dtype=np.float32).reshape(4, 6, 10, 4)
     m = _identity_embedding()
-    tokens, dims = m.patch_embed(vol)
-    assert dims == (5, 3, 2, 2)
+    tokens, plan = m.patch_embed(vol)
+    assert plan[0].dims == (5, 3, 2, 2)
     np.testing.assert_array_equal(
         tokens.data, vol.reshape(-1)[_patch_index_oracle(vol.shape, (2, 2, 2), 2)])
 
 
 def _identity_embedding() -> HybridModel:
-    """2x2x2x2 patches whose embedding passes the voxel block through."""
-    m = HybridModel(tiny_config(embed_dim=16, patch_size=(2, 2, 2), t_patch=2))
+    """2x2x2x2 patches whose embedding passes the voxel block through; one
+    stage, so the odd lattices of the non-cubic test volumes are never merged."""
+    m = HybridModel(tiny_config(embed_dim=16, patch_size=(2, 2, 2), t_patch=2,
+                                stage_depths=(1,)))
     m.params["embed.w"].data[:] = np.eye(16, dtype=np.float32)
     m.params["embed.b"].data[:] = 0.0
     return m
@@ -525,19 +672,20 @@ def test_boundary_ops_match_a_slab_oracle_bytewise(changes, shape, dtype):
     p = {name: t.data for name, t in m.params.items()}
     rng = np.random.default_rng(31)
     vol = rng.normal(size=shape).astype(dtype)
-    view, dims = m.token_view(vol)
+    view, plan = m.token_view(vol)
+    dims = plan[0].dims
     rows = view.reshape(m.rows_shape(dims))
     tokens = _slab_linear(rows, dims, p["embed.w"], p["embed.b"])
     embedded, _ = m.patch_embed(vol)
     assert embedded.data.tobytes() == tokens.tobytes()
-    logit = m.classify_embedded(tokens, dims).data
+    logit = m.classify_embedded(tokens, plan).data
     assert m.forward_classify(vol).data.tobytes() == logit.tobytes()
 
     mask = rng.random((math.prod(dims[:3]), dims[3])) < 0.4
     mt = MaskTensor(mask=mask, voxels_per_patch=math.prod(m.config.patch_size),
                     t_patch_len=m.config.t_patch)
     hidden = apply_mask(Tensor(tokens), mt.flat(), m.params["mask_token"])
-    hidden, _ = m.decode(*m.encode(hidden, dims))
+    hidden = m.decode(m.encode(hidden, plan), plan)
     hidden = m._norm("head.norm", hidden).data
     recon_rows = _slab_linear(hidden, dims, p["head.w"], p["head.b"])
     recon = m.forward_pretrain(vol, mt).data
@@ -552,11 +700,12 @@ def test_boundary_ops_match_a_slab_oracle_bytewise(changes, shape, dtype):
 
 @pytest.mark.parametrize("shape", [(4, 6, 8, 4), (4, 6, 4, 4)])  # 2 z-slabs, 1
 def test_boundary_ops_gradcheck(shape):
-    m = HybridModel(tiny_config(patch_size=(2, 3, 4), t_patch=2))
+    # one stage: the single-z-slab lattice is odd, and only the boundaries run
+    m = HybridModel(tiny_config(patch_size=(2, 3, 4), t_patch=2, stage_depths=(1,)))
     m.to_dtype(np.float64)
     rng = np.random.default_rng(37)
     vol = Tensor(rng.normal(size=shape), requires_grad=True)
-    dims = m.lattice_dims(shape)
+    dims = lattice_plan(m.config, shape)[0].dims
     tokens = Tensor(rng.normal(size=(m.rows_shape(dims)[0], 8)), requires_grad=True)
     weights = Tensor(rng.normal(size=tokens.shape)), Tensor(rng.normal(size=shape))
 
@@ -608,8 +757,8 @@ def test_unpatchify_inverts_patch_embed():
     m.params["head.w"].data[:] = np.eye(16, dtype=np.float32)
     m.params["head.b"].data[:] = 0.0
     vol = np.random.default_rng(4).normal(size=(4, 6, 10, 4)).astype(np.float32)
-    tokens, dims = m.patch_embed(vol)
-    back = m._head(tokens, dims)
+    tokens, plan = m.patch_embed(vol)
+    back = m._head(tokens, plan[0].dims)
     assert back.shape == vol.shape
     np.testing.assert_array_equal(back.data, vol)
 
@@ -617,7 +766,8 @@ def test_unpatchify_inverts_patch_embed():
 def test_token_views_roundtrip_in_the_taped_order():
     m = _identity_embedding()
     vol = np.arange(4 * 6 * 10 * 4, dtype=np.float64).reshape(4, 6, 10, 4)
-    view, dims = m.token_view(vol)
+    view, plan = m.token_view(vol)
+    dims = plan[0].dims
     assert dims == (5, 3, 2, 2)
     assert np.shares_memory(view, vol) and view.dtype == vol.dtype
     assert m.rows_shape(dims) == (60, 16)
@@ -636,31 +786,33 @@ def test_classify_tokens_is_forward_classify_on_rows():
     # forward_classify gives.
     m = HybridModel(tiny_config(stage_depths=(1, 1), configuration=ALTERNATE))
     vol = np.random.default_rng(6).normal(size=(24, 24, 24, 8)).astype(np.float32)
-    view, dims = m.token_view(vol)
-    rows = view.reshape(m.rows_shape(dims))
+    view, plan = m.token_view(vol)
+    rows = view.reshape(m.rows_shape(plan[0].dims))
     np.testing.assert_array_equal(
         rows, vol.reshape(-1)[_patch_index_oracle(vol.shape, (6, 6, 6), 4)])
-    tokens = _slab_linear(rows, dims, m.params["embed.w"].data, m.params["embed.b"].data)
-    got = m.classify_embedded(tokens, dims).data
+    tokens = _slab_linear(rows, plan[0].dims, m.params["embed.w"].data,
+                          m.params["embed.b"].data)
+    got = m.classify_embedded(tokens, plan).data
     assert got.tobytes() == m.forward_classify(vol).data.tobytes()
     with pytest.raises(ValidationError):
-        m.classify_embedded(tokens[:-1], dims)
+        m.classify_embedded(tokens[:-1], plan)
 
 
 def test_classify_embedded_is_classify_tokens_after_embed():
     m = HybridModel(tiny_config(stage_depths=(1, 1), configuration=ALTERNATE))
     vol = np.random.default_rng(7).normal(size=(24, 24, 24, 8)).astype(np.float32)
-    view, dims = m.token_view(vol)
-    rows = view.reshape(m.rows_shape(dims))
-    tokens = _slab_linear(rows, dims, m.params["embed.w"].data, m.params["embed.b"].data)
-    embedded, embed_dims = m.patch_embed(vol)
-    assert embed_dims == dims
+    view, plan = m.token_view(vol)
+    rows = view.reshape(m.rows_shape(plan[0].dims))
+    tokens = _slab_linear(rows, plan[0].dims, m.params["embed.w"].data,
+                          m.params["embed.b"].data)
+    embedded, embed_plan = m.patch_embed(vol)
+    assert embed_plan == plan
     assert embedded.data.tobytes() == tokens.tobytes()
-    got = m.classify_embedded(tokens, dims).data
-    assert got.tobytes() == m.classify_embedded(embedded, dims).data.tobytes()
+    got = m.classify_embedded(tokens, plan).data
+    assert got.tobytes() == m.classify_embedded(embedded, plan).data.tobytes()
     for bad in (tokens[:-1], tokens[:, :-1]):
         with pytest.raises(ValidationError, match="embedded tokens"):
-            m.classify_embedded(bad, dims)
+            m.classify_embedded(bad, plan)
 
 
 def test_masked_tokens_ignore_their_input_voxels():

@@ -23,9 +23,11 @@ from regionmae.nifti import (
     Volume4D,
     _build_header_bytes,
     parse_header,
+    read_header,
     read_nifti,
     write_nifti,
 )
+from regionmae import nifti
 
 
 def make_raw(order, shape, datatype, data, pixdim=None, vox_offset=352,
@@ -569,3 +571,88 @@ def test_mutated_file_raises_only_package_errors(kind, suffix, edits, cut):
         # payload than the file's bytes can inflate to
         ceiling = len(content) * (1032 if path.suffix == ".gz" else 1)
         assert peak <= 6 * ceiling + 2**20, (peak, len(content))
+
+
+@pytest.mark.parametrize("name", ["v.nii", "v.nii.gz"])
+def test_read_header_matches_read_nifti(tmp_path, rng, name):
+    data = rng.normal(size=(5, 4, 3, 6)).astype(np.float32)
+    path = tmp_path / name
+    write_nifti(Volume4D(data=data, affine=np.diag([2.0, 1.0, 1.5, 1.0]), tr_seconds=0.8),
+                path)
+    header = read_header(path)
+    vol = read_nifti(path, kind="volume")
+    assert header.shape == vol.data.shape
+    assert header.tr_seconds() == vol.tr_seconds
+    np.testing.assert_array_equal(header.affine(), vol.affine)
+
+
+def test_gz_header_read_inflates_only_the_header(tmp_path, rng, monkeypatch):
+    path = tmp_path / "v.nii.gz"
+    write_nifti(Volume4D(data=rng.normal(size=(32, 32, 32, 4)), affine=np.eye(4)), path)
+    inflated = []
+    decompressobj = zlib.decompressobj
+
+    class Counting:
+        def __init__(self, *args):
+            self._inflate = decompressobj(*args)
+
+        def decompress(self, data, max_length=0):
+            out = self._inflate.decompress(data, max_length)
+            inflated.append(len(out))
+            return out
+
+        def __getattr__(self, name):
+            return getattr(self._inflate, name)
+
+    monkeypatch.setattr(nifti.zlib, "decompressobj", Counting)
+    assert read_header(path).shape == (32, 32, 32, 4)
+    assert sum(inflated) == 348
+
+
+def test_read_header_errors_name_the_file(tmp_path):
+    data = np.ones((4, 4, 4), dtype=np.int16)
+    raw = make_raw("<", data.shape, 4, data)
+    cases = {
+        "magic.nii": (make_raw("<", data.shape, 4, data, magic=b"xxx\x00"), FormatError),
+        "pair.nii.gz": (make_raw("<", data.shape, 4, data, magic=b"ni1\x00"), FormatError),
+        "short.nii": (raw[:100], TruncatedFileError),
+        "short.nii.gz": (raw[:100], TruncatedFileError),
+    }
+    for name, (content, error) in cases.items():
+        p = write_as(tmp_path / name, content)
+        with pytest.raises(error) as info:
+            read_header(p)
+        assert str(info.value).startswith(f"{p}: ")
+    p = tmp_path / "garbage.nii.gz"
+    p.write_bytes(b"not gzip at all")
+    with pytest.raises(FormatError, match="garbage.nii.gz"):
+        read_header(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(_FUZZ_BASES)),
+       suffix=st.sampled_from([".nii", ".nii.gz", ".nii.gz stream"]),
+       edits=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 255)), max_size=4),
+       cut=st.none() | st.integers(0, 2**10))
+def test_mutated_header_reads_as_read_nifti_parses_it(kind, suffix, edits, cut):
+    """read_header raises a regionmae.errors type naming the file, or gives
+    the header read_nifti parsed: a file read_nifti reads gives its shape."""
+    content = bytearray(_FUZZ_BASES[kind])
+    if suffix == ".nii.gz stream":
+        content = bytearray(gzip.compress(bytes(content), mtime=0))
+    for pos, value in edits:
+        content[pos % len(content)] = value
+    content = bytes(content[:cut])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / ("v" + suffix.split()[0])
+        path.write_bytes(gzip.compress(content, mtime=0) if suffix == ".nii.gz" else content)
+        header = result_or_error(read_header, path)
+        with np.errstate(all="ignore"):
+            volume = result_or_error(read_nifti, path, kind)
+    if isinstance(header, Exception):
+        assert type(header).__module__ == "regionmae.errors", repr(header)
+        assert str(header).startswith(f"{path}: ")
+        assert isinstance(volume, Exception)
+    elif not isinstance(volume, Exception):
+        array = volume.labels if kind == "labels" else volume.data
+        assert header.shape[:array.ndim] == array.shape[:len(header.shape)]
