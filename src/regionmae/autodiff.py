@@ -26,11 +26,11 @@ or the one it got, reshaped or passed through) becomes that parent's first
 gives one of them a copy; a transposed view, or a gradient of another
 dtype, is copied into C order and the tensor's dtype.
 
-``selective_scan`` is the one op that trades recomputation for memory. It
-runs over blocks of ``SCAN_BLOCK_ROWS`` rows in reused buffers and keeps
-only the state at each block boundary, not its [L, S, D] state history;
-its backward rebuilds each block's history from the boundary state before
-it, with the same ops, so the result is the same as keeping it.
+Three fused ops trade recomputation for memory, each rebuilding with the
+forward's ops, so the result is the same as keeping what it rebuilds.
+``selective_scan`` keeps the state at each boundary of its blocks of
+``SCAN_BLOCK_ROWS`` rows and rebuilds each block's history from it;
+``softplus_linear`` and ``gated_linear`` keep only their inputs.
 
 Data is float32 by default; build leaves with ``dtype=np.float64`` for
 gradient checking. Broadcasting follows numpy; backward sums gradients back
@@ -785,6 +785,62 @@ def selective_scan(u: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
             sa.accumulate_grad(ga.T)
 
     return record_op(Tensor(y), (u, delta, a, b, c, d_skip), backward)
+
+
+def softplus_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """softplus(x @ w + b) that keeps only its inputs: the backward rebuilds
+    the pre-activation. Same ops, in the same order, as
+    ``softplus(add(matmul(x, w), b))``."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    xd, wd, bd = x.data, w.data, b.data
+    pre = xd @ wd + bd
+    out = Tensor(np.maximum(pre, 0) + np.log1p(np.exp(-np.abs(pre))))
+    sx, sw, sb = x.slot, w.slot, b.slot
+
+    def backward(g):
+        with np.errstate(over="ignore"):
+            g = g * (1.0 / (1.0 + np.exp(-(xd @ wd + bd))))  # dL/d(x @ w + b)
+        if sb.requires_grad:
+            sb.accumulate_grad(_unbroadcast(g, sb.shape))
+        if sx.requires_grad:
+            sx.accumulate_grad(_unbroadcast(g @ wd.swapaxes(-1, -2), sx.shape))
+        if sw.requires_grad:
+            sw.accumulate_grad(_unbroadcast(xd.swapaxes(-1, -2) @ g, sw.shape))
+
+    return record_op(out, (x, w, b), backward)
+
+
+def gated_linear(y: Tensor, z: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """(y * silu(z)) @ w + b that keeps only ``y`` and ``z``: the backward
+    rebuilds silu(z), and y * silu(z) for w's gradient. Same ops, in the
+    same order, as ``linear(mul(y, silu(z)), w, b)``."""
+    y, z, w, b = as_tensor(y), as_tensor(z), as_tensor(w), as_tensor(b)
+    yd, zd, wd = y.data, z.data, w.data
+    with np.errstate(over="ignore"):
+        out = Tensor((yd * (zd * (1.0 / (1.0 + np.exp(-zd))))) @ wd + b.data)
+    sy, sz, sw, sb = y.slot, z.slot, w.slot, b.slot
+
+    def backward(g):
+        if sb.requires_grad:
+            sb.accumulate_grad(_unbroadcast(g, sb.shape))
+        with np.errstate(over="ignore"):
+            sig = 1.0 / (1.0 + np.exp(-zd))
+        gate = zd * sig
+        if sw.requires_grad:
+            sw.accumulate_grad(_unbroadcast((yd * gate).swapaxes(-1, -2) @ g, sw.shape))
+        g = g @ wd.swapaxes(-1, -2)  # dL/d(y * silu(z))
+        if sy.requires_grad:
+            sy.accumulate_grad(_unbroadcast(g * gate, sy.shape))
+        del gate
+        if sz.requires_grad:  # silu's backward g * sig * (1 + z (1 - sig)), in place
+            g = _unbroadcast(g * yd, sz.shape)
+            g *= sig
+            np.multiply(zd, 1.0 - sig, out=sig)
+            sig += 1.0
+            g *= sig
+            sz.accumulate_grad(g)
+
+    return record_op(out, (y, z, w, b), backward)
 
 
 def bce_with_logits(logits: Tensor, targets) -> Tensor:

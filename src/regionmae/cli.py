@@ -27,8 +27,8 @@ from .attribution import AttributionConfig, aggregate_group, ig_sq, \
 from .checkpoint import load_checkpoint, restore_params, save_checkpoint
 from .config import CLI_ONLY, data_path, load_config, require_data_path, \
     write_input_hashes, write_snapshot
-from .errors import ConfigurationError, DegenerateDataError, GeometryError, \
-    ValidationError
+from .errors import ConfigurationError, DegenerateDataError, FormatError, \
+    GeometryError, TruncatedFileError, ValidationError
 from .masking import MaskSpec, build_mask, save_mask
 from .model import HybridModel, ModelConfig, lattice_plan
 from .nifti import Volume4D, read_header, read_nifti, write_nifti
@@ -96,18 +96,22 @@ def _manifest(cfg: dict):
 def _check_headers(model_cfg, records, grid=None, key="", same_t=False) -> None:
     """Before any payload read, each record's header shape must span ``grid``
     (config ``key``) if given, fit the model's :func:`lattice_plan` and, with
-    ``same_t``, have the first record's timepoint count."""
-    shapes = [(*read_header(rec.path).shape, 1)[:4] for rec in records]
-    for rec, shape in zip(records, shapes):
+    ``same_t``, have the first record's timepoint count. Every failure,
+    an unreadable header too, names the subject and its file."""
+    first = None
+    for rec in records:
         try:
+            shape = (*read_header(rec.path).shape, 1)[:4]
+            first = first or shape
             if grid is not None and shape[:3] != tuple(grid):
                 raise ValidationError(f"{key}: volume shape {shape[:3]}, grid {tuple(grid)}")
             lattice_plan(model_cfg, shape)
-            if same_t and shape[3] != shapes[0][3]:
+            if same_t and shape[3] != first[3]:
                 raise ValidationError(f"data.manifest: {shape[3]} timepoints, the first "
-                                      f"subject has {shapes[0][3]}")
-        except ValidationError as exc:
-            raise ValidationError(f"subject {rec.subject_id} ({rec.path}): {exc}") from exc
+                                      f"subject has {first[3]}")
+        except (FormatError, TruncatedFileError, ValidationError) as exc:
+            why = "" if isinstance(exc, ValidationError) else "data.manifest: unreadable header: "
+            raise ValidationError(f"subject {rec.subject_id} ({rec.path}): {why}{exc}") from exc
 
 
 def cmd_synth(cfg: dict, args, out: Path) -> list:

@@ -357,12 +357,12 @@ class HybridModel:
         dt_in = ad.take_cols(proj, 0, dt_rank)
         b_in = ad.take_cols(proj, dt_rank, dt_rank + state)
         c_in = ad.take_cols(proj, dt_rank + state, dt_rank + 2 * state)
-        delta = ad.softplus(ad.add(ad.matmul(dt_in, self.params[f"{prefix}.dt.w"]),
-                                   self.params[f"{prefix}.dt.b"]))
+        delta = ad.softplus_linear(dt_in, self.params[f"{prefix}.dt.w"],
+                                   self.params[f"{prefix}.dt.b"])
         a = ad.mul(ad.exp(self.params[f"{prefix}.a_log"]), -1.0)
         y = ad.selective_scan(u, delta, a, b_in, c_in, self.params[f"{prefix}.d_skip"])
-        y = ad.mul(y, ad.silu(z))
-        return ad.add(x, self._lin(f"{prefix}.out", y))
+        return ad.add(x, ad.gated_linear(y, z, self.params[f"{prefix}.out.w"],
+                                         self.params[f"{prefix}.out.b"]))
 
     def _merge(self, x: Tensor, dims, stage: int) -> Tensor:
         t = ad.reshape(_to_windows(x, dims, MERGE_WINDOW), (-1, 8 * x.shape[-1]))

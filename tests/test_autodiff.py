@@ -1,8 +1,9 @@
-import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+
+from conftest import held_bytes, traced_peak
 
 from regionmae import autodiff as ad
 from regionmae.autodiff import GradSlot, Tape, Tensor
@@ -234,12 +235,7 @@ def test_backward_peak_memory_is_a_few_arrays():
     with Tape() as tape:
         loss = chain()
         assert len(tape) == 9
-        tracemalloc.start()
-        try:
-            tape.backward(loss)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(tape.backward, loss)
     assert peak < 4 * x.data.nbytes, peak / x.data.nbytes
     assert x.grad.shape == x.shape and np.all(np.isfinite(x.grad))
 
@@ -298,19 +294,87 @@ def test_matmul_with_a_frozen_weight_keeps_no_input(rng):
 def test_silu_keeps_only_its_input_for_the_backward(rng):
     # the sigmoid is recomputed in the backward, as softplus does
     x = leaf(rng, 256, 64, lo=-3.0, hi=3.0)
-    tracemalloc.start()
-    try:
-        with Tape() as tape:
-            before = tracemalloc.get_traced_memory()[0]
-            out = ad.silu(x)
-            held = tracemalloc.get_traced_memory()[0] - before
-            tape.backward(ad.tsum(out))
-    finally:
-        tracemalloc.stop()
+    with Tape() as tape:
+        out, held = held_bytes(ad.silu, x)
+        tape.backward(ad.tsum(out))
     # the output, plus the record and closure
     assert x.data.nbytes <= held < 1.5 * x.data.nbytes, held / x.data.nbytes
     sig = 1.0 / (1.0 + np.exp(-x.data))
     np.testing.assert_allclose(x.grad, sig * (1.0 + x.data * (1.0 - sig)))
+
+
+# -- fused linears ---------------------------------------------------------
+
+# op -> (fused, its unfused composition, {leaf: shape} for n rows); the
+# shapes are the model's dt_rank -> inner and inner -> dim projections
+FUSED_LINEARS = {
+    "softplus_linear": (
+        ad.softplus_linear, lambda x, w, b: ad.softplus(ad.add(ad.matmul(x, w), b)),
+        lambda n: {"x": (n, 3), "w": (3, 24), "b": (24,)}),
+    "gated_linear": (
+        ad.gated_linear, lambda y, z, w, b: ad.linear(ad.mul(y, ad.silu(z)), w, b),
+        lambda n: {"y": (n, 24), "z": (n, 24), "w": (24, 8), "b": (8,)}),
+}
+# a first row that overflows the sigmoid's exp: a large pre-activation, a large -z
+OVERFLOW_ROW = {"softplus_linear": ("x", 40.0), "gated_linear": ("z", -800.0)}
+PARAMS = ("w", "b")
+
+
+def fused_linear_grads(op, fused, dtype, case):
+    """Output and leaf gradients of ``op`` or its composition with every leaf
+    requiring a gradient ("all"), with w and b frozen as integrated gradients
+    freezes them ("frozen"), or with only w and b requiring one ("params")."""
+    build = FUSED_LINEARS[op][0 if fused else 1]
+    shapes = FUSED_LINEARS[op][2](40)
+    rng = np.random.default_rng(11)
+    leaves = {name: Tensor(rng.uniform(-3.0, 3.0, size=shape), dtype=dtype,
+                           requires_grad=case != "params" or name in PARAMS)
+              for name, shape in shapes.items()}
+    name, value = OVERFLOW_ROW[op]
+    leaves[name].data[0] = value
+    proj = Tensor(rng.normal(size=(40, shapes["w"][1])), dtype=dtype)
+    with ad.frozen([leaves[p] for p in PARAMS] if case == "frozen" else []), Tape() as tape:
+        out = build(*leaves.values())
+        tape.backward(ad.tsum(ad.mul(out, proj)))
+    return out.data, {name: t.grad for name, t in leaves.items()}
+
+
+@pytest.mark.parametrize("case", ["all", "frozen", "params"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", list(FUSED_LINEARS))
+def test_fused_linear_is_its_composition_byte_for_byte(op, dtype, case):
+    out, grads = fused_linear_grads(op, True, dtype, case)
+    want_out, want_grads = fused_linear_grads(op, False, dtype, case)
+    assert out.dtype == want_out.dtype == dtype and out.tobytes() == want_out.tobytes()
+    for name, want in want_grads.items():
+        assert (want is None) == (case == "frozen" and name in PARAMS
+                                  or case == "params" and name not in PARAMS), name
+        got = grads[name]
+        assert (got is None) == (want is None), name
+        if want is not None:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("op", list(FUSED_LINEARS))
+def test_fused_linear_gradients_match_central_differences(op, rng):
+    fused, _, shapes = FUSED_LINEARS[op]
+    leaves = {name: leaf(rng, *shape, lo=-2.0, hi=2.0) for name, shape in shapes(6).items()}
+    proj = rng.normal(size=(6, shapes(6)["w"][1]))
+    check_op(lambda: scalarize(fused(*leaves.values()), proj), leaves)
+
+
+@pytest.mark.parametrize("op", list(FUSED_LINEARS))
+def test_fused_linear_keeps_only_its_inputs_for_the_backward(op, rng):
+    # softplus_linear rebuilds its pre-activation in the backward, and
+    # gated_linear silu(z) and y * silu(z): neither keeps an array of its own
+    fused, _, shapes = FUSED_LINEARS[op]
+    leaves = [leaf(rng, *shape) for shape in shapes(512).values()]
+    with Tape() as tape:
+        out, held = held_bytes(fused, *leaves)
+        tape.backward(ad.tsum(out))
+    # the output, plus the record and closure
+    assert out.data.nbytes <= held < 1.5 * out.data.nbytes, held / out.data.nbytes
+    assert all(t.grad is not None for t in leaves)
 
 
 def test_grad_of_another_shape_rejected():
@@ -577,17 +641,14 @@ def test_selective_scan_keeps_only_block_boundary_states_for_the_backward():
     L, D, S = 16 * ad.SCAN_BLOCK_ROWS, 32, 8
     leaves = scan_leaves(np.random.default_rng(880), L=L, D=D, S=S)
     lds = L * S * D * np.dtype(np.float64).itemsize
-    tracemalloc.start()
-    try:
+
+    def forward_and_backward():
         with Tape() as tape:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            out = ad.selective_scan(*leaves)
-            held = tracemalloc.get_traced_memory()[0] - before
+            out, held = held_bytes(ad.selective_scan, *leaves)
             tape.backward(ad.tsum(out))
-            peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+        return held
+
+    held, peak = traced_peak(forward_and_backward)
     # the [L, D] output and one [S, D] state per block boundary; the history
     # is rebuilt block by block in the backward
     assert held < 0.25 * lds, held / lds

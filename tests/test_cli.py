@@ -1,4 +1,5 @@
 import csv
+import gzip
 import json
 import tracemalloc
 import warnings
@@ -498,6 +499,44 @@ def test_bad_geometry_exits_2_from_the_headers_before_any_payload_read(
     err = capsys.readouterr().err
     assert rc == 2, err
     assert f"subject {named.subject_id} ({named.path})" in err and keys[command] in err
+    assert reads == []
+
+
+def _unreadable_header(good: bytes, case: str) -> bytes:
+    """A .nii.gz whose header ``read_header`` cannot read, from a good one."""
+    header = gzip.decompress(good)[:348]
+    if case == "bad-magic":
+        return gzip.compress(header[:344] + b"xyz\0")
+    if case == "truncated-header":
+        return gzip.compress(header[:200])
+    return good[:10] + b"\xff" * 64  # a gzip member header, then no deflate stream
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "attribute"])
+@pytest.mark.parametrize("case", ["bad-magic", "truncated-header", "corrupt-gzip"])
+def test_unreadable_header_exits_2_naming_the_subject_before_any_payload_read(
+        pipeline, tmp_path, capsys, monkeypatch, command, case):
+    records = read_manifest(pipeline / "prep" / "manifest.csv")
+    train, val, test = split_subjects(records, (8.0, 1.0, 1.0), seed=0)
+    named = {"pretrain": train + val, "finetune": train + val + test,
+             "attribute": records}[command][-1]
+    bad = tmp_path / "bad.nii.gz"
+    bad.write_bytes(_unreadable_header(Path(named.path).read_bytes(), case))
+    named.path = str(bad)
+    write_manifest(records, tmp_path / "manifest.csv")
+    reads = _reading_spy(monkeypatch)
+    synth = pipeline / "synth"
+    rc = main(["--out-dir", str(tmp_path / "out"),
+               "--set", f"data.manifest={tmp_path / 'manifest.csv'}",
+               "--set", f"data.patch_sets={pipeline / 'patches' / 'patch_sets.json'}",
+               "--set", f"finetune.init_from={pipeline / 'pretrain' / 'model.ckpt'}",
+               "--set", f"data.checkpoint={pipeline / 'finetune' / 'model.ckpt'}",
+               "--set", f"data.atlas={synth / 'atlas.nii.gz'}",
+               "--set", f"data.region_map={synth / 'region_map.csv'}",
+               *SMALL_MODEL, command])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert f"subject {named.subject_id} ({bad})" in err and "data.manifest" in err
     assert reads == []
 
 

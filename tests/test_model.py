@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from conftest import traced_peak
+from conftest import held_bytes, traced_peak
 
 from regionmae import autodiff as ad
 from regionmae.atlas import PatchGrid
@@ -749,6 +749,27 @@ def test_taped_step_makes_no_volume_copy():
     step()  # warm the model's caches
     _, peak = traced_peak(step)
     assert peak <= 7.7 * vol.nbytes, peak / vol.nbytes
+
+
+def test_mamba_block_keeps_no_activation_its_backward_can_rebuild():
+    # Between forward and backward a stage-0 block keeps four [L, inner]
+    # arrays (u, delta, the scan's output y and the gate's input z), three
+    # [L, dim] ones (the norm's xhat, the in-projection's input, the
+    # residual output) and the narrow dt_in, b and c. softplus's input,
+    # silu(z) and y * silu(z) are rebuilt in the backward; keeping them
+    # would add three more [L, inner] arrays.
+    m = HybridModel(ModelConfig(configuration=MAMBA))
+    prefix, _, stage, _ = m.enc_blocks[0]
+    dim = m.config.stage_dim(stage)
+    seq, inner = 1024, m.config.ssm_expand * dim
+    x = Tensor(np.random.default_rng(43).normal(size=(seq, dim)).astype(np.float32),
+               requires_grad=True)
+    with Tape() as tape:
+        out, held = held_bytes(m._mamba, x, prefix)
+        tape.backward(ad.tsum(out))
+    unit = seq * inner * x.data.itemsize
+    assert held < 6.5 * unit, held / unit
+    assert x.grad is not None and m.params[f"{prefix}.out.w"].grad is not None
 
 
 def test_unpatchify_inverts_patch_embed():
