@@ -129,38 +129,27 @@ def _embedding_path(model, data: np.ndarray, x0, dtype):
     """The path at the token embedding: ``(span, start, classify,
     times_gradient)``.
 
-    The model's first layer is the affine ``embed``, ``rows @ W + b``, so
-    the straight path from ``x0`` to ``x`` is the straight path from
-    ``x0_rows @ W + b`` to ``x_rows @ W + b`` in its [N, D0] embeddings:
-    ``span`` is ``(x - x0)_rows @ W`` and ``start`` is ``x0_rows @ W + b``
-    (``b`` for the zero baseline), both in the pass dtype. The token rows
-    are gathered into one buffer per call: of ``x`` in the pass dtype one
-    ``t_patch`` run at a time for the zero baseline, else of ``x0``, then
-    of ``x - x0`` (taken in float64, rounded to the pass dtype).
-    ``times_gradient(out, grad)`` multiplies the row gradient ``grad @ W^T``
-    into ``out``'s token rows in float64, one lattice z-slab of rows at a
-    time, so no [N, k] row gradient is built.
+    The model's first layer, :meth:`patch_embed`, is the affine
+    ``E(x) = rows @ W + b``, so the straight path from ``x0`` to ``x`` is
+    the one from ``start = E(x0)`` along ``span = E(x) - E(x0)`` in its
+    [N, D0] embeddings, each volume embedded in the pass dtype. The zero
+    baseline's ``start`` is ``b``, which is ``E(0)``; the mean baseline
+    embeds a constant volume. ``times_gradient(out, grad)`` multiplies the
+    row gradient ``grad @ W^T`` into ``out``'s token rows in float64, one
+    lattice z-slab of rows at a time, so no [N, k] row gradient is built.
     """
-    view, plan = model.token_view(data)
-    dims = plan[0].dims
+    def embed(vol):  # in the pass dtype; a 0-d vol as a constant volume
+        return model.patch_embed(np.ascontiguousarray(np.broadcast_to(vol, data.shape), dtype))
+
+    end, plan = embed(data)
     w, b = model.params["embed.w"].data, model.params["embed.b"].data
-    rows = np.empty(model.rows_shape(dims), dtype=dtype)
-    if x0 is None:
-        np.copyto(model._runs(rows, view.shape[:-1]),
-                  model._volume_runs(np.ascontiguousarray(data, dtype), dims))
-        start = b
-    else:
-        tokens = rows.reshape(view.shape)
-        x0_view = model.token_view(x0)[0] if x0.ndim else x0
-        np.copyto(tokens, x0_view)
-        start = rows @ w + b
-        np.subtract(view, x0_view, out=tokens, dtype=np.float64)
-    span = rows @ w
+    start = b if x0 is None else embed(x0)[0].data
+    span = np.subtract(end.data, start, out=end.data)
     w_t = w.astype(np.float64).T
 
     def times_gradient(out: np.ndarray, grad: np.ndarray) -> None:
         out_slabs = model.token_view(out)[0]
-        for out_slab, grad_slab in zip(out_slabs, grad.reshape(dims[0], -1, w.shape[1])):
+        for out_slab, grad_slab in zip(out_slabs, grad.reshape(len(out_slabs), -1, w.shape[1])):
             out_slab *= (grad_slab @ w_t).reshape(out_slab.shape)
 
     return span, start, lambda point: model.classify_embedded(point, plan), times_gradient
@@ -211,22 +200,23 @@ def integrated_gradients(model, vol, baseline=ZERO, steps: int = 32) -> np.ndarr
     x0 + (k + 0.5)/steps * (x - x0), k = 0..steps-1.
 
     For a model with ``classify_embedded`` the passes run at the token
-    embedding. Its first layer is affine, so a straight path in voxel space
-    is a straight path in its [N, D0] embeddings, and the row gradient is
-    the embedding gradient times ``W^T``. Every pass runs on an embedding
-    point, the embedding gradients are summed, and ``W^T`` is applied to
-    their mean once per call, in float64, one lattice z-slab of token rows
-    at a time; IG is invariant under this
-    rewrite (Sundararajan et al. 2017), so the map equals running the
-    passes on the volume up to rounding. Any other model runs them on the
-    volume as given, through ``forward_classify``.
+    embedding. Its first layer ``E = patch_embed`` is affine, so a straight
+    path in voxel space is the straight path from ``start = E(x0)`` along
+    ``span = E(x) - E(x0)`` in its [N, D0] embeddings, and the row gradient
+    is the embedding gradient times ``W^T``. Every pass runs on an
+    embedding point, the embedding gradients are summed, and ``W^T`` is
+    applied to their mean once per call, in float64, one lattice z-slab of
+    token rows at a time; IG is invariant under this rewrite (Sundararajan
+    et al. 2017), so the map equals running the passes on the volume up to
+    rounding. Any other model runs them on the volume as given, through
+    ``forward_classify``.
 
     Each pass runs at the input's precision: a float32 volume gives float32
-    path points, anything else float64. ``x - x0``, the gradient sum and
-    the result are float64 either way. The zero baseline builds no
-    baseline array and the mean baseline is one number. The model's
-    parameters are held constant during the passes, so only the input
-    gradient is computed and no parameter ``.grad`` is touched.
+    path points, anything else float64. The final ``x - x0``, the gradient
+    sum and the result are float64 either way. The zero baseline builds no
+    baseline array. The model's parameters are held constant during the
+    passes, so only the input gradient is computed and no parameter
+    ``.grad`` is touched.
     """
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")

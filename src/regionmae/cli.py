@@ -215,6 +215,9 @@ def cmd_pretrain(cfg: dict, args, out: Path) -> list:
                  mask_spec=_build(MaskSpec, cfg, "mask"))
     sets_path = require_data_path(cfg, "patch_sets")
     sets = PatchSets.load(sets_path)
+    if sets.grid.patch_size != model_cfg.patch_size:
+        raise ValidationError(f"data.patch_sets: tiled at patch size {list(sets.grid.patch_size)}, "
+                              f"model.patch_size is {list(model_cfg.patch_size)}")
     records, inputs = _manifest(cfg)
     inputs.append(sets_path)
     # split before any volume is read; the test split is not read at all

@@ -235,20 +235,27 @@ def test_token_path_matches_voxel_path_bytewise(rng, conf):
                                     patch_size=(2, 3, 4), t_patch=2,
                                     configuration=conf))
     voxels = VoxelOnly(model)
-    for dtype, tol in EMBEDDING_TOLERANCE.items():
-        x = rng.normal(size=(16, 12, 16, 4)).astype(dtype)
-        for baseline in (ZERO, MEAN, rng.normal(size=x.shape),
-                         rng.normal(size=x.shape).astype(np.float32)):
-            got = integrated_gradients(model, x, baseline, steps=4)
-            want = integrated_gradients(voxels, x, baseline, steps=4)
-            assert got.flags.c_contiguous and got.dtype == np.float64
-            err = np.abs(got - want).max() / np.abs(want).max()
-            assert err <= tol, (dtype, baseline, err)
-        cfg = AttributionConfig(ig_steps=2, sg_samples=2, baseline=MEAN)
-        got = ig_sq(model, x, cfg, seed=5).map3d
-        want = ig_sq(voxels, x, cfg, seed=5).map3d
-        # squared maps: twice the relative error of the maps
-        assert np.abs(got - want).max() <= 2 * tol * np.abs(want).max(), dtype
+    # a fresh model's embed.b is zero; the second round sets one about as
+    # large as the spread of x_rows @ W, which the path's start E(x0) and
+    # span E(x) - E(x0) must both carry
+    b = model.params["embed.b"].data
+    spread = model.patch_embed(rng.normal(size=(16, 12, 16, 4)))[0].data.std()
+    for bias in (np.zeros_like(b), rng.normal(scale=spread, size=b.shape)):
+        b[...] = bias
+        for dtype, tol in EMBEDDING_TOLERANCE.items():
+            x = rng.normal(size=(16, 12, 16, 4)).astype(dtype)
+            for baseline in (ZERO, MEAN, rng.normal(size=x.shape),
+                             rng.normal(size=x.shape).astype(np.float32)):
+                got = integrated_gradients(model, x, baseline, steps=4)
+                want = integrated_gradients(voxels, x, baseline, steps=4)
+                assert got.flags.c_contiguous and got.dtype == np.float64
+                err = np.abs(got - want).max() / np.abs(want).max()
+                assert err <= tol, (dtype, baseline, err)
+            cfg = AttributionConfig(ig_steps=2, sg_samples=2, baseline=MEAN)
+            got = ig_sq(model, x, cfg, seed=5).map3d
+            want = ig_sq(voxels, x, cfg, seed=5).map3d
+            # squared maps: twice the relative error of the maps
+            assert np.abs(got - want).max() <= 2 * tol * np.abs(want).max(), dtype
 
 
 def test_no_pass_permutes_the_volume(rng, monkeypatch):
@@ -261,7 +268,7 @@ def test_no_pass_permutes_the_volume(rng, monkeypatch):
         return real_transpose(t, axes)
 
     def embed_spy(self, vol):
-        embeds.append(vol.shape)
+        embeds.append((vol.shape, ad.active_tape() is None))
         return real_embed(self, vol)
 
     def record_spy(tape, output, backward):
@@ -279,22 +286,33 @@ def test_no_pass_permutes_the_volume(rng, monkeypatch):
     x = rng.normal(size=(24, 24, 24, 4)).astype(np.float32)
     integrated_gradients(model, x, ZERO, steps=2)
     assert sizes and max(sizes) < x.size
-    assert embeds == []  # the passes start at the embedding
+    # the passes start at the embedding: the path ends are embedded off the
+    # tape, as often at 4 steps as at 2
+    for baseline in (ZERO, MEAN):
+        counts = []
+        for steps in (2, 4):
+            embeds.clear()
+            integrated_gradients(model, x, baseline, steps=steps)
+            assert embeds and all(untaped for _, untaped in embeds), baseline
+            counts.append(len(embeds))
+        assert counts[0] == counts[1], (baseline, counts)
     sizes.clear()
     held.clear()
+    embeds.clear()
     integrated_gradients(VoxelOnly(model), x, ZERO, steps=2)
     assert sizes and max(sizes) < x.size
-    assert embeds == [x.shape] * 2  # one embedding per pass
+    assert embeds == [(x.shape, False)] * 2  # one taped embedding per pass
     # the embedding keeps only its weight for the volume's gradient
     assert held and max(held) < x.nbytes
 
 
 def test_explicit_baseline_is_not_copied_into_token_order(rng):
-    # float64 passes on a float64 baseline: the token rows (of x0, then of
-    # x - x0) take one volume and are dropped before the passes, which run
-    # on [N, D0] embeddings; the result takes one volume at the end, and the
-    # row gradient is multiplied into it one lattice z-slab at a time. Any
-    # other volume held beside it would take a second
+    # float64 passes on a float64 baseline: x and x0 are embedded as they
+    # are, one lattice z-slab of token rows at a time, so neither is copied
+    # before the passes, which run on [N, D0] embeddings; the result takes
+    # one volume at the end, and the row gradient is multiplied into it one
+    # lattice z-slab at a time. Any other volume held beside it would take
+    # a second
     model = HybridModel(ModelConfig(embed_dim=8, stage_depths=(1, 1),
                                     ssm_state_dim=4, configuration=MAMBA))
     x = rng.normal(size=(48, 48, 48, 4))

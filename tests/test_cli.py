@@ -456,22 +456,29 @@ BAD_GEOMETRY = {
     "window-not-dividing": ({"configuration": "AM", "window": (3, 3, 3, 2)},
                             dict.fromkeys(("pretrain", "finetune", "attribute"),
                                           "model.window")),
+    # the patch sets are tiled at 6^3; only pretrain reads them
+    "patch-sets-other-patch-size": ({"patch_size": (4, 4, 4)},
+                                    {"pretrain": "data.patch_sets"}),
 }
+GEOMETRY_CASES = [(case, command) for case, (_, keys) in BAD_GEOMETRY.items()
+                  for command in keys]
 
 
-@pytest.mark.parametrize("command", ["pretrain", "finetune", "attribute"])
-@pytest.mark.parametrize("case", list(BAD_GEOMETRY))
+@pytest.mark.parametrize("case, command", GEOMETRY_CASES,
+                         ids=[f"{case}-{command}" for case, command in GEOMETRY_CASES])
 def test_bad_geometry_exits_2_from_the_headers_before_any_payload_read(
         pipeline, tmp_path, capsys, monkeypatch, command, case):
     changes, keys = BAD_GEOMETRY[case]
     records = read_manifest(pipeline / "prep" / "manifest.csv")
     train, val, test = split_subjects(records, (8.0, 1.0, 1.0), seed=0)
     # the last subject the command reads (pretrain leaves the test split
-    # out) has the bad volume; a bad window fails at the first
+    # out) has the bad volume; a bad window fails at the first, and the
+    # patch-size mismatch at no subject
     read = {"pretrain": train + val, "finetune": train + val + test,
             "attribute": records}[command]
-    named = read[0] if case == "window-not-dividing" else read[-1]
-    if case != "window-not-dividing":
+    named = {"window-not-dividing": read[0], "patch-sets-other-patch-size": None}.get(
+        case, read[-1])
+    if case in ("last-subject-wrong-shape", "timepoints-not-divisible"):
         x, y, z, n_t = read_header(named.path).shape
         shape = (x + 6, y, z, n_t) if case == "last-subject-wrong-shape" else (x, y, z, n_t + 2)
         assert shape[3] % 4 or shape[0] == 30
@@ -498,7 +505,11 @@ def test_bad_geometry_exits_2_from_the_headers_before_any_payload_read(
                *SMALL_MODEL, *(a for o in overrides for a in ("--set", o)), command])
     err = capsys.readouterr().err
     assert rc == 2, err
-    assert f"subject {named.subject_id} ({named.path})" in err and keys[command] in err
+    assert keys[command] in err
+    if named is None:
+        assert "model.patch_size" in err
+    else:
+        assert f"subject {named.subject_id} ({named.path})" in err
     assert reads == []
 
 
